@@ -10,10 +10,13 @@ codes: 0 all checks pass, 1 fidelity failure, 2 blocked by a controller,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import shutil
 import sys
-from typing import Sequence
+import tempfile
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -179,13 +182,39 @@ def _transcript_json(result: BranchResult) -> dict:
     }
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(args) -> contextlib.AbstractContextManager[TextIO]:
+    """The report's destination, opened before any branch is computed so an
+    unwritable ``--output`` fails fast as a configuration error."""
+    if not args.output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {args.output!r}: {exc.strerror}") from None
+
+
+def _emit(report: dict, out: TextIO) -> None:
+    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+# The scalars of a branch entry go through the C encoder, which writes the
+# same float repr, null and true/false as json.dumps; indent=2 would force
+# the pure-Python encoder.  Its default item separator is ", ", which no
+# float, int, bool or null contains.
+_encode_flat = json.JSONEncoder().encode
+# Stands in for the spooled "branches" list; no other report string holds a NUL.
+_BRANCHES_MARK = "\0branches"
+
+
+def _branch_text(bits: list[int], probability: float, fidelity: float | None,
+                 blocked: bool) -> str:
+    """One entry of an enumerate report's "branches" list, byte for byte as
+    ``json.dumps(report, indent=2, sort_keys=True)`` writes it."""
+    blocked_t, fidelity_t, probability_t, *bits_t = (
+        _encode_flat([blocked, fidelity, probability, *bits])[1:-1].split(", "))
+    bits_text = ("[\n        " + ",\n        ".join(bits_t) + "\n      ]") if bits_t else "[]"
+    return (f'    {{\n      "bits": {bits_text},\n      "blocked": {blocked_t},\n'
+            f'      "fidelity": {fidelity_t},\n      "probability": {probability_t}\n    }}')
 
 
 def _summary(line: str) -> None:
@@ -200,26 +229,27 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--check-paper-eqs needs the m=2, n=1 configuration")
     seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % (2 ** 32))
     args.seed = seed
-    result = run_full(config, seed=seed, check_stages=args.check_paper_eqs)
-    fid = branch_fidelity(config, result)
-    labels = [lbl for lbl in config.labels.order if lbl in result.bits]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": _config_json(config, args, "sample"),
-        "outcome_labels": labels,
-        "branch": {
-            "bits": [result.bits[lbl] for lbl in labels],
-            "probability": result.probability,
-            "fidelity": fid,
-            "blocked": result.blocked,
-            "blocked_at": result.blocked_at,
-        },
-        "transcript": _transcript_json(result),
-        "errata": [e.to_json() for e in result.errata],
-        "max_terms": result.max_terms,
-    }
-    _emit(report, args)
+    with _open_output(args) as out:
+        result = run_full(config, seed=seed, check_stages=args.check_paper_eqs)
+        fid = branch_fidelity(config, result)
+        labels = [lbl for lbl in config.labels.order if lbl in result.bits]
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "simulate",
+            "config": _config_json(config, args, "sample"),
+            "outcome_labels": labels,
+            "branch": {
+                "bits": [result.bits[lbl] for lbl in labels],
+                "probability": result.probability,
+                "fidelity": fid,
+                "blocked": result.blocked,
+                "blocked_at": result.blocked_at,
+            },
+            "transcript": _transcript_json(result),
+            "errata": [e.to_json() for e in result.errata],
+            "max_terms": result.max_terms,
+        }
+        _emit(report, out)
     if result.blocked:
         _summary(f"blocked by controller at {result.blocked_at}")
         return EXIT_BLOCKED
@@ -244,7 +274,6 @@ def cmd_enumerate(args) -> int:
     target = direct_apply(config.unitaries, config.alpha, config.beta)
     labels = list(config.labels.order)
 
-    branches = []
     errata = []
     prob_sum = 0.0
     min_fid = None
@@ -252,47 +281,49 @@ def cmd_enumerate(args) -> int:
     classical_bits = None
     max_terms = 0
     count = 0
-    for res in iter_branches(config, check_stages=args.check_paper_eqs):
-        count += 1
-        prob_sum += res.probability
-        max_terms = max(max_terms, res.max_terms)
-        if res.blocked:
-            blocked_count += 1
-            branches.append({
-                "bits": [res.bits[lbl] for lbl in labels if lbl in res.bits],
-                "probability": res.probability,
-                "fidelity": None,
-                "blocked": True,
-            })
-            continue
-        fid = target_fidelity(res.state, target)
-        min_fid = fid if min_fid is None else min(min_fid, fid)
-        classical_bits = res.transcript.classical_bits
-        errata.extend(res.errata)
-        branches.append({
-            "bits": [res.bits[lbl] for lbl in labels],
-            "probability": res.probability,
-            "fidelity": fid,
-            "blocked": False,
-        })
+    # Each branch is written out as it is yielded, so memory stays flat in the
+    # branch count.  sort_keys puts "aggregate", known only after the last
+    # branch, ahead of "branches", hence the spool.
+    with _open_output(args) as out, tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        for res in iter_branches(config, check_stages=args.check_paper_eqs):
+            if count:
+                spool.write(",\n")
+            count += 1
+            prob_sum += res.probability
+            max_terms = max(max_terms, res.max_terms)
+            branch_bits = [res.bits[lbl] for lbl in labels if lbl in res.bits]
+            if res.blocked:
+                blocked_count += 1
+                spool.write(_branch_text(branch_bits, res.probability, None, True))
+                continue
+            fid = target_fidelity(res.state, target)
+            min_fid = fid if min_fid is None else min(min_fid, fid)
+            classical_bits = res.transcript.classical_bits
+            errata.extend(res.errata)
+            spool.write(_branch_text(branch_bits, res.probability, fid, False))
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "enumerate",
-        "config": _config_json(config, args, "enumerate"),
-        "outcome_labels": labels,
-        "branches": branches,
-        "aggregate": {
-            "branch_count": count,
-            "blocked_count": blocked_count,
-            "probability_sum": prob_sum,
-            "min_fidelity": min_fid,
-            "classical_bits": classical_bits,
-            "max_terms": max_terms,
-        },
-        "errata": [e.to_json() for e in errata],
-    }
-    _emit(report, args)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "enumerate",
+            "config": _config_json(config, args, "enumerate"),
+            "outcome_labels": labels,
+            "branches": _BRANCHES_MARK,
+            "aggregate": {
+                "branch_count": count,
+                "blocked_count": blocked_count,
+                "probability_sum": prob_sum,
+                "min_fidelity": min_fid,
+                "classical_bits": classical_bits,
+                "max_terms": max_terms,
+            },
+            "errata": [e.to_json() for e in errata],
+        }
+        head, tail = json.dumps(report, indent=2, sort_keys=True).split(
+            json.dumps(_BRANCHES_MARK))
+        out.write(head + "[\n")
+        spool.seek(0)
+        shutil.copyfileobj(spool, out)
+        out.write("\n  ]" + tail + "\n")
     _summary(
         f"{count} branches, probability sum {prob_sum:.12f}, "
         f"min fidelity {min_fid if min_fid is not None else 'n/a'}, "
@@ -316,47 +347,48 @@ def cmd_stats(args) -> int:
         raise ConfigError("stats needs a fully consenting configuration")
     labels = list(config.labels.order)
 
-    expected = {lbl: 0.0 for lbl in labels}
-    for res in iter_branches(config):
-        for lbl in labels:
-            if res.bits[lbl]:
-                expected[lbl] += res.probability
+    with _open_output(args) as out:
+        expected = {lbl: 0.0 for lbl in labels}
+        for res in iter_branches(config):
+            for lbl in labels:
+                if res.bits[lbl]:
+                    expected[lbl] += res.probability
 
-    seed = args.seed if args.seed is not None else 0
-    args.seed = seed
-    rng = np.random.default_rng(seed)
-    counts = {lbl: 0 for lbl in labels}
-    for _ in range(args.samples):
-        res = run_full(config, rng=rng)
-        for lbl in labels:
-            counts[lbl] += res.bits[lbl]
+        seed = args.seed if args.seed is not None else 0
+        args.seed = seed
+        rng = np.random.default_rng(seed)
+        counts = {lbl: 0 for lbl in labels}
+        for _ in range(args.samples):
+            res = run_full(config, rng=rng)
+            for lbl in labels:
+                counts[lbl] += res.bits[lbl]
 
-    all_within = True
-    table = {}
-    for lbl in labels:
-        p = expected[lbl]
-        freq = counts[lbl] / args.samples
-        sigma = math.sqrt(max(p * (1.0 - p), 1e-300) / args.samples)
-        within = abs(freq - p) <= 3.0 * sigma
-        all_within = all_within and within
-        table[lbl] = {
-            "expected": p,
-            "count": counts[lbl],
-            "frequency": freq,
-            "sigma": sigma,
-            "within_3_sigma": within,
+        all_within = True
+        table = {}
+        for lbl in labels:
+            p = expected[lbl]
+            freq = counts[lbl] / args.samples
+            sigma = math.sqrt(max(p * (1.0 - p), 1e-300) / args.samples)
+            within = abs(freq - p) <= 3.0 * sigma
+            all_within = all_within and within
+            table[lbl] = {
+                "expected": p,
+                "count": counts[lbl],
+                "frequency": freq,
+                "sigma": sigma,
+                "within_3_sigma": within,
+            }
+
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "stats",
+            "config": _config_json(config, args, "sample"),
+            "samples": args.samples,
+            "outcome_labels": labels,
+            "bits": table,
+            "all_within_3_sigma": all_within,
         }
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "stats",
-        "config": _config_json(config, args, "sample"),
-        "samples": args.samples,
-        "outcome_labels": labels,
-        "bits": table,
-        "all_within_3_sigma": all_within,
-    }
-    _emit(report, args)
+        _emit(report, out)
     _summary(f"{args.samples} samples over {len(labels)} bits; "
              f"{'all' if all_within else 'NOT all'} within 3 sigma")
     return EXIT_OK if all_within else EXIT_FIDELITY

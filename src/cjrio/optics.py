@@ -10,6 +10,7 @@ per-step closed form of the protocol reproduces, see the stage checker.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ class SU2Operator:
 
     def __post_init__(self) -> None:
         u, v = complex(self.u), complex(self.v)
+        if not (cmath.isfinite(u) and cmath.isfinite(v)):
+            raise ValueError("operator entries u and v must be finite")
         if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > UNITARY_TOL:
             raise ValueError("|u|^2 + |v|^2 must equal 1")
 

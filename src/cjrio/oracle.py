@@ -9,6 +9,7 @@ the other way around.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,6 +33,8 @@ class TargetState:
     a1: complex
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.a0) and cmath.isfinite(self.a1)):
+            raise ValueError("target amplitudes must be finite")
         if abs(abs(self.a0) ** 2 + abs(self.a1) ** 2 - 1.0) > 1e-9:
             raise ValueError("target amplitudes are not normalized")
 

@@ -20,6 +20,7 @@ against exhaustive Pauli search.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -261,6 +262,8 @@ class ProtocolConfig:
             raise ValueError("controller count must be >= 0")
         if len(self.unitaries) != self.m:
             raise ValueError(f"expected {self.m} operators, got {len(self.unitaries)}")
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValueError("input amplitudes must be finite")
         if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-9:
             raise ValueError("input amplitudes are not normalized")
         for name in ("consent", "consent_phase2"):

@@ -1,7 +1,11 @@
 import json
+import shlex
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from cjrio import cli, stages
 from cjrio.cli import (EXIT_BLOCKED, EXIT_CONFIG, EXIT_OK, main,
                        parse_complex, parse_unitary)
 
@@ -173,3 +177,148 @@ def test_stats_bands(capsys):
 def test_stats_rejects_tiny_sample(capsys):
     code, _, err = run_cli(capsys, "stats", "--samples", "50")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "nan", "--beta", "0"],
+    ["enumerate", "--m", "1", "--n", "0", "--alpha", "1", "--beta", "nan"],
+    ["simulate", "--u1", "nan,0", "--alpha", "1"],
+])
+def test_non_finite_input_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("cjrio: configuration error:") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate", "stats"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, command):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the output was opened")
+
+    monkeypatch.setattr(cli, "iter_branches", no_compute)
+    monkeypatch.setattr(cli, "run_full", no_compute)
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, command, "--seed", "1", "--output", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("cjrio:") and str(path) in err
+    assert not path.exists()
+
+
+def _readme_quick_start() -> list[list[str]]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [cmd[1:] for cmd in commands if cmd and cmd[0] == "cjrio"]
+
+
+def test_readme_quick_start_exit_codes(capsys):
+    commands = _readme_quick_start()[:3]
+    assert [c[0] for c in commands] == ["simulate", "enumerate", "simulate"]
+    assert "--consent" in commands[2]
+    for argv, expected in zip(commands, (EXIT_OK, EXIT_OK, EXIT_BLOCKED)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected, (argv, err)
+
+
+def _reference_enumerate_report(argv: list[str]) -> str:
+    """The report as built before it was streamed: every branch as a dict,
+    then one json.dumps of the whole document."""
+    args = cli.make_parser().parse_args(argv)
+    config = cli.build_config(args)
+    target = cli.direct_apply(config.unitaries, config.alpha, config.beta)
+    labels = list(config.labels.order)
+    branches, errata = [], []
+    prob_sum, min_fid, blocked_count, classical_bits, max_terms = 0.0, None, 0, None, 0
+    for res in cli.iter_branches(config, check_stages=args.check_paper_eqs):
+        prob_sum += res.probability
+        max_terms = max(max_terms, res.max_terms)
+        if res.blocked:
+            blocked_count += 1
+            branches.append({
+                "bits": [res.bits[lbl] for lbl in labels if lbl in res.bits],
+                "probability": res.probability,
+                "fidelity": None,
+                "blocked": True,
+            })
+            continue
+        fid = cli.target_fidelity(res.state, target)
+        min_fid = fid if min_fid is None else min(min_fid, fid)
+        classical_bits = res.transcript.classical_bits
+        errata.extend(res.errata)
+        branches.append({
+            "bits": [res.bits[lbl] for lbl in labels],
+            "probability": res.probability,
+            "fidelity": fid,
+            "blocked": False,
+        })
+    report = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "enumerate",
+        "config": cli._config_json(config, args, "enumerate"),
+        "outcome_labels": labels,
+        "branches": branches,
+        "aggregate": {
+            "branch_count": len(branches),
+            "blocked_count": blocked_count,
+            "probability_sum": prob_sum,
+            "min_fidelity": min_fid,
+            "classical_bits": classical_bits,
+            "max_terms": max_terms,
+        },
+        "errata": [e.to_json() for e in errata],
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+STREAMED_ARGVS = {
+    "check-paper-eqs": ["enumerate", "--m", "2", "--n", "1", "--alpha", "0.6",
+                        "--beta=-0.8j", "--u1", "0.6+0.48j,0.64j", "--u2", "preset:pauli-z",
+                        "--check-paper-eqs"],
+    "consent-01": ["enumerate", "--m", "2", "--n", "2", "--consent", "01"],
+    "consent2-0": ["enumerate", "--m", "2", "--n", "1", "--consent2", "0"],
+    "rio": ["enumerate", "--m", "1", "--n", "0", "--variant", "rio",
+            "--alpha", "0.6", "--beta", "0.8", "--u1", "preset:hadamard-like"],
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("name", sorted(STREAMED_ARGVS))
+def test_streamed_report_matches_reference(tmp_path, capsys, name, to_file):
+    argv = STREAMED_ARGVS[name]
+    expected = _reference_enumerate_report(argv)
+    path = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, *argv, *(["--output", str(path)] if to_file else []))
+    assert code in (EXIT_OK, EXIT_BLOCKED)
+    assert (path.read_text(encoding="utf-8") if to_file else out) == expected
+
+
+def test_streamed_report_matches_reference_with_errata(capsys, monkeypatch):
+    def always_mismatch(config):
+        def check(stage, bits, state):
+            return stages.StageMismatch(stage, dict(bits), ["X"], [], [{"amp": [0.5, -0.0]}])
+        return check
+
+    monkeypatch.setattr(stages, "make_stage_checker", always_mismatch)
+    argv = ["enumerate", "--m", "2", "--n", "1", "--check-paper-eqs"]
+    expected = _reference_enumerate_report(argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(json.loads(out)["errata"]) == 10 * 2048
+    assert out == expected
+
+
+def test_enumerate_memory_flat_in_branch_count(tmp_path):
+    # A materialized 2048-branch report peaks near 4.7 MB; streamed, well under 1 MB.
+    argv = ["enumerate", "--m", "2", "--n", "1", "--output", str(tmp_path / "r.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -197,6 +197,9 @@ def test_su2_dagger_inverts(rng):
 def test_su2_rejects_non_unitary():
     with pytest.raises(ValueError):
         SU2Operator(1.0, 1.0)
+    for u, v in ((math.nan, 0), (1, complex(0, math.nan)), (math.inf, 0)):
+        with pytest.raises(ValueError, match="finite"):
+            SU2Operator(u, v)
 
 
 def test_ops_on_distinct_photons_commute(rng):

@@ -47,6 +47,12 @@ def test_direct_apply_rejects_empty():
         direct_apply([], 1.0, 0.0)
 
 
+def test_target_state_rejects_non_finite():
+    for a0, a1 in ((math.nan, 0.0), (1.0, complex(0, math.nan)), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TargetState(a0, a1)
+
+
 def _final_state(c0, c1, extra_live=False):
     reg = registry(1, 0)
     alive = (False, True, True if extra_live else False)

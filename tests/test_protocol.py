@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,9 @@ def test_config_validation():
         ProtocolConfig(2, 1, (I2,), 0.6, 0.8)
     with pytest.raises(ValueError):
         cfg(alpha=1.0, beta=1.0)
+    for alpha, beta in ((math.nan, 0.0), (1.0, complex(math.nan, 0)), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            cfg(alpha=alpha, beta=beta)
     with pytest.raises(ValueError):
         cfg(consent=(True, True))
 
