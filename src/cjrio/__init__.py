@@ -7,8 +7,7 @@ from .hilbert import (A, BasisKet, HybridState, PhotonId, X, bob,
                       build_initial_state, charlie, enumerate_measurement,
                       equal_up_to_global_phase, overlap, reduced_purity,
                       registry)
-from .kerr import (CoherentProbe, HomodyneOutcome, enumerate_homodyne,
-                   fresh_probe, homodyne, kerr, outcome_distribution)
+from .kerr import CoherentProbe, enumerate_homodyne, fresh_probe, kerr
 from .optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                      apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                      apply_qwp, apply_su2_spatial)
@@ -25,16 +24,15 @@ from .stages import CHECK_IDS, StageMismatch, make_stage_checker
 __all__ = [
     "A", "BLOCKED", "BasisKet", "BranchResult", "CHECK_IDS", "CoherentProbe",
     "CorrectionPlan", "CorrectionSearchError", "CorrectionSpec",
-    "FrameInconsistencyError", "HomodyneOutcome", "HybridState", "PauliFrame",
-    "PauliPower", "PhotonId", "ProtocolConfig", "ProtocolRun", "SU2Operator",
-    "StageMismatch", "TargetState", "Transcript", "X", "XorExpr",
-    "apply_bbs", "apply_hwp", "apply_pauli_polar", "apply_pauli_spatial",
-    "apply_pbs", "apply_qwp", "apply_su2_spatial", "assert_equiv", "bob",
-    "branch_fidelity", "brute_force_correction", "build_initial_state",
-    "charlie", "derive_correction_plan", "derive_corrections", "direct_apply",
+    "FrameInconsistencyError", "HybridState", "PauliFrame", "PauliPower",
+    "PhotonId", "ProtocolConfig", "ProtocolRun", "SU2Operator",
+    "StageMismatch", "TargetState", "Transcript", "X", "XorExpr", "apply_bbs",
+    "apply_hwp", "apply_pauli_polar", "apply_pauli_spatial", "apply_pbs",
+    "apply_qwp", "apply_su2_spatial", "assert_equiv", "bob", "branch_fidelity",
+    "brute_force_correction", "build_initial_state", "charlie",
+    "derive_correction_plan", "derive_corrections", "direct_apply",
     "enumerate_homodyne", "enumerate_measurement", "equal_up_to_global_phase",
-    "fresh_probe", "homodyne", "iter_branches", "kerr", "make_stage_checker",
-    "outcome_distribution", "outcome_labels", "overlap", "reduced_purity",
-    "registry", "run_all_branches", "run_full", "run_reduction",
-    "target_fidelity",
+    "fresh_probe", "iter_branches", "kerr", "make_stage_checker",
+    "outcome_labels", "overlap", "reduced_purity", "registry",
+    "run_all_branches", "run_full", "run_reduction", "target_fidelity",
 ]

@@ -145,6 +145,21 @@ def build_config(args) -> ProtocolConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _check_enumerable(config: ProtocolConfig) -> None:
+    bits = branch_bit_count(config.m, config.n)
+    if config.m > MAX_PARTIES or config.n > MAX_CONTROLLERS or bits > ENUMERATE_MAX_BITS:
+        raise ConfigError(
+            f"enumeration rejected: m={config.m}, n={config.n} spans "
+            f"2^{bits} = {2 ** bits} branches (limit 2^{ENUMERATE_MAX_BITS}; "
+            f"m <= {MAX_PARTIES}, n <= {MAX_CONTROLLERS})"
+        )
+
+
+def _check_paper_eqs_shape(args, config: ProtocolConfig) -> None:
+    if args.check_paper_eqs and (config.m, config.n) != (2, 1):
+        raise ConfigError("--check-paper-eqs needs the m=2, n=1 configuration")
+
+
 def _c2j(z: complex) -> list[float]:
     return [z.real, z.imag]
 
@@ -225,8 +240,7 @@ def cmd_simulate(args) -> int:
     config = build_config(args)
     if (args.mode or "sample") == "enumerate":
         return cmd_enumerate(args)
-    if args.check_paper_eqs and (config.m, config.n) != (2, 1):
-        raise ConfigError("--check-paper-eqs needs the m=2, n=1 configuration")
+    _check_paper_eqs_shape(args, config)
     seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % (2 ** 32))
     args.seed = seed
     with _open_output(args) as out:
@@ -262,18 +276,13 @@ def cmd_enumerate(args) -> int:
         args.mode = None
         return cmd_simulate(args)
     config = build_config(args)
-    bits = branch_bit_count(config.m, config.n)
-    if config.m > MAX_PARTIES or config.n > MAX_CONTROLLERS or bits > ENUMERATE_MAX_BITS:
-        raise ConfigError(
-            f"enumeration rejected: m={config.m}, n={config.n} spans "
-            f"2^{bits} = {2 ** bits} branches (limit 2^{ENUMERATE_MAX_BITS}; "
-            f"m <= {MAX_PARTIES}, n <= {MAX_CONTROLLERS})"
-        )
-    if args.check_paper_eqs and (config.m, config.n) != (2, 1):
-        raise ConfigError("--check-paper-eqs needs the m=2, n=1 configuration")
+    _check_enumerable(config)
+    _check_paper_eqs_shape(args, config)
     target = direct_apply(config.unitaries, config.alpha, config.beta)
     labels = list(config.labels.order)
 
+    # Errata stay in memory: --check-paper-eqs runs only at (2,1), so there are
+    # at most 2^11 branches x 10 checked nodes = 20480 records.
     errata = []
     prob_sum = 0.0
     min_fid = None
@@ -340,9 +349,7 @@ def cmd_stats(args) -> int:
     config = build_config(args)
     if args.samples < 100:
         raise ConfigError("stats needs at least 100 samples")
-    bits = branch_bit_count(config.m, config.n)
-    if config.m > MAX_PARTIES or config.n > MAX_CONTROLLERS or bits > ENUMERATE_MAX_BITS:
-        raise ConfigError("configuration too large to enumerate the exact marginals")
+    _check_enumerable(config)
     if not all(config.consent) or not all(config.consent_phase2):
         raise ConfigError("stats needs a fully consenting configuration")
     labels = list(config.labels.order)

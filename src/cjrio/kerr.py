@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hilbert import BasisKet, HybridState, PhotonId, prune
 
 ALLOWED_MULTIPLIERS = (-1, 1, 2)
@@ -22,19 +20,9 @@ ALLOWED_MULTIPLIERS = (-1, 1, 2)
 
 @dataclass
 class CoherentProbe:
-    """Phase-multiplier tags per basis ket plus the interaction log."""
+    """Phase-multiplier tags per basis ket."""
 
     tags: dict[BasisKet, int]
-    interactions: tuple[tuple[PhotonId, int, int], ...] = ()
-    consumed: bool = False
-
-
-@dataclass(frozen=True)
-class HomodyneOutcome:
-    """Sign-blind phase class |n| with the protocol-assigned label bits."""
-
-    phase_class: int
-    bits: tuple[int, ...] = ()
 
 
 def fresh_probe(state: HybridState) -> CoherentProbe:
@@ -51,8 +39,6 @@ def kerr(
     """Tap one path of a photon: every ket with the photon on ``path`` adds
     ``mult`` to its probe multiplier.  Returns the updated probe; state
     amplitudes are unchanged."""
-    if probe.consumed:
-        raise ValueError("probe was already measured")
     if mult not in ALLOWED_MULTIPLIERS:
         raise ValueError(f"interaction multiplier must be one of {ALLOWED_MULTIPLIERS}")
     i = state.require_alive(photon)
@@ -60,15 +46,15 @@ def kerr(
         ket: probe.tags.get(ket, 0) + (mult if ket.spatial[i] == path else 0)
         for ket in state.terms
     }
-    return CoherentProbe(
-        tags=tags,
-        interactions=probe.interactions + ((photon, path, mult),),
-    )
+    return CoherentProbe(tags=tags)
 
 
-def _classes(probe: CoherentProbe, state: HybridState) -> dict[int, dict[BasisKet, complex]]:
-    if probe.consumed:
-        raise ValueError("probe was already measured")
+def enumerate_homodyne(
+    probe: CoherentProbe, state: HybridState
+) -> list[tuple[int, float, HybridState]]:
+    """Every homodyne outcome with its probability and collapsed, renormalized
+    state, deterministically ordered by phase class.  Pure: the same probe can
+    be enumerated repeatedly."""
     classes: dict[int, dict[BasisKet, complex]] = {}
     for ket, amp in state.terms.items():
         try:
@@ -76,25 +62,6 @@ def _classes(probe: CoherentProbe, state: HybridState) -> dict[int, dict[BasisKe
         except KeyError:
             raise ValueError("probe tags do not cover the state; re-tap after state changes") from None
         classes.setdefault(c, {})[ket] = amp
-    return classes
-
-
-def outcome_distribution(probe: CoherentProbe, state: HybridState) -> list[tuple[int, float]]:
-    """(phase class, probability) pairs, ascending by class; no collapse."""
-    classes = _classes(probe, state)
-    return [
-        (c, sum(abs(a) ** 2 for a in classes[c].values()))
-        for c in sorted(classes)
-    ]
-
-
-def enumerate_homodyne(
-    probe: CoherentProbe, state: HybridState
-) -> list[tuple[int, float, HybridState]]:
-    """Every homodyne outcome with its probability and collapsed, renormalized
-    state, deterministically ordered by phase class.  Pure: the probe is not
-    consumed, so the same probe can be enumerated repeatedly."""
-    classes = _classes(probe, state)
     out = []
     for c in sorted(classes):
         terms = classes[c]
@@ -103,29 +70,3 @@ def enumerate_homodyne(
             continue
         out.append((c, p, state.replace_terms(prune(terms)).normalized()))
     return out
-
-
-def homodyne(
-    probe: CoherentProbe,
-    state: HybridState,
-    rng: np.random.Generator,
-) -> tuple[HomodyneOutcome, HybridState]:
-    """Sample one phase class, collapse the state onto it, consume the probe."""
-    options = enumerate_homodyne(probe, state)
-    probe.consumed = True
-    r = rng.random()
-    acc = 0.0
-    for c, p, collapsed in options:
-        acc += p
-        if r < acc:
-            return HomodyneOutcome(c), collapsed
-    c, _, collapsed = options[-1]
-    return HomodyneOutcome(c), collapsed
-
-
-def class_bits(phase_class: int, width: int) -> tuple[int, ...]:
-    """Label a phase class with ``width`` outcome bits, most significant
-    first (class 2 with width 2 reads as bits (1, 0))."""
-    if phase_class >= (1 << width):
-        raise ValueError(f"phase class {phase_class} does not fit in {width} bits")
-    return tuple((phase_class >> (width - 1 - i)) & 1 for i in range(width))

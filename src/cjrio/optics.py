@@ -45,9 +45,6 @@ class SU2Operator:
         return SU2Operator(complex(self.u).conjugate(), -complex(self.v))
 
 
-IDENTITY_OP = SU2Operator(1.0, 0.0)
-
-
 @dataclass(frozen=True)
 class PauliPower:
     """X^x Z^z up to global phase; exponents are bits, composition is XOR."""
@@ -62,14 +59,10 @@ class PauliPower:
     def compose(self, other: "PauliPower") -> "PauliPower":
         return PauliPower(self.x_pow ^ other.x_pow, self.z_pow ^ other.z_pow)
 
-    def is_identity(self) -> bool:
-        return self.x_pow == 0 and self.z_pow == 0
-
     def __str__(self) -> str:
         return f"Z^{self.z_pow}X^{self.x_pow}"
 
 
-PAULI_IDENTITY = PauliPower(0, 0)
 ALL_PAULI_POWERS = (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliPower(1, 1))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -563,21 +563,80 @@ class BranchResult:
         return tuple(self.bits[name] for name in order if name in self.bits)
 
 
-def _leaf(bits, prob, state, blocked, blocked_at, records, corrections, errata,
-          max_terms, seed=None) -> BranchResult:
-    transcript = Transcript(
-        outcomes=list(records),
-        corrections=[CorrectionRecord(str(p), d, pw) for p, d, pw in corrections],
-        classical_bits=sum(len(r.bits) for r in records),
-        seed=seed,
-    )
-    return BranchResult(dict(bits), prob, state, blocked, blocked_at,
-                        transcript, list(errata), max_terms)
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+
+class _Branch(NamedTuple):
+    """Where one branch stands: the index of its next node, its state and
+    everything it has gathered so far.  Both drivers move it with
+    :meth:`advance`, one node outcome at a time."""
+
+    idx: int
+    state: HybridState
+    bits: dict[str, int]
+    probability: float
+    records: tuple[OutcomeRecord, ...]
+    corrections: tuple[tuple[PhotonId, str, PauliPower], ...]
+    errata: tuple
+    max_terms: int
+    blocked_at: str | None
+
+    def advance(self, node: Node, out: NodeOutcome, peak: int, checker) -> "_Branch":
+        """The branch after ``node`` produced ``out``; ``peak`` is the node's
+        largest intermediate term count."""
+        idx, _, bits, probability, records, corrections, errata, max_terms, _ = self
+        if peak > max_terms:
+            max_terms = peak
+        state = out.state
+        if out.blocked:
+            return _Branch(idx + 1, state, bits, probability, records, corrections,
+                           errata, max_terms, node.name)
+        if node.bit_labels:
+            new = dict(zip(node.bit_labels, out.bits))
+            bits = {**bits, **new}
+            records = records + (OutcomeRecord(node.name, node.party, new),)
+        if out.correction is not None:
+            corrections = corrections + (out.correction,)
+        if checker is not None and node.check_id is not None:
+            mismatch = checker(node.check_id, bits, state)
+            if mismatch is not None:
+                errata = errata + (mismatch,)
+        if len(state.terms) > max_terms:
+            max_terms = len(state.terms)
+        return _Branch(idx + 1, state, bits, probability * out.prob, records,
+                       corrections, errata, max_terms, None)
+
+    def result(self, seed: int | None = None) -> BranchResult:
+        """The finished, or blocked, branch with its transcript."""
+        _, state, bits, probability, records, corrections, errata, max_terms, blocked_at = self
+        transcript = Transcript(
+            outcomes=list(records),
+            corrections=[CorrectionRecord(str(p), d, pw) for p, d, pw in corrections],
+            classical_bits=sum(len(r.bits) for r in records),
+            seed=seed,
+        )
+        return BranchResult(dict(bits), probability, state, blocked_at is not None,
+                            blocked_at, transcript, list(errata), max_terms)
+
+
+def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
+           polar_override: PauliPower | None):
+    """The protocol, its stage checker (or None) and the root branch."""
+    proto = build_protocol(
+        config,
+        validate_corrections=validate_corrections,
+        polar_override=polar_override,
+    )
+    checker = None
+    if check_stages:
+        from .stages import make_stage_checker
+
+        checker = make_stage_checker(config)
+    state = proto.initial_state
+    root = _Branch(0, state, {}, 1.0, (), (), (), len(state.terms), None)
+    return proto, checker, root
 
 
 def iter_branches(
@@ -590,50 +649,21 @@ def iter_branches(
     """Depth-first enumeration of every outcome branch, in lexicographic
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability."""
-    proto = build_protocol(
-        config,
-        validate_corrections=validate_corrections,
-        polar_override=polar_override,
-    )
-    checker = None
-    if check_stages:
-        from .stages import make_stage_checker
-
-        checker = make_stage_checker(config)
+    proto, checker, root = _start(config, check_stages, validate_corrections, polar_override)
     nodes = proto.nodes
-
-    def walk(idx, state, bits, prob, records, corrections, errata, max_terms):
-        if idx == len(nodes):
-            yield _leaf(bits, prob, state, False, None, records, corrections,
-                        errata, max_terms)
-            return
+    stack = [root]
+    end = len(nodes)
+    while stack:
+        branch = stack.pop()
+        idx, state, bits, _, _, _, _, _, blocked_at = branch
+        if blocked_at is not None or idx == end:
+            yield branch.result()
+            continue
         node = nodes[idx]
         outcomes, peak = node.run(state, bits)
-        max_terms = max(max_terms, peak)
-        for out in outcomes:
-            if out.blocked:
-                yield _leaf(bits, prob, out.state, True, node.name, records,
-                            corrections, errata, max_terms)
-                continue
-            nbits = bits
-            nrecords = records
-            if node.bit_labels:
-                nbits = dict(bits)
-                new = dict(zip(node.bit_labels, out.bits))
-                nbits.update(new)
-                nrecords = records + (OutcomeRecord(node.name, node.party, new),)
-            ncorr = corrections + (out.correction,) if out.correction else corrections
-            nerrata = errata
-            if checker is not None and node.check_id is not None:
-                mismatch = checker(node.check_id, nbits, out.state)
-                if mismatch is not None:
-                    nerrata = errata + (mismatch,)
-            yield from walk(idx + 1, out.state, nbits, prob * out.prob,
-                            nrecords, ncorr, nerrata,
-                            max(max_terms, len(out.state.terms)))
-
-    yield from walk(0, proto.initial_state, {}, 1.0, (), (), (),
-                    len(proto.initial_state.terms))
+        # Reversed, so the first outcome is popped, and walked, first.
+        for out in reversed(outcomes):
+            stack.append(branch.advance(node, out, peak, checker))
 
 
 def run_all_branches(config: ProtocolConfig, **kwargs) -> list[BranchResult]:
@@ -657,120 +687,98 @@ class ProtocolRun:
         polar_override: PauliPower | None = None,
     ):
         self.config = config
-        self._proto = build_protocol(
-            config,
-            validate_corrections=validate_corrections,
-            polar_override=polar_override,
-        )
-        self._checker = None
-        if check_stages:
-            from .stages import make_stage_checker
-
-            self._checker = make_stage_checker(config)
+        self._proto, self._checker, self._branch = _start(
+            config, check_stages, validate_corrections, polar_override)
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-        self._idx = 0
-        self.state = self._proto.initial_state
-        self.bits: dict[str, int] = {}
-        self.probability = 1.0
-        self.blocked = False
-        self.blocked_at: str | None = None
-        self._records: tuple = ()
-        self._corrections: tuple = ()
-        self._errata: tuple = ()
-        self.max_terms = len(self.state.terms)
 
     @property
     def plan(self) -> CorrectionPlan:
         return self._proto.plan
 
-    def _advance_stage(self, stage: int) -> dict[str, int]:
-        got: dict[str, int] = {}
+    @property
+    def state(self) -> HybridState:
+        return self._branch.state
+
+    @property
+    def bits(self) -> dict[str, int]:
+        return self._branch.bits
+
+    @property
+    def blocked(self) -> bool:
+        return self._branch.blocked_at is not None
+
+    @property
+    def blocked_at(self) -> str | None:
+        return self._branch.blocked_at
+
+    def _advance_stage(self, stage: int | None) -> None:
+        """Run the nodes of ``stage``, or every remaining node for None, until
+        the branch is blocked.  Each node with a choice draws one uniform
+        number and takes the first outcome whose running probability sum
+        exceeds it, or the last outcome if rounding leaves the sum short."""
         nodes = self._proto.nodes
-        while self._idx < len(nodes) and nodes[self._idx].stage == stage:
-            if self.blocked:
+        rng, checker = self._rng, self._checker
+        branch = self._branch
+        while branch.blocked_at is None and branch.idx < len(nodes):
+            node = nodes[branch.idx]
+            if stage is not None and node.stage != stage:
                 break
-            node = nodes[self._idx]
-            outcomes, peak = node.run(self.state, self.bits)
-            self.max_terms = max(self.max_terms, peak)
-            if len(outcomes) == 1:
-                pick = outcomes[0]
-            else:
-                pick = outcomes[-1]
-                r = self._rng.random()
+            outcomes, peak = node.run(branch.state, branch.bits)
+            pick = outcomes[-1]
+            if len(outcomes) > 1:
+                r = rng.random()
                 acc = 0.0
                 for out in outcomes:
                     acc += out.prob
                     if r < acc:
                         pick = out
                         break
-            if pick.blocked:
-                self.blocked = True
-                self.blocked_at = node.name
-                self._idx += 1
-                break
-            self.probability *= pick.prob
-            self.state = pick.state
-            self.max_terms = max(self.max_terms, len(pick.state.terms))
-            if node.bit_labels:
-                new = dict(zip(node.bit_labels, pick.bits))
-                self.bits.update(new)
-                got.update(new)
-                self._records = self._records + (OutcomeRecord(node.name, node.party, new),)
-            if pick.correction is not None:
-                self._corrections = self._corrections + (pick.correction,)
-            if self._checker is not None and node.check_id is not None:
-                mismatch = self._checker(node.check_id, self.bits, self.state)
-                if mismatch is not None:
-                    self._errata = self._errata + (mismatch,)
-            self._idx += 1
-        return got
+            branch = branch.advance(node, pick, peak, checker)
+        self._branch = branch
 
     # Stage-wise public surface -------------------------------------------
 
     def step1_entangle(self) -> int:
-        return self._advance_stage(1)["k"]
+        self._advance_stage(1)
+        return self.bits["k"]
 
     def step2_disentangle(self) -> tuple[int, int]:
-        got = self._advance_stage(2)
-        return got["m"], got["n"]
+        self._advance_stage(2)
+        return self.bits["m"], self.bits["n"]
 
     def step3_controller_consent(self):
-        got = self._advance_stage(3)
+        self._advance_stage(3)
         if self.blocked:
             return BLOCKED
-        return tuple(got[lbl] for lbl in self._proto.labels.s)
+        return tuple(self.bits[lbl] for lbl in self._proto.labels.s)
 
     def step4_first_operator(self) -> tuple[int, ...]:
-        got = self._advance_stage(4)
-        return tuple(got[lbl] for lbl in self._proto.labels.l)
+        self._advance_stage(4)
+        return tuple(self.bits[lbl] for lbl in self._proto.labels.l)
 
     def step5_6_shift_chain(self) -> tuple[tuple[int, int], ...]:
-        got = self._advance_stage(5)
-        return tuple((got[r], got[g]) for r, g in self._proto.labels.rg)
+        self._advance_stage(5)
+        return tuple((self.bits[r], self.bits[g]) for r, g in self._proto.labels.rg)
 
     def step7_joint_measure(self):
-        got = self._advance_stage(7)
-        return got["p"], got["q"], tuple(got[lbl] for lbl in self._proto.labels.w)
+        self._advance_stage(7)
+        bits = self.bits
+        return bits["p"], bits["q"], tuple(bits[lbl] for lbl in self._proto.labels.w)
 
     def step8_controller_measure_and_fix(self):
-        got = self._advance_stage(8)
+        self._advance_stage(8)
         if self.blocked:
             return BLOCKED
-        return tuple(got[lbl] for lbl in self._proto.labels.v)
+        return tuple(self.bits[lbl] for lbl in self._proto.labels.v)
 
     def step9_pdof_to_sdof(self) -> HybridState:
         self._advance_stage(9)
         return self.state
 
     def finish(self) -> BranchResult:
-        for stage in (1, 2, 3, 4, 5, 7, 8, 9):
-            if self.blocked:
-                break
-            self._advance_stage(stage)
-        return _leaf(self.bits, self.probability, self.state, self.blocked,
-                     self.blocked_at, self._records, self._corrections,
-                     self._errata, self.max_terms, seed=self._seed)
+        self._advance_stage(None)
+        return self._branch.result(seed=self._seed)
 
 
 def run_full(

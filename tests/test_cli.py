@@ -111,6 +111,13 @@ def test_enumerate_over_limit(capsys):
     assert "2^23" in err and "8388608" in err
 
 
+def test_stats_over_limit(capsys):
+    code, out, err = run_cli(capsys, "stats", "--m", "4", "--n", "3")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "2^23" in err and "limit 2^17" in err
+
+
 def test_variant_mismatch(capsys):
     code, _, err = run_cli(capsys, "simulate", "--m", "2", "--n", "1",
                            "--variant", "rio")

@@ -1,11 +1,7 @@
-import math
-
-import numpy as np
 import pytest
 
 from cjrio.hilbert import A, X, build_initial_state
-from cjrio.kerr import (class_bits, enumerate_homodyne, fresh_probe, homodyne,
-                        kerr, outcome_distribution)
+from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
 from cjrio.optics import apply_bbs
 
 from conftest import random_pair
@@ -14,6 +10,11 @@ from conftest import random_pair
 def entangle_probe(state):
     probe = kerr(fresh_probe(state), state, X, 0, +1)
     return kerr(probe, state, A, 0, -1)
+
+
+def distribution(probe, state):
+    """(phase class, probability) pairs, ascending by class."""
+    return [(c, p) for c, p, _ in enumerate_homodyne(probe, state)]
 
 
 def test_entangle_taps_give_expected_multipliers(rng):
@@ -35,7 +36,7 @@ def test_kerr_on_empty_path_changes_nothing(rng):
     s = s.replace_terms(terms).normalized()
     probe = kerr(fresh_probe(s), s, X, 1, +1)
     assert all(m == 0 for m in probe.tags.values())
-    assert outcome_distribution(probe, s) == [(0, pytest.approx(1.0))]
+    assert distribution(probe, s) == [(0, pytest.approx(1.0))]
 
 
 def test_transfer_taps_cover_four_classes(rng):
@@ -47,7 +48,7 @@ def test_transfer_taps_cover_four_classes(rng):
     probe2 = kerr(fresh_probe(st), st, X, 0, +1)
     probe2 = kerr(probe2, st, A, 0, +2)
     assert sorted(set(probe2.tags.values())) == [0, 1, 2, 3]
-    dist = outcome_distribution(probe2, st)
+    dist = distribution(probe2, st)
     assert [c for c, _ in dist] == [0, 1, 2, 3]
     for _, p in dist:
         assert p == pytest.approx(0.25, abs=1e-12)
@@ -58,7 +59,7 @@ def test_entangle_distribution_uniform_and_input_independent(rng):
     for _ in range(20):
         a, b = random_pair(rng)
         s = build_initial_state(a, b, 2, 1)
-        dist = outcome_distribution(entangle_probe(s), s)
+        dist = distribution(entangle_probe(s), s)
         assert [c for c, _ in dist] == [0, 1]
         for _, p in dist:
             assert p == pytest.approx(0.5, abs=1e-12)
@@ -85,7 +86,7 @@ def test_distribution_sums_to_one_and_collapse_normalized(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 3, 2)
     probe = entangle_probe(s)
-    total = sum(p for _, p in outcome_distribution(probe, s))
+    total = sum(p for _, p in distribution(probe, s))
     assert total == pytest.approx(1.0, abs=1e-12)
     for _, _, st in enumerate_homodyne(probe, s):
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
@@ -95,38 +96,11 @@ def test_unentangled_probe_single_outcome(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
     probe = fresh_probe(s)
-    dist = outcome_distribution(probe, s)
+    dist = distribution(probe, s)
     assert dist == [(0, pytest.approx(1.0))]
     outcomes = enumerate_homodyne(probe, s)
     assert len(outcomes) == 1
     assert abs(sum((outcomes[0][2].terms[k] - s.terms[k]) for k in s.terms)) < 1e-12
-
-
-def test_homodyne_consumes_probe(rng):
-    a, b = random_pair(rng)
-    s = build_initial_state(a, b, 2, 1)
-    probe = entangle_probe(s)
-    gen = np.random.default_rng(3)
-    outcome, collapsed = homodyne(probe, s, gen)
-    assert outcome.phase_class in (0, 1)
-    assert collapsed.norm() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        homodyne(probe, s, gen)
-    with pytest.raises(ValueError):
-        kerr(probe, s, X, 0, +1)
-
-
-def test_sampling_matches_enumeration(rng):
-    a, b = random_pair(rng)
-    s = build_initial_state(a, b, 2, 1)
-    n_samples = 10_000
-    gen = np.random.default_rng(99)
-    counts = {0: 0, 1: 0}
-    for _ in range(n_samples):
-        outcome, _ = homodyne(entangle_probe(s), s, gen)
-        counts[outcome.phase_class] += 1
-    sigma = math.sqrt(0.25 / n_samples)
-    assert abs(counts[0] / n_samples - 0.5) <= 3 * sigma
 
 
 def test_multiplier_whitelist(rng):
@@ -135,11 +109,3 @@ def test_multiplier_whitelist(rng):
     with pytest.raises(ValueError):
         kerr(fresh_probe(s), s, X, 0, 3)
 
-
-def test_class_bits():
-    assert class_bits(0, 2) == (0, 0)
-    assert class_bits(1, 2) == (0, 1)
-    assert class_bits(2, 2) == (1, 0)
-    assert class_bits(3, 2) == (1, 1)
-    with pytest.raises(ValueError):
-        class_bits(2, 1)

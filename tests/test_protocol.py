@@ -337,6 +337,78 @@ def test_degenerate_inputs_run_end_to_end():
             assert target_fidelity(res.state, target) >= 1.0 - 1e-10
 
 
+# -- one driver for sampling and enumeration --------------------------------
+
+def _same_branch(sampled, enumerated):
+    assert sampled.probability == enumerated.probability
+    assert sampled.blocked == enumerated.blocked
+    assert sampled.blocked_at == enumerated.blocked_at
+    assert sampled.max_terms == enumerated.max_terms
+    assert sampled.errata == enumerated.errata
+    ts, te = sampled.transcript, enumerated.transcript
+    assert ts.outcomes == te.outcomes
+    assert ts.corrections == te.corrections
+    assert ts.classical_bits == te.classical_bits
+    assert sampled.state.register == enumerated.state.register
+    assert sampled.state.alive == enumerated.state.alive
+    assert set(sampled.state.terms) == set(enumerated.state.terms)
+    for ket, amp in sampled.state.terms.items():
+        assert abs(amp - enumerated.state.terms[ket]) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (2, 1), (3, 2), "veto"],
+                         ids=["m1-n0", "m2-n1", "m3-n2", "m2-n1-veto"])
+def test_sampled_run_equals_enumerated_branch(rng, shape):
+    if shape == "veto":
+        m, n, kw = 2, 1, {"consent_phase2": (False,)}
+    else:
+        (m, n), kw = shape, {}
+    config = ProtocolConfig(m, n, tuple(random_su2(rng) for _ in range(m)),
+                            *random_pair(rng), **kw)
+    sampled = {}
+    for seed in range(16):
+        res = run_full(config, seed=seed)
+        sampled[tuple(res.bits.items())] = res
+    found = 0
+    for res in iter_branches(config):
+        match = sampled.get(tuple(res.bits.items()))
+        if match is not None:
+            _same_branch(match, res)
+            found += 1
+            if found == len(sampled):
+                break
+    assert found == len(sampled)
+    if shape == "veto":
+        assert all(r.blocked_at == "control_measure[1]" for r in sampled.values())
+
+
+# Outcome bits of 20 consecutive runs on one rng, each packed most significant
+# bit first in broadcast order.  They pin how the sampler draws from the rng
+# (one draw per node with a choice, cumulative scan), which fixes every
+# seeded simulate and stats report.
+SAMPLED_BITS = {
+    (2, 1): [1339, 1875, 313, 1738, 936, 1202, 68, 1443, 829, 701, 1907, 1385,
+             687, 792, 1086, 986, 848, 1488, 926, 1407],
+    (3, 2): [86005, 57823, 88484, 77060, 5418, 46509, 122326, 93546, 29230,
+             63285, 22163, 31359, 72141, 80233, 21233, 87461, 61270, 56600,
+             122605, 94247],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SAMPLED_BITS), ids=["m2-n1", "m3-n2"])
+def test_sampled_bits_are_pinned(shape):
+    m, n = shape
+    ops = (SU2Operator(2 ** -0.5, 2 ** -0.5), SU2Operator(0.6 + 0.48j, 0.64j),
+           SU2Operator(0, 1))[:m]
+    config = ProtocolConfig(m, n, ops, 0.6, 0.8j)
+    gen = np.random.default_rng(0)
+    got = []
+    for _ in range(20):
+        res = run_full(config, rng=gen)
+        got.append(int("".join(str(res.bits[lbl]) for lbl in config.labels.order), 2))
+    assert got == SAMPLED_BITS[shape]
+
+
 # -- transcripts ------------------------------------------------------------
 
 def test_transcript_ledger_m2_n1(rng):
@@ -443,3 +515,10 @@ def test_controller_release_is_required(rng):
         for res in iter_branches(config, polar_override=override):
             worst = min(worst, target_fidelity(res.state, target))
         assert worst < 1.0 - 1e-10
+
+
+def test_package_exports_resolve():
+    import cjrio
+
+    missing = [name for name in cjrio.__all__ if not hasattr(cjrio, name)]
+    assert missing == []
