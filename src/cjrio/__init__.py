@@ -16,9 +16,8 @@ from .oracle import (CorrectionSearchError, TargetState, assert_equiv,
 from .protocol import (BLOCKED, BranchResult, CorrectionPlan, CorrectionSpec,
                        FrameInconsistencyError, PauliFrame, ProtocolConfig,
                        ProtocolRun, Transcript, XorExpr, branch_fidelity,
-                       derive_correction_plan, derive_corrections,
-                       iter_branches, outcome_labels, run_all_branches,
-                       run_full, run_reduction)
+                       derive_correction_plan, iter_branches, outcome_labels,
+                       run_full)
 from .stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 __all__ = [
@@ -30,9 +29,8 @@ __all__ = [
     "apply_hwp", "apply_pauli_polar", "apply_pauli_spatial", "apply_pbs",
     "apply_qwp", "apply_su2_spatial", "assert_equiv", "bob", "branch_fidelity",
     "brute_force_correction", "build_initial_state", "charlie",
-    "derive_correction_plan", "derive_corrections", "direct_apply",
-    "enumerate_homodyne", "enumerate_measurement", "equal_up_to_global_phase",
-    "fresh_probe", "iter_branches", "kerr", "make_stage_checker",
-    "outcome_labels", "overlap", "reduced_purity", "registry",
-    "run_all_branches", "run_full", "run_reduction", "target_fidelity",
+    "derive_correction_plan", "direct_apply", "enumerate_homodyne",
+    "enumerate_measurement", "equal_up_to_global_phase", "fresh_probe",
+    "iter_branches", "kerr", "make_stage_checker", "outcome_labels", "overlap",
+    "reduced_purity", "registry", "run_full", "target_fidelity",
 ]

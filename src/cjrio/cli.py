@@ -124,6 +124,9 @@ def build_config(args) -> ProtocolConfig:
     m, n = args.m, args.n
     if m < 1 or n < 0:
         raise ConfigError("need m >= 1 joint parties and n >= 0 controllers")
+    if m > MAX_U_FLAGS:
+        raise ConfigError(f"m={m} joint parties, but operators can only be given "
+                          f"for {MAX_U_FLAGS} (--u1..--u{MAX_U_FLAGS})")
     try:
         check_variant(args.variant, m, n)
     except ValueError as exc:
@@ -307,7 +310,7 @@ def cmd_enumerate(args) -> int:
                 continue
             fid = target_fidelity(res.state, target)
             min_fid = fid if min_fid is None else min(min_fid, fid)
-            classical_bits = res.transcript.classical_bits
+            classical_bits = len(res.bits)
             errata.extend(res.errata)
             spool.write(_branch_text(branch_bits, res.probability, fid, False))
 
@@ -347,6 +350,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_stats(args) -> int:
     config = build_config(args)
+    if args.check_paper_eqs:
+        raise ConfigError("--check-paper-eqs does not apply to stats, which runs no stage checks")
     if args.samples < 100:
         raise ConfigError("stats needs at least 100 samples")
     _check_enumerable(config)

@@ -56,9 +56,6 @@ class PauliPower:
         if self.x_pow not in (0, 1) or self.z_pow not in (0, 1):
             raise ValueError("Pauli exponents must be bits")
 
-    def compose(self, other: "PauliPower") -> "PauliPower":
-        return PauliPower(self.x_pow ^ other.x_pow, self.z_pow ^ other.z_pow)
-
     def __str__(self) -> str:
         return f"Z^{self.z_pow}X^{self.x_pow}"
 

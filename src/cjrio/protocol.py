@@ -21,7 +21,8 @@ against exhaustive Pauli search.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -230,13 +231,6 @@ def derive_correction_plan(m: int, n: int) -> CorrectionPlan:
     return CorrectionPlan(tuple(specs))
 
 
-def derive_corrections(
-    plan: CorrectionPlan, bits: Mapping[str, int]
-) -> list[tuple[PhotonId, str, PauliPower]]:
-    """Evaluate the plan on one branch's broadcast bits."""
-    return [(s.party, s.dof, s.power(bits)) for s in plan.specs]
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -299,22 +293,22 @@ def branch_bit_count(m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NodeOutcome:
-    bits: tuple[int, ...]
-    prob: float
-    state: HybridState
-    blocked: bool = False
-    correction: tuple[PhotonId, str, PauliPower] | None = None
+# A node outcome: the bits it broadcasts (one per label), its probability and
+# the state it leaves.
+Outcome = tuple[tuple[int, ...], float, HybridState]
 
 
 @dataclass
 class Node:
+    """One step of the scheme.  ``run`` returns every outcome of the node and
+    its largest intermediate term count; an empty outcome list means the
+    node's controller withheld consent."""
+
     name: str
     stage: int
     party: str
     bit_labels: tuple[str, ...]
-    run: Callable[[HybridState, Mapping[str, int]], tuple[list[NodeOutcome], int]]
+    run: Callable[[HybridState, Mapping[str, int]], tuple[list[Outcome], int]]
     check_id: str | None = None
 
 
@@ -322,7 +316,6 @@ class Node:
 class Protocol:
     config: ProtocolConfig
     plan: CorrectionPlan
-    labels: OutcomeLabels
     nodes: list[Node]
     initial_state: HybridState
 
@@ -331,7 +324,6 @@ def build_protocol(
     config: ProtocolConfig,
     *,
     validate_corrections: bool = False,
-    polar_override: PauliPower | None = None,
 ) -> Protocol:
     m, n = config.m, config.n
     labels = config.labels
@@ -350,7 +342,7 @@ def build_protocol(
         wants["polar_fix"] = (t.a0, t.a1)
         wants["to_spatial"] = (t.a0, t.a1)
 
-    def correct(state: HybridState, bits: Mapping[str, int], node: str):
+    def correct(state: HybridState, bits: Mapping[str, int], node: str) -> HybridState:
         spec = plan.by_node(node)
         power = spec.power(bits)
         if validate_corrections:
@@ -358,7 +350,11 @@ def build_protocol(
             if found != power:
                 raise FrameInconsistencyError(node, bits, power, found)
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
-        return applier(state, spec.party, power), (spec.party, spec.dof, power)
+        return applier(state, spec.party, power)
+
+    def readout(probe, state) -> list[Outcome]:
+        """The homodyne outcomes of a one-bit node, the class as its bit."""
+        return [((c,), p, s2) for c, p, s2 in enumerate_homodyne(probe, state)]
 
     nodes: list[Node] = []
 
@@ -366,8 +362,7 @@ def build_protocol(
         probe = fresh_probe(state)
         probe = kerr(probe, state, X, 0, +1)
         probe = kerr(probe, state, A, 0, -1)
-        outs = [NodeOutcome((c,), p, st) for c, p, st in enumerate_homodyne(probe, state)]
-        return outs, len(state.terms)
+        return readout(probe, state), len(state.terms)
 
     nodes.append(Node("entangle", 1, "A", ("k",), run_entangle,
                       "entangle" if checks_on else None))
@@ -381,7 +376,7 @@ def build_protocol(
         probe = kerr(probe, st, A, bits["k"], +2)
         outs = []
         for c, p, collapsed in enumerate_homodyne(probe, st):
-            outs.append(NodeOutcome(((c >> 1) & 1, c & 1), p, collapsed.mark_dead(X)))
+            outs.append((((c >> 1) & 1, c & 1), p, collapsed.mark_dead(X)))
         return outs, peak
 
     nodes.append(Node("transfer", 2, "A", ("m", "n"), run_transfer,
@@ -390,12 +385,11 @@ def build_protocol(
     for j, s_lbl in enumerate(labels.s, start=1):
         def run_consent(state, bits, _j=j, _lbl=s_lbl):
             if not config.consent[_j - 1]:
-                return [NodeOutcome((), 1.0, state, blocked=True)], len(state.terms)
+                return [], len(state.terms)
             st = apply_bbs(state, charlie(_j))
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, charlie(_j), bits["k"], +1)
-            outs = [NodeOutcome((c,), p, s2) for c, p, s2 in enumerate_homodyne(probe, st)]
-            return outs, peak
+            return readout(probe, st), peak
 
         nodes.append(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent,
                           "consent" if checks_on and j == n else None))
@@ -405,16 +399,15 @@ def build_protocol(
             st = apply_bbs(state, bob(_i))
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, bob(_i), bits["k"], +1)
-            outs = [NodeOutcome((c,), p, s2) for c, p, s2 in enumerate_homodyne(probe, st)]
-            return outs, peak
+            return readout(probe, st), peak
 
         nodes.append(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
                           "concentrate" if checks_on and i == m - 1 else None))
 
     def run_first_op(state, bits):
-        st, corr = correct(state, bits, "first_op")
+        st = correct(state, bits, "first_op")
         st = apply_su2_spatial(st, bob(m), config.unitaries[m - 1])
-        return [NodeOutcome((), 1.0, st, correction=corr)], len(st.terms)
+        return [((), 1.0, st)], len(st.terms)
 
     nodes.append(Node("first_op", 4, f"B{m}", (), run_first_op,
                       "first-op" if checks_on else None))
@@ -426,8 +419,7 @@ def build_protocol(
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, bob(_i), d, +1)
             probe = kerr(probe, st, bob(_i + 1), 0, -1)
-            outs = [NodeOutcome((c,), p, s2) for c, p, s2 in enumerate_homodyne(probe, st)]
-            return outs, peak
+            return readout(probe, st), peak
 
         nodes.append(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbl,), run_hop_link,
                           "hop-link" if checks_on and i == 1 else None))
@@ -438,11 +430,9 @@ def build_protocol(
             probe = kerr(fresh_probe(st), st, bob(_i + 1), 1, +1)
             outs = []
             for c, p, s2 in enumerate_homodyne(probe, st):
-                nbits = dict(bits)
-                nbits[_g] = c
-                s3, corr = correct(s2, nbits, f"hop_close[{_i}]")
+                s3 = correct(s2, {**bits, _g: c}, f"hop_close[{_i}]")
                 s3 = apply_su2_spatial(s3, bob(_i), config.unitaries[_i - 1])
-                outs.append(NodeOutcome((c,), p, s3, correction=corr))
+                outs.append(((c,), p, s3))
             return outs, peak
 
         nodes.append(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbl,), run_hop_close,
@@ -451,10 +441,7 @@ def build_protocol(
     def run_joint_b1(state, bits):
         st = apply_hwp(state, bob(1), 1)
         st = apply_bbs(st, bob(1))
-        peak = len(st.terms)
-        outs = [NodeOutcome(b, p, s2) for b, p, s2 in
-                enumerate_measurement(st, bob(1), ("polar", "spatial"))]
-        return outs, peak
+        return enumerate_measurement(st, bob(1), ("polar", "spatial")), len(st.terms)
 
     nodes.append(Node("joint_measure[1]", 7, "B1", ("p", "q"), run_joint_b1))
 
@@ -462,10 +449,7 @@ def build_protocol(
         def run_joint_w(state, bits, _i=i):
             path = state.definite_bit(bob(_i), "spatial")
             st = apply_qwp(state, bob(_i), path)
-            peak = len(st.terms)
-            outs = [NodeOutcome(b, p, s2) for b, p, s2 in
-                    enumerate_measurement(st, bob(_i), ("polar",))]
-            return outs, peak
+            return enumerate_measurement(st, bob(_i), ("polar",)), len(st.terms)
 
         nodes.append(Node(f"joint_measure[{i}]", 7, f"B{i}", (w_lbl,), run_joint_w,
                           "joint-measure" if checks_on and i == m else None))
@@ -473,25 +457,18 @@ def build_protocol(
     for j, v_lbl in enumerate(labels.v, start=1):
         def run_control(state, bits, _j=j):
             if not config.consent_phase2[_j - 1]:
-                return [NodeOutcome((), 1.0, state, blocked=True)], len(state.terms)
+                return [], len(state.terms)
             path = state.definite_bit(charlie(_j), "spatial")
             st = apply_qwp(state, charlie(_j), path)
             st = apply_pbs(st, charlie(_j), path)
-            peak = len(st.terms)
-            outs = [NodeOutcome(b, p, s2) for b, p, s2 in
-                    enumerate_measurement(st, charlie(_j), ("polar",))]
-            return outs, peak
+            return enumerate_measurement(st, charlie(_j), ("polar",)), len(st.terms)
 
         nodes.append(Node(f"control_measure[{j}]", 8, f"C{j}", (v_lbl,), run_control,
                           "control-measure" if checks_on and j == n else None))
 
     def run_polar_fix(state, bits):
-        if polar_override is not None:
-            st = apply_pauli_polar(state, A, polar_override)
-            corr = (A, "polar", polar_override)
-        else:
-            st, corr = correct(state, bits, "polar_fix")
-        return [NodeOutcome((), 1.0, st, correction=corr)], len(st.terms)
+        st = correct(state, bits, "polar_fix")
+        return [((), 1.0, st)], len(st.terms)
 
     nodes.append(Node("polar_fix", 8, "A", (), run_polar_fix,
                       "polar-fixed" if checks_on else None))
@@ -501,12 +478,11 @@ def build_protocol(
         st = apply_pbs(state, A, in_path)
         st = apply_hwp(st, A, in_path)
         peak = len(st.terms)
-        st, corr = correct(st, bits, "to_spatial")
-        return [NodeOutcome((), 1.0, st, correction=corr)], peak
+        return [((), 1.0, correct(st, bits, "to_spatial"))], peak
 
     nodes.append(Node("to_spatial", 9, "A", (), run_to_spatial, None))
 
-    return Protocol(config, plan, labels, nodes, initial)
+    return Protocol(config, plan, nodes, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +524,40 @@ class Transcript:
 @dataclass
 class BranchResult:
     """One protocol branch: its outcome bits, probability, final (or halt)
-    state, transcript and any stage-check mismatch records."""
+    state and any stage-check mismatch records.
+
+    Its transcript is not stored: every bit is broadcast once and every
+    correction is a function of the bits, so it is read off the first
+    ``_passed`` nodes of ``_protocol`` when first asked for."""
 
     bits: dict[str, int]
     probability: float
     state: HybridState
-    blocked: bool
     blocked_at: str | None
-    transcript: Transcript
     errata: list
     max_terms: int
+    seed: int | None
+    _protocol: Protocol = field(repr=False, compare=False)
+    _passed: int = field(repr=False, compare=False)
+
+    @property
+    def blocked(self) -> bool:
+        return self.blocked_at is not None
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        bits = self.bits
+        passed = self._protocol.nodes[:self._passed]
+        names = {node.name for node in passed}
+        return Transcript(
+            outcomes=[OutcomeRecord(node.name, node.party,
+                                    {lbl: bits[lbl] for lbl in node.bit_labels})
+                      for node in passed if node.bit_labels],
+            corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(bits))
+                         for spec in self._protocol.plan.specs if spec.node in names],
+            classical_bits=len(bits),
+            seed=self.seed,
+        )
 
     def bit_values(self, order: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.bits[name] for name in order if name in self.bits)
@@ -569,73 +569,56 @@ class BranchResult:
 
 
 class _Branch(NamedTuple):
-    """Where one branch stands: the index of its next node, its state and
-    everything it has gathered so far.  Both drivers move it with
-    :meth:`advance`, one node outcome at a time."""
+    """Where one branch stands: the index of its next node (or of the node
+    that blocked it), its state, its bits and what it has gathered so far.
+    Both drivers move it with :meth:`advance`, one node outcome at a time."""
 
     idx: int
     state: HybridState
     bits: dict[str, int]
     probability: float
-    records: tuple[OutcomeRecord, ...]
-    corrections: tuple[tuple[PhotonId, str, PauliPower], ...]
     errata: tuple
     max_terms: int
     blocked_at: str | None
 
-    def advance(self, node: Node, out: NodeOutcome, peak: int, checker) -> "_Branch":
-        """The branch after ``node`` produced ``out``; ``peak`` is the node's
-        largest intermediate term count."""
-        idx, _, bits, probability, records, corrections, errata, max_terms, _ = self
+    def advance(self, node: Node, outcome: Outcome, peak: int, checker) -> "_Branch":
+        """The branch after ``node`` produced ``outcome``; ``peak`` is the
+        node's largest intermediate term count."""
+        idx, _, bits, probability, errata, max_terms, _ = self
+        out_bits, prob, state = outcome
         if peak > max_terms:
             max_terms = peak
-        state = out.state
-        if out.blocked:
-            return _Branch(idx + 1, state, bits, probability, records, corrections,
-                           errata, max_terms, node.name)
         if node.bit_labels:
-            new = dict(zip(node.bit_labels, out.bits))
-            bits = {**bits, **new}
-            records = records + (OutcomeRecord(node.name, node.party, new),)
-        if out.correction is not None:
-            corrections = corrections + (out.correction,)
+            bits = {**bits, **dict(zip(node.bit_labels, out_bits))}
         if checker is not None and node.check_id is not None:
             mismatch = checker(node.check_id, bits, state)
             if mismatch is not None:
                 errata = errata + (mismatch,)
         if len(state.terms) > max_terms:
             max_terms = len(state.terms)
-        return _Branch(idx + 1, state, bits, probability * out.prob, records,
-                       corrections, errata, max_terms, None)
+        return _Branch(idx + 1, state, bits, probability * prob, errata, max_terms, None)
 
-    def result(self, seed: int | None = None) -> BranchResult:
-        """The finished, or blocked, branch with its transcript."""
-        _, state, bits, probability, records, corrections, errata, max_terms, blocked_at = self
-        transcript = Transcript(
-            outcomes=list(records),
-            corrections=[CorrectionRecord(str(p), d, pw) for p, d, pw in corrections],
-            classical_bits=sum(len(r.bits) for r in records),
-            seed=seed,
-        )
-        return BranchResult(dict(bits), probability, state, blocked_at is not None,
-                            blocked_at, transcript, list(errata), max_terms)
+    def halt(self, node: Node, peak: int) -> "_Branch":
+        """The branch stopped at ``node``, whose controller withheld consent."""
+        return self._replace(max_terms=max(self.max_terms, peak), blocked_at=node.name)
+
+    def result(self, proto: Protocol, seed: int | None = None) -> BranchResult:
+        """The finished, or blocked, branch."""
+        idx, state, bits, probability, errata, max_terms, blocked_at = self
+        return BranchResult(dict(bits), probability, state, blocked_at, list(errata),
+                            max_terms, seed, proto, idx)
 
 
-def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
-           polar_override: PauliPower | None):
+def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool):
     """The protocol, its stage checker (or None) and the root branch."""
-    proto = build_protocol(
-        config,
-        validate_corrections=validate_corrections,
-        polar_override=polar_override,
-    )
+    proto = build_protocol(config, validate_corrections=validate_corrections)
     checker = None
     if check_stages:
         from .stages import make_stage_checker
 
         checker = make_stage_checker(config)
     state = proto.initial_state
-    root = _Branch(0, state, {}, 1.0, (), (), (), len(state.terms), None)
+    root = _Branch(0, state, {}, 1.0, (), len(state.terms), None)
     return proto, checker, root
 
 
@@ -644,32 +627,27 @@ def iter_branches(
     *,
     check_stages: bool = False,
     validate_corrections: bool = False,
-    polar_override: PauliPower | None = None,
 ) -> Iterator[BranchResult]:
     """Depth-first enumeration of every outcome branch, in lexicographic
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability."""
-    proto, checker, root = _start(config, check_stages, validate_corrections, polar_override)
+    proto, checker, root = _start(config, check_stages, validate_corrections)
     nodes = proto.nodes
     stack = [root]
     end = len(nodes)
     while stack:
         branch = stack.pop()
-        idx, state, bits, _, _, _, _, _, blocked_at = branch
+        idx, state, bits, _, _, _, blocked_at = branch
         if blocked_at is not None or idx == end:
-            yield branch.result()
+            yield branch.result(proto)
             continue
         node = nodes[idx]
         outcomes, peak = node.run(state, bits)
+        if not outcomes:
+            stack.append(branch.halt(node, peak))
         # Reversed, so the first outcome is popped, and walked, first.
         for out in reversed(outcomes):
             stack.append(branch.advance(node, out, peak, checker))
-
-
-def run_all_branches(config: ProtocolConfig, **kwargs) -> list[BranchResult]:
-    """Materialized :func:`iter_branches`; fine at desk scale (<= 2^13 or so),
-    prefer the iterator for bigger configurations."""
-    return list(iter_branches(config, **kwargs))
 
 
 class ProtocolRun:
@@ -684,17 +662,12 @@ class ProtocolRun:
         *,
         check_stages: bool = False,
         validate_corrections: bool = False,
-        polar_override: PauliPower | None = None,
     ):
         self.config = config
         self._proto, self._checker, self._branch = _start(
-            config, check_stages, validate_corrections, polar_override)
+            config, check_stages, validate_corrections)
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-
-    @property
-    def plan(self) -> CorrectionPlan:
-        return self._proto.plan
 
     @property
     def state(self) -> HybridState:
@@ -725,60 +698,35 @@ class ProtocolRun:
             if stage is not None and node.stage != stage:
                 break
             outcomes, peak = node.run(branch.state, branch.bits)
+            if not outcomes:
+                branch = branch.halt(node, peak)
+                continue
             pick = outcomes[-1]
             if len(outcomes) > 1:
                 r = rng.random()
                 acc = 0.0
                 for out in outcomes:
-                    acc += out.prob
+                    acc += out[1]
                     if r < acc:
                         pick = out
                         break
             branch = branch.advance(node, pick, peak, checker)
         self._branch = branch
 
-    # Stage-wise public surface -------------------------------------------
-
-    def step1_entangle(self) -> int:
-        self._advance_stage(1)
-        return self.bits["k"]
-
-    def step2_disentangle(self) -> tuple[int, int]:
-        self._advance_stage(2)
-        return self.bits["m"], self.bits["n"]
-
-    def step3_controller_consent(self):
-        self._advance_stage(3)
+    def step(self, stage: int):
+        """Run the nodes of ``stage`` and return the bits they broadcast, in
+        order, or BLOCKED once a controller has withheld consent.  Stages
+        are numbered as in the node list: 1 to 9, the shift chain being 5."""
+        self._advance_stage(stage)
         if self.blocked:
             return BLOCKED
-        return tuple(self.bits[lbl] for lbl in self._proto.labels.s)
-
-    def step4_first_operator(self) -> tuple[int, ...]:
-        self._advance_stage(4)
-        return tuple(self.bits[lbl] for lbl in self._proto.labels.l)
-
-    def step5_6_shift_chain(self) -> tuple[tuple[int, int], ...]:
-        self._advance_stage(5)
-        return tuple((self.bits[r], self.bits[g]) for r, g in self._proto.labels.rg)
-
-    def step7_joint_measure(self):
-        self._advance_stage(7)
         bits = self.bits
-        return bits["p"], bits["q"], tuple(bits[lbl] for lbl in self._proto.labels.w)
-
-    def step8_controller_measure_and_fix(self):
-        self._advance_stage(8)
-        if self.blocked:
-            return BLOCKED
-        return tuple(self.bits[lbl] for lbl in self._proto.labels.v)
-
-    def step9_pdof_to_sdof(self) -> HybridState:
-        self._advance_stage(9)
-        return self.state
+        return tuple(bits[lbl] for node in self._proto.nodes if node.stage == stage
+                     for lbl in node.bit_labels)
 
     def finish(self) -> BranchResult:
         self._advance_stage(None)
-        return self._branch.result(seed=self._seed)
+        return self._branch.result(self._proto, seed=self._seed)
 
 
 def run_full(
@@ -788,7 +736,6 @@ def run_full(
     rng: np.random.Generator | None = None,
     check_stages: bool = False,
     validate_corrections: bool = False,
-    polar_override: PauliPower | None = None,
 ) -> BranchResult:
     """Sample one branch end to end and return it with its transcript."""
     return ProtocolRun(
@@ -797,26 +744,7 @@ def run_full(
         rng=rng,
         check_stages=check_stages,
         validate_corrections=validate_corrections,
-        polar_override=polar_override,
     ).finish()
-
-
-def run_reduction(
-    variant: str,
-    config: ProtocolConfig,
-    seed: int | None = None,
-    *,
-    enumerate_branches: bool = False,
-    **kwargs,
-):
-    """Run a named special case of the scheme.  The channel and the skipped
-    stages follow from the party counts: jrio drops the controllers (and with
-    them the consent and release stages), crio drops all joint parties but
-    one (no concentrate stage and no hops), rio drops both."""
-    check_variant(variant, config.m, config.n)
-    if enumerate_branches:
-        return run_all_branches(config, **kwargs)
-    return run_full(config, seed=seed, **kwargs)
 
 
 def branch_fidelity(config: ProtocolConfig, result: BranchResult) -> float | None:

@@ -1,13 +1,17 @@
-"""Shared helpers: random inputs and dense-vector oracles kept independent
-of the package's sparse-state code paths."""
+"""Shared helpers: random inputs, dense-vector oracles kept independent of
+the package's sparse-state code paths, and a fixture that pins the
+polarization correction."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from cjrio import SU2Operator
+from cjrio import SU2Operator, protocol
 from cjrio.hilbert import HybridState
+from cjrio.optics import PauliPower
 
 
 def random_su2(rng: np.random.Generator) -> SU2Operator:
@@ -61,3 +65,23 @@ def dense_reduced_purity(state: HybridState, keep_indices, dof: str = "both") ->
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def fixed_polar_fix(monkeypatch):
+    """Call with a PauliPower to make every protocol built afterwards apply
+    that one polarization fix on every branch, in place of the v-dependent
+    correction the frame derives."""
+    derive = protocol.derive_correction_plan
+
+    def fix(power: PauliPower) -> None:
+        def plan(m: int, n: int) -> protocol.CorrectionPlan:
+            fixed = protocol.XorExpr.of
+            return protocol.CorrectionPlan(tuple(
+                dataclasses.replace(s, x=fixed(power.x_pow), z=fixed(power.z_pow))
+                if s.node == "polar_fix" else s
+                for s in derive(m, n).specs))
+
+        monkeypatch.setattr(protocol, "derive_correction_plan", plan)
+
+    return fix

@@ -16,8 +16,8 @@ from cjrio.hilbert import (BasisKet, HybridState, VERTICAL, bob,
                            reduced_purity, registry)
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
-from cjrio.protocol import (ProtocolConfig, iter_branches, run_full,
-                            run_reduction)
+from cjrio.protocol import (ProtocolConfig, check_variant, iter_branches,
+                            run_full)
 
 from conftest import random_pair, random_su2
 
@@ -98,9 +98,9 @@ def test_criterion_4_reductions():
     alpha, beta = random_pair(rng)
     u1, u2 = random_su2(rng), random_su2(rng)
     jrio = ProtocolConfig(2, 0, (u1, u2), alpha, beta)
+    check_variant("jrio", jrio.m, jrio.n)
     target = direct_apply((u1, u2), alpha, beta)
-    jrio_fids = [target_fidelity(r.state, target)
-                 for r in run_reduction("jrio", jrio, enumerate_branches=True)]
+    jrio_fids = [target_fidelity(r.state, target) for r in iter_branches(jrio)]
     assert len(jrio_fids) == 2 ** 9
     assert min(jrio_fids) >= 1.0 - FID_TOL
 
@@ -108,9 +108,9 @@ def test_criterion_4_reductions():
     alpha, beta = random_pair(rng)
     u1 = random_su2(rng)
     crio = ProtocolConfig(1, 1, (u1,), alpha, beta)
+    check_variant("crio", crio.m, crio.n)
     target = direct_apply((u1,), alpha, beta)
-    crio_fids = [target_fidelity(r.state, target)
-                 for r in run_reduction("crio", crio, enumerate_branches=True)]
+    crio_fids = [target_fidelity(r.state, target) for r in iter_branches(crio)]
     assert len(crio_fids) == 2 ** 7
     assert min(crio_fids) >= 1.0 - FID_TOL
 
@@ -180,7 +180,7 @@ def test_criterion_5_secrecy_uniformity():
             f"10^4 samples, worst band use {worst_band:.2f} sigma")
 
 
-def test_criterion_6_controller_power():
+def test_criterion_6_controller_power(fixed_polar_fix):
     rng = np.random.default_rng(606)
 
     # consent withheld at the consent gate: joint parties keep a mixed state
@@ -202,8 +202,9 @@ def test_criterion_6_controller_power():
     target = direct_apply(config.unitaries, alpha, beta)
     for override in (PauliPower(0, 0), PauliPower(1, 0),
                      PauliPower(0, 1), PauliPower(1, 1)):
+        fixed_polar_fix(override)
         worst_fid = 1.0
-        for res in iter_branches(config, polar_override=override):
+        for res in iter_branches(config):
             worst_fid = min(worst_fid, target_fidelity(res.state, target))
         assert worst_fid < 1.0 - FID_TOL
     _report("criterion 6 (controller power)",

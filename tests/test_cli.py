@@ -122,6 +122,11 @@ def test_variant_mismatch(capsys):
     code, _, err = run_cli(capsys, "simulate", "--m", "2", "--n", "1",
                            "--variant", "rio")
     assert code == EXIT_CONFIG
+    # more joint parties than there are --u flags
+    code, out, err = run_cli(capsys, "simulate", "--m", "10", "--n", "0")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("cjrio: configuration error:") and "--u1..--u9" in err
 
 
 def test_non_normalized_input(capsys):
@@ -140,6 +145,11 @@ def test_check_flag_needs_canonical_shape(capsys):
     code, _, err = run_cli(capsys, "simulate", "--m", "3", "--n", "1",
                            "--check-paper-eqs", "--seed", "0")
     assert code == EXIT_CONFIG
+    # stats runs no stage checks, so the flag is refused there at any shape
+    code, out, err = run_cli(capsys, "stats", "--check-paper-eqs")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "--check-paper-eqs" in err
 
 
 def test_byte_identical_reports(capsys):

@@ -139,6 +139,8 @@ def test_pauli_spatial_flip_and_sign(rng):
     out = apply_pauli_spatial(s, bob(1), PauliPower(0, 1))
     assert amp(out, 0, 0) == pytest.approx(a)
     assert amp(out, 1, 0) == pytest.approx(-b)
+    with pytest.raises(ValueError):
+        PauliPower(2, 0)
 
 
 def test_pauli_polar_sign(rng):
@@ -156,12 +158,6 @@ def test_pauli_z_fixes_flipped_branch_sign(rng):
     out = apply_pauli_spatial(s, bob(1), PauliPower(0, 1))
     want = single_photon(amp_pairs={(0, 0): a, (1, 0): b})
     assert equal_up_to_global_phase(out, want, 1e-12)
-
-
-def test_pauli_compose_is_xor():
-    assert PauliPower(1, 0).compose(PauliPower(1, 1)) == PauliPower(0, 1)
-    with pytest.raises(ValueError):
-        PauliPower(2, 0)
 
 
 def test_su2_identity_and_swap(rng):

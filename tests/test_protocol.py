@@ -8,9 +8,8 @@ from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
 from cjrio.protocol import (BLOCKED, ProtocolConfig, ProtocolRun, XorExpr,
                             branch_bit_count, branch_fidelity, check_variant,
-                            derive_correction_plan, derive_corrections,
-                            iter_branches, outcome_labels, run_all_branches,
-                            run_full, run_reduction)
+                            derive_correction_plan, iter_branches,
+                            outcome_labels, run_full)
 
 from conftest import random_pair, random_su2
 
@@ -91,8 +90,7 @@ def test_plan_m2_n3_first_z_exponent():
 def test_derive_corrections_evaluates_plan():
     plan = derive_correction_plan(2, 1)
     bits = dict(k=1, m=0, n=1, s=1, l=0, r=1, g=0, p=1, q=0, w=1, v=1)
-    out = derive_corrections(plan, bits)
-    by_party = {(str(p), dof): pw for p, dof, pw in out}
+    by_party = {(str(spec.party), spec.dof): spec.power(bits) for spec in plan.specs}
     assert by_party[("B2", "spatial")] == PauliPower(1, 1)  # x=k, z=k^m^n^s^l
     assert by_party[("B1", "spatial")] == PauliPower(1, 0)  # x=k^l^r^1, z=k^l^g^1
     assert by_party[("A", "polar")] == PauliPower(1, 0)     # x=p, z=q^w^v
@@ -119,7 +117,7 @@ def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
 def test_step1_entangle_forms(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=1)
-    k = run.step1_entangle()
+    (k,) = run.step(1)
     i_x = run.state.index_of(X)
     for ket, amp in run.state.terms.items():
         if ket.spatial[i_x] == 0:
@@ -142,8 +140,8 @@ def test_step1_uniform_even_for_unit_alpha():
 def test_step2_collapsed_form(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=5)
-    k = run.step1_entangle()
-    m, n = run.step2_disentangle()
+    (k,) = run.step(1)
+    m, n = run.step(2)
     st = run.state
     assert not st.is_alive(X)
     assert st.definite_bit(X, "spatial") == n ^ 1
@@ -161,9 +159,9 @@ def test_step2_collapsed_form(rng):
 def test_step3_consent_disentangles_controller(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=7)
-    run.step1_entangle()
-    run.step2_disentangle()
-    (s_bit,) = run.step3_controller_consent()
+    run.step(1)
+    run.step(2)
+    (s_bit,) = run.step(3)
     k = run.bits["k"]
     assert run.state.definite_bit(charlie(1), "spatial") == k ^ s_bit ^ 1
     assert reduced_purity(run.state, [bob(1), bob(2)], dof="spatial") == pytest.approx(1.0, abs=1e-12)
@@ -173,13 +171,19 @@ def test_step3_no_consent_blocks_and_purity_stays_mixed(rng):
     alpha, beta = random_pair(rng)
     config = cfg(alpha=alpha, beta=beta, consent=(False,))
     run = ProtocolRun(config, seed=11)
-    run.step1_entangle()
-    run.step2_disentangle()
-    assert run.step3_controller_consent() == BLOCKED
+    run.step(1)
+    run.step(2)
+    assert run.step(3) == BLOCKED
     assert run.blocked and run.blocked_at == "consent[1]"
     want = abs(alpha) ** 4 + abs(beta) ** 4
     got = reduced_purity(run.state, [bob(1), bob(2)], dof="spatial")
     assert got == pytest.approx(want, abs=1e-12)
+    # every later stage reports the veto and leaves the branch as it was
+    state, bits = run.state, dict(run.bits)
+    for stage in range(4, 10):
+        assert run.step(stage) == BLOCKED
+        assert run.state is state and run.bits == bits
+    assert run.blocked_at == "consent[1]"
 
 
 def test_phase2_consent_withheld_blocks_at_release(rng):
@@ -194,20 +198,20 @@ def test_phase2_consent_withheld_blocks_at_release(rng):
 
 def test_step3_is_noop_without_controllers():
     run = ProtocolRun(cfg(n=0), seed=3)
-    run.step1_entangle()
-    run.step2_disentangle()
+    run.step(1)
+    run.step(2)
     before = run.state
-    assert run.step3_controller_consent() == ()
+    assert run.step(3) == ()
     assert run.state is before
 
 
 def test_step4_identity_operator_form(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=13)
-    run.step1_entangle()
-    run.step2_disentangle()
-    run.step3_controller_consent()
-    (l_bit,) = run.step4_first_operator()
+    run.step(1)
+    run.step(2)
+    run.step(3)
+    (l_bit,) = run.step(4)
     st = run.state
     k = run.bits["k"]
     assert st.definite_bit(bob(1), "spatial") == k ^ l_bit ^ 1
@@ -221,10 +225,10 @@ def test_step4_identity_operator_form(rng):
 def test_step4_swap_operator(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(us=(I2, SU2Operator(0, 1)), alpha=alpha, beta=beta), seed=17)
-    run.step1_entangle()
-    run.step2_disentangle()
-    run.step3_controller_consent()
-    run.step4_first_operator()
+    run.step(1)
+    run.step(2)
+    run.step(3)
+    run.step(4)
     st = run.state
     i = st.index_of(bob(2))
     amp0 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 0)
@@ -236,11 +240,11 @@ def test_step4_swap_operator(rng):
 def test_shift_chain_identity_recovers_input(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=19)
-    run.step1_entangle()
-    run.step2_disentangle()
-    run.step3_controller_consent()
-    run.step4_first_operator()
-    ((r_bit, g_bit),) = run.step5_6_shift_chain()
+    run.step(1)
+    run.step(2)
+    run.step(3)
+    run.step(4)
+    r_bit, g_bit = run.step(5)
     st = run.state
     assert st.definite_bit(bob(2), "spatial") == g_bit
     i = st.index_of(bob(1))
@@ -253,11 +257,11 @@ def test_shift_chain_random_operators_match_product(rng):
     alpha, beta = random_pair(rng)
     u1, u2 = random_su2(rng), random_su2(rng)
     run = ProtocolRun(cfg(us=(u1, u2), alpha=alpha, beta=beta), seed=23)
-    run.step1_entangle()
-    run.step2_disentangle()
-    run.step3_controller_consent()
-    run.step4_first_operator()
-    run.step5_6_shift_chain()
+    run.step(1)
+    run.step(2)
+    run.step(3)
+    run.step(4)
+    run.step(5)
     st = run.state
     i = st.index_of(bob(1))
     amp0 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 0)
@@ -294,7 +298,7 @@ def test_full_run_final_state_exact_for_identity():
 def test_enumeration_m2_n1_branch_count_and_probabilities(rng):
     alpha, beta = random_pair(rng)
     config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=alpha, beta=beta)
-    results = run_all_branches(config)
+    results = list(iter_branches(config))
     assert len(results) == 2048
     for res in results:
         assert res.probability == pytest.approx(2.0 ** -11, abs=1e-12)
@@ -321,7 +325,7 @@ def test_enumeration_matches_oracle_on_every_branch(rng):
 
 def test_enumeration_blocked_consent():
     config = cfg(consent=(False,))
-    results = run_all_branches(config)
+    results = list(iter_branches(config))
     # branches split on k, m, n before the consent gate halts each of them
     assert len(results) == 8
     assert all(r.blocked and r.blocked_at == "consent[1]" for r in results)
@@ -395,12 +399,15 @@ SAMPLED_BITS = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(SAMPLED_BITS), ids=["m2-n1", "m3-n2"])
-def test_sampled_bits_are_pinned(shape):
-    m, n = shape
+def _pinned_config(m, n, **kw):
     ops = (SU2Operator(2 ** -0.5, 2 ** -0.5), SU2Operator(0.6 + 0.48j, 0.64j),
            SU2Operator(0, 1))[:m]
-    config = ProtocolConfig(m, n, ops, 0.6, 0.8j)
+    return ProtocolConfig(m, n, ops, 0.6, 0.8j, **kw)
+
+
+@pytest.mark.parametrize("shape", sorted(SAMPLED_BITS), ids=["m2-n1", "m3-n2"])
+def test_sampled_bits_are_pinned(shape):
+    config = _pinned_config(*shape)
     gen = np.random.default_rng(0)
     got = []
     for _ in range(20):
@@ -410,6 +417,55 @@ def test_sampled_bits_are_pinned(shape):
 
 
 # -- transcripts ------------------------------------------------------------
+
+# Transcripts of seeded runs, kept as literals so the correction powers are
+# checked against a fixed record, not against another output of the same
+# code: (m, n), config keywords, seed, outcomes as (step, party, bits) and
+# corrections as (party, dof, x_pow, z_pow).
+PINNED_TRANSCRIPTS = {
+    "m2-n1": ((2, 1), {}, 5, [
+        ("entangle", "A", {"k": 1}), ("transfer", "A", {"m": 1, "n": 1}),
+        ("consent[1]", "C1", {"s": 1}), ("concentrate[1]", "B1", {"l": 0}),
+        ("hop_link[1]", "B2", {"r": 0}), ("hop_close[1]", "B2", {"g": 0}),
+        ("joint_measure[1]", "B1", {"p": 0, "q": 1}), ("joint_measure[2]", "B2", {"w": 0}),
+        ("control_measure[1]", "C1", {"v": 0}),
+    ], [("B2", "spatial", 1, 0), ("B1", "spatial", 0, 0), ("A", "polar", 0, 1),
+        ("A", "spatial", 1, 0)]),
+    "m3-n2": ((3, 2), {}, 6, [
+        ("entangle", "A", {"k": 1}), ("transfer", "A", {"m": 0, "n": 1}),
+        ("consent[1]", "C1", {"s1": 0}), ("consent[2]", "C2", {"s2": 0}),
+        ("concentrate[1]", "B1", {"l1": 1}), ("concentrate[2]", "B2", {"l2": 1}),
+        ("hop_link[2]", "B3", {"r2": 1}), ("hop_close[2]", "B3", {"g2": 0}),
+        ("hop_link[1]", "B2", {"r1": 1}), ("hop_close[1]", "B2", {"g1": 0}),
+        ("joint_measure[1]", "B1", {"p": 0, "q": 0}), ("joint_measure[2]", "B2", {"w2": 1}),
+        ("joint_measure[3]", "B3", {"w3": 0}), ("control_measure[1]", "C1", {"v1": 1}),
+        ("control_measure[2]", "C2", {"v2": 1}),
+    ], [("B3", "spatial", 1, 0), ("B2", "spatial", 0, 1), ("B1", "spatial", 0, 1),
+        ("A", "polar", 0, 1), ("A", "spatial", 0, 0)]),
+    "m1-n0": ((1, 0), {}, 7, [
+        ("entangle", "A", {"k": 1}), ("transfer", "A", {"m": 1, "n": 1}),
+        ("joint_measure[1]", "B1", {"p": 1, "q": 1}),
+    ], [("B1", "spatial", 1, 1), ("A", "polar", 1, 1), ("A", "spatial", 1, 0)]),
+    "consent-veto": ((2, 1), {"consent": (False,)}, 8, [
+        ("entangle", "A", {"k": 0}), ("transfer", "A", {"m": 1, "n": 1}),
+    ], []),
+    "release-veto": ((2, 1), {"consent_phase2": (False,)}, 9, [
+        ("entangle", "A", {"k": 1}), ("transfer", "A", {"m": 0, "n": 1}),
+        ("consent[1]", "C1", {"s": 1}), ("concentrate[1]", "B1", {"l": 1}),
+        ("hop_link[1]", "B2", {"r": 1}), ("hop_close[1]", "B2", {"g": 1}),
+        ("joint_measure[1]", "B1", {"p": 1, "q": 1}), ("joint_measure[2]", "B2", {"w": 1}),
+    ], [("B2", "spatial", 1, 0), ("B1", "spatial", 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_TRANSCRIPTS))
+def test_transcripts_are_pinned(case):
+    shape, kw, seed, outcomes, corrections = PINNED_TRANSCRIPTS[case]
+    t = run_full(_pinned_config(*shape, **kw), seed=seed).transcript
+    assert [(rec.step, rec.party, rec.bits) for rec in t.outcomes] == outcomes
+    assert [(rec.party, rec.dof, rec.power.x_pow, rec.power.z_pow)
+            for rec in t.corrections] == corrections
+    assert t.classical_bits == sum(len(bits) for _, _, bits in outcomes)
 
 def test_transcript_ledger_m2_n1(rng):
     alpha, beta = random_pair(rng)
@@ -436,10 +492,12 @@ def test_reduction_jrio_matches_full_scheme(rng):
     u1, u2 = random_su2(rng), random_su2(rng)
     target = direct_apply((u1, u2), alpha, beta)
     jrio = ProtocolConfig(2, 0, (u1, u2), alpha, beta)
-    for res in run_reduction("jrio", jrio, enumerate_branches=True):
+    check_variant("jrio", jrio.m, jrio.n)
+    for res in iter_branches(jrio):
         assert target_fidelity(res.state, target) >= 1.0 - 1e-10
     full = ProtocolConfig(2, 1, (u1, u2), alpha, beta)
-    for res in run_reduction("cjrio", full, enumerate_branches=True):
+    check_variant("cjrio", full.m, full.n)
+    for res in iter_branches(full):
         assert target_fidelity(res.state, target) >= 1.0 - 1e-10
 
 
@@ -448,14 +506,16 @@ def test_reduction_crio_oracle(rng):
     u1 = random_su2(rng)
     config = ProtocolConfig(1, 1, (u1,), alpha, beta)
     target = direct_apply((u1,), alpha, beta)
-    for res in run_reduction("crio", config, enumerate_branches=True):
+    check_variant("crio", config.m, config.n)
+    for res in iter_branches(config):
         assert target_fidelity(res.state, target) >= 1.0 - 1e-10
 
 
 def test_reduction_rio_with_z_like_operator():
     # u = i gives the phase-flip action (alpha, beta) -> (alpha, -beta) up to phase
     config = ProtocolConfig(1, 0, (SU2Operator(1j, 0),), 0.6, 0.8)
-    results = run_reduction("rio", config, enumerate_branches=True)
+    check_variant("rio", config.m, config.n)
+    results = list(iter_branches(config))
     assert len(results) == 32
     target = direct_apply(config.unitaries, 0.6, 0.8)
     for res in results:
@@ -463,11 +523,6 @@ def test_reduction_rio_with_z_like_operator():
         i = res.state.index_of(A)
         amp = {ket.spatial[i]: a for ket, a in res.state.terms.items()}
         assert amp[1] / amp[0] == pytest.approx(-0.8 / 0.6, abs=1e-9)
-
-
-def test_reduction_variant_mismatch():
-    with pytest.raises(ValueError):
-        run_reduction("jrio", cfg())
 
 
 def test_jrio_skips_controller_stages():
@@ -505,14 +560,16 @@ def test_marginals_uniform_across_inputs(rng):
                 assert marg[lbl] == pytest.approx(reference[lbl], abs=1e-12)
 
 
-def test_controller_release_is_required(rng):
+def test_controller_release_is_required(rng, fixed_polar_fix):
     # no fixed polarization Pauli can replace the v-dependent correction
     alpha, beta = 0.6, 0.8
     config = cfg(alpha=alpha, beta=beta)
     target = direct_apply(config.unitaries, alpha, beta)
     for override in (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliPower(1, 1)):
+        fixed_polar_fix(override)
         worst = 1.0
-        for res in iter_branches(config, polar_override=override):
+        for res in iter_branches(config):
+            assert res.transcript.corrections[2].power == override
             worst = min(worst, target_fidelity(res.state, target))
         assert worst < 1.0 - 1e-10
 

@@ -56,8 +56,8 @@ def test_mismatch_record_structure(rng):
     from cjrio.protocol import ProtocolRun
 
     r = ProtocolRun(cfg, seed=4)
-    r.step1_entangle()
-    r.step2_disentangle()
+    r.step(1)
+    r.step(2)
     state = r.state
     i = state.index_of(bob(1))
     k = r.bits["k"]
