@@ -13,24 +13,22 @@ from .optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                      apply_qwp, apply_su2_spatial)
 from .oracle import (CorrectionSearchError, TargetState, assert_equiv,
                      brute_force_correction, direct_apply, target_fidelity)
-from .protocol import (BLOCKED, BranchResult, CorrectionPlan, CorrectionSpec,
+from .protocol import (BLOCKED, BranchResult, CorrectionSpec,
                        FrameInconsistencyError, PauliFrame, ProtocolConfig,
                        ProtocolRun, Transcript, XorExpr, branch_fidelity,
-                       derive_correction_plan, iter_branches, outcome_labels,
-                       run_full)
+                       build_protocol, iter_branches, run_full)
 from .stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 __all__ = [
     "A", "BLOCKED", "BasisKet", "BranchResult", "CHECK_IDS", "CoherentProbe",
-    "CorrectionPlan", "CorrectionSearchError", "CorrectionSpec",
-    "FrameInconsistencyError", "HybridState", "PauliFrame", "PauliPower",
-    "PhotonId", "ProtocolConfig", "ProtocolRun", "SU2Operator",
-    "StageMismatch", "TargetState", "Transcript", "X", "XorExpr", "apply_bbs",
-    "apply_hwp", "apply_pauli_polar", "apply_pauli_spatial", "apply_pbs",
-    "apply_qwp", "apply_su2_spatial", "assert_equiv", "bob", "branch_fidelity",
-    "brute_force_correction", "build_initial_state", "charlie",
-    "derive_correction_plan", "direct_apply", "enumerate_homodyne",
-    "enumerate_measurement", "equal_up_to_global_phase", "fresh_probe",
-    "iter_branches", "kerr", "make_stage_checker", "outcome_labels", "overlap",
+    "CorrectionSearchError", "CorrectionSpec", "FrameInconsistencyError",
+    "HybridState", "PauliFrame", "PauliPower", "PhotonId", "ProtocolConfig",
+    "ProtocolRun", "SU2Operator", "StageMismatch", "TargetState", "Transcript",
+    "X", "XorExpr", "apply_bbs", "apply_hwp", "apply_pauli_polar",
+    "apply_pauli_spatial", "apply_pbs", "apply_qwp", "apply_su2_spatial",
+    "assert_equiv", "bob", "branch_fidelity", "brute_force_correction",
+    "build_initial_state", "build_protocol", "charlie", "direct_apply",
+    "enumerate_homodyne", "enumerate_measurement", "equal_up_to_global_phase",
+    "fresh_probe", "iter_branches", "kerr", "make_stage_checker", "overlap",
     "reduced_purity", "registry", "run_full", "target_fidelity",
 ]

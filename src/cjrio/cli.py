@@ -4,7 +4,7 @@ against the oracle, and emit JSON reports.
 One JSON document goes to stdout (or --output); a short human summary goes to
 stderr.  Identical seeds and flags produce byte-identical reports.  Exit
 codes: 0 all checks pass, 1 fidelity failure, 2 blocked by a controller,
-3 configuration error.
+3 configuration error, 141 stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -24,8 +25,8 @@ from . import __version__
 from .optics import SQRT_HALF, SU2Operator
 from .oracle import direct_apply, target_fidelity
 from .protocol import (FIDELITY_THRESHOLD, BranchResult, ProtocolConfig,
-                       branch_bit_count, branch_fidelity, check_variant,
-                       iter_branches, run_full)
+                       branch_bit_count, branch_fidelity, build_protocol,
+                       check_variant, iter_branches, run_full)
 
 SCHEMA_VERSION = 1
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_FIDELITY = 1
 EXIT_BLOCKED = 2
 EXIT_CONFIG = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE, like a shell pipeline
 
 ENUMERATE_MAX_BITS = 17
 MAX_PARTIES = 4
@@ -111,8 +113,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--consent2", default=None, metavar="MASK",
                    help="per-controller consent bits for the release stage (default: same as --consent)")
     p.add_argument("--seed", type=int, default=None, help="seed for sampled runs")
-    p.add_argument("--mode", choices=("sample", "enumerate"), default=None,
-                   help="override the subcommand's run mode")
     p.add_argument("--check-paper-eqs", action="store_true",
                    help="cross-check simulator states against the per-stage closed forms (m=2, n=1 only)")
     p.add_argument("--variant", choices=("cjrio", "jrio", "crio", "rio"), default="cjrio")
@@ -241,22 +241,20 @@ def _summary(line: str) -> None:
 
 def cmd_simulate(args) -> int:
     config = build_config(args)
-    if (args.mode or "sample") == "enumerate":
-        return cmd_enumerate(args)
     _check_paper_eqs_shape(args, config)
     seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % (2 ** 32))
     args.seed = seed
     with _open_output(args) as out:
         result = run_full(config, seed=seed, check_stages=args.check_paper_eqs)
         fid = branch_fidelity(config, result)
-        labels = [lbl for lbl in config.labels.order if lbl in result.bits]
+        labels = list(result.bits)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",
             "config": _config_json(config, args, "sample"),
             "outcome_labels": labels,
             "branch": {
-                "bits": [result.bits[lbl] for lbl in labels],
+                "bits": list(result.bits.values()),
                 "probability": result.probability,
                 "fidelity": fid,
                 "blocked": result.blocked,
@@ -275,14 +273,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.mode == "sample":
-        args.mode = None
-        return cmd_simulate(args)
     config = build_config(args)
     _check_enumerable(config)
     _check_paper_eqs_shape(args, config)
     target = direct_apply(config.unitaries, config.alpha, config.beta)
-    labels = list(config.labels.order)
+    labels = list(build_protocol(config).labels)
 
     # Errata stay in memory: --check-paper-eqs runs only at (2,1), so there are
     # at most 2^11 branches x 10 checked nodes = 20480 records.
@@ -303,7 +298,7 @@ def cmd_enumerate(args) -> int:
             count += 1
             prob_sum += res.probability
             max_terms = max(max_terms, res.max_terms)
-            branch_bits = [res.bits[lbl] for lbl in labels if lbl in res.bits]
+            branch_bits = list(res.bits.values())
             if res.blocked:
                 blocked_count += 1
                 spool.write(_branch_text(branch_bits, res.probability, None, True))
@@ -357,7 +352,7 @@ def cmd_stats(args) -> int:
     _check_enumerable(config)
     if not all(config.consent) or not all(config.consent_phase2):
         raise ConfigError("stats needs a fully consenting configuration")
-    labels = list(config.labels.order)
+    labels = list(build_protocol(config).labels)
 
     with _open_output(args) as out:
         expected = {lbl: 0.0 for lbl in labels}
@@ -430,10 +425,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"cjrio: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # last flush of what is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

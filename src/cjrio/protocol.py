@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class CorrectionSpec:
     """One deferred Pauli fix: which party, which DOF, and the exponents as
     XOR-linear functions of the broadcast outcome bits."""
 
-    node: str
     party: PhotonId
     dof: str
     x: XorExpr
@@ -108,17 +107,6 @@ class CorrectionSpec:
 
     def power(self, bits: Mapping[str, int]) -> PauliPower:
         return PauliPower(self.x.evaluate(bits), self.z.evaluate(bits))
-
-
-@dataclass(frozen=True)
-class CorrectionPlan:
-    specs: tuple[CorrectionSpec, ...]
-
-    def by_node(self, node: str) -> CorrectionSpec:
-        for s in self.specs:
-            if s.node == node:
-                return s
-        raise KeyError(node)
 
 
 class PauliFrame:
@@ -149,86 +137,6 @@ class PauliFrame:
         out = self.sign
         self.sign = XorExpr()
         return out
-
-
-@dataclass(frozen=True)
-class OutcomeLabels:
-    """Outcome-bit names in broadcast order for an (m, n) configuration.
-
-    Index suffixes appear only when a family has more than one member, so the
-    canonical two-party/one-controller run reads exactly
-    (k, m, n, s, l, r, g, p, q, w, v).
-    """
-
-    s: tuple[str, ...]
-    l: tuple[str, ...]
-    rg: tuple[tuple[str, str], ...]  # chronological: receiver m-1 down to 1
-    w: tuple[str, ...]
-    v: tuple[str, ...]
-    order: tuple[str, ...]
-
-
-def outcome_labels(m: int, n: int) -> OutcomeLabels:
-    def fam(base: str, count: int, start: int = 1) -> tuple[str, ...]:
-        if count == 1:
-            return (base,)
-        return tuple(f"{base}{i}" for i in range(start, start + count))
-
-    s = fam("s", n) if n else ()
-    l = fam("l", m - 1) if m > 1 else ()
-    r = fam("r", m - 1) if m > 1 else ()
-    g = fam("g", m - 1) if m > 1 else ()
-    w = tuple(f"w{i}" for i in range(2, m + 1)) if m > 2 else (("w",) if m == 2 else ())
-    v = fam("v", n) if n else ()
-    rg = tuple((r[i - 1], g[i - 1]) for i in range(m - 1, 0, -1))
-    order = ("k", "m", "n") + s + l
-    for rj, gj in rg:
-        order += (rj, gj)
-    order += ("p", "q") + w + v
-    return OutcomeLabels(s=s, l=l, rg=rg, w=w, v=v, order=order)
-
-
-def derive_correction_plan(m: int, n: int) -> CorrectionPlan:
-    """Build every correction of an (m, n) run from the frame rules alone."""
-    labels = outcome_labels(m, n)
-    k = XorExpr.bit("k")
-    frame = PauliFrame()
-
-    # Alice's transfer measurement: X was tapped on path 0 (bit n fires it),
-    # A on path k (bit m fires it); both collapse together.
-    frame.collapse_complementary(XorExpr.of(0), XorExpr.bit("n"))
-    a_path = frame.collapse_complementary(k, XorExpr.bit("m"))
-
-    for s_lbl in labels.s:
-        frame.collapse_complementary(k, XorExpr.bit(s_lbl))
-
-    landing: dict[int, XorExpr] = {}
-    for i, l_lbl in enumerate(labels.l, start=1):
-        landing[i] = frame.collapse_complementary(k, XorExpr.bit(l_lbl))
-
-    specs = [CorrectionSpec("first_op", bob(m), "spatial", x=k, z=frame.take_sign())]
-
-    for (r_lbl, g_lbl), i in zip(labels.rg, range(m - 1, 0, -1)):
-        frame.resplit_single(landing[i])
-        frame.collapse_complementary(XorExpr.of(1), XorExpr.bit(g_lbl))
-        specs.append(
-            CorrectionSpec(
-                f"hop_close[{i}]",
-                bob(i),
-                "spatial",
-                x=landing[i] ^ r_lbl,
-                z=frame.take_sign(),
-            )
-        )
-
-    polar_sign = XorExpr.bit("q")
-    for w_lbl in labels.w:
-        polar_sign = polar_sign ^ w_lbl
-    for v_lbl in labels.v:
-        polar_sign = polar_sign ^ v_lbl
-    specs.append(CorrectionSpec("polar_fix", A, "polar", x=XorExpr.bit("p"), z=polar_sign))
-    specs.append(CorrectionSpec("to_spatial", A, "spatial", x=a_path, z=XorExpr()))
-    return CorrectionPlan(tuple(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +175,6 @@ class ProtocolConfig:
             elif len(val) != self.n:
                 raise ValueError(f"{name} must list one flag per controller")
 
-    @property
-    def labels(self) -> OutcomeLabels:
-        return outcome_labels(self.m, self.n)
-
 
 def check_variant(variant: str, m: int, n: int) -> None:
     """Reject configurations that do not match the named reduction."""
@@ -285,7 +189,17 @@ def check_variant(variant: str, m: int, n: int) -> None:
 
 
 def branch_bit_count(m: int, n: int) -> int:
-    return len(outcome_labels(m, n).order)
+    """Outcome bits of a consenting (m, n) run: k, m, n, then s and v per
+    controller and l, r, g and w per joint party past the first, p, q."""
+    return 5 + 4 * (m - 1) + 2 * n
+
+
+def _family(base: str, count: int, start: int = 1) -> list[str]:
+    """The bit names of a family of ``count`` nodes: the bare base for a
+    single member, indexed from ``start`` otherwise."""
+    if count == 1:
+        return [base]
+    return [f"{base}{i}" for i in range(start, start + count)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +216,9 @@ Outcome = tuple[tuple[int, ...], float, HybridState]
 class Node:
     """One step of the scheme.  ``run`` returns every outcome of the node and
     its largest intermediate term count; an empty outcome list means the
-    node's controller withheld consent."""
+    node's controller withheld consent.  ``check_id`` names the stage
+    checkpoint the state is compared with after the node, where a checker
+    exists (m=2, n=1 only)."""
 
     name: str
     stage: int
@@ -314,10 +230,18 @@ class Node:
 
 @dataclass
 class Protocol:
+    """The node list of one run and, keyed by node name in node order, the
+    Pauli fix each correcting node applies."""
+
     config: ProtocolConfig
-    plan: CorrectionPlan
+    plan: dict[str, CorrectionSpec]
     nodes: list[Node]
     initial_state: HybridState
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Every outcome-bit name, in broadcast order."""
+        return tuple(lbl for node in self.nodes for lbl in node.bit_labels)
 
 
 def build_protocol(
@@ -325,25 +249,27 @@ def build_protocol(
     *,
     validate_corrections: bool = False,
 ) -> Protocol:
+    """The node list of ``config``, in broadcast order.  Each measuring node
+    names its bits and advances the Pauli frame; each correcting node takes
+    its fix from the frame as it stands there."""
     m, n = config.m, config.n
-    labels = config.labels
-    plan = derive_correction_plan(m, n)
     initial = build_initial_state(config.alpha, config.beta, m, n)
-    checks_on = m == 2 and n == 1
+    k = XorExpr.bit("k")
+    frame = PauliFrame()
+    plan: dict[str, CorrectionSpec] = {}
+    # Oracle pairs the validator compares each correction against, None when
+    # corrections are not validated.
+    wants: dict[str, tuple[complex, complex] | None] = {}
 
-    # Oracle pairs the validator compares each correction against.
-    wants: dict[str, tuple[complex, complex]] = {}
-    if validate_corrections:
-        wants["first_op"] = (config.alpha, config.beta)
-        for i in range(m - 1, 0, -1):
-            t = oracle.direct_apply(config.unitaries[i:], config.alpha, config.beta)
-            wants[f"hop_close[{i}]"] = (t.a0, t.a1)
-        t = oracle.direct_apply(config.unitaries, config.alpha, config.beta)
-        wants["polar_fix"] = (t.a0, t.a1)
-        wants["to_spatial"] = (t.a0, t.a1)
+    def target(ops) -> tuple[complex, complex] | None:
+        """The input pair after ``ops``, if corrections are validated."""
+        if not validate_corrections:
+            return None
+        t = oracle.direct_apply(ops, config.alpha, config.beta)
+        return t.a0, t.a1
 
     def correct(state: HybridState, bits: Mapping[str, int], node: str) -> HybridState:
-        spec = plan.by_node(node)
+        spec = plan[node]
         power = spec.power(bits)
         if validate_corrections:
             found = oracle.brute_force_correction(state, spec.party, spec.dof, wants[node])
@@ -364,8 +290,7 @@ def build_protocol(
         probe = kerr(probe, state, A, 0, -1)
         return readout(probe, state), len(state.terms)
 
-    nodes.append(Node("entangle", 1, "A", ("k",), run_entangle,
-                      "entangle" if checks_on else None))
+    nodes.append(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
 
     def run_transfer(state, bits):
         st = apply_bbs(state, X)
@@ -379,11 +304,14 @@ def build_protocol(
             outs.append((((c >> 1) & 1, c & 1), p, collapsed.mark_dead(X)))
         return outs, peak
 
-    nodes.append(Node("transfer", 2, "A", ("m", "n"), run_transfer,
-                      "transfer" if checks_on else None))
+    nodes.append(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer"))
+    # X was tapped on path 0 (bit n fires it), A on path k (bit m fires it);
+    # both collapse together.
+    frame.collapse_complementary(XorExpr.of(0), XorExpr.bit("n"))
+    a_path = frame.collapse_complementary(k, XorExpr.bit("m"))
 
-    for j, s_lbl in enumerate(labels.s, start=1):
-        def run_consent(state, bits, _j=j, _lbl=s_lbl):
+    for j, s_lbl in enumerate(_family("s", n), start=1):
+        def run_consent(state, bits, _j=j):
             if not config.consent[_j - 1]:
                 return [], len(state.terms)
             st = apply_bbs(state, charlie(_j))
@@ -391,10 +319,11 @@ def build_protocol(
             probe = kerr(fresh_probe(st), st, charlie(_j), bits["k"], +1)
             return readout(probe, st), peak
 
-        nodes.append(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent,
-                          "consent" if checks_on and j == n else None))
+        nodes.append(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent"))
+        frame.collapse_complementary(k, XorExpr.bit(s_lbl))
 
-    for i, l_lbl in enumerate(labels.l, start=1):
+    landing: list[XorExpr] = []  # path each of B1..B(m-1) lands on
+    for i, l_lbl in enumerate(_family("l", m - 1), start=1):
         def run_concentrate(state, bits, _i=i):
             st = apply_bbs(state, bob(_i))
             peak = len(st.terms)
@@ -402,17 +331,20 @@ def build_protocol(
             return readout(probe, st), peak
 
         nodes.append(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
-                          "concentrate" if checks_on and i == m - 1 else None))
+                          "concentrate"))
+        landing.append(frame.collapse_complementary(k, XorExpr.bit(l_lbl)))
 
     def run_first_op(state, bits):
         st = correct(state, bits, "first_op")
         st = apply_su2_spatial(st, bob(m), config.unitaries[m - 1])
         return [((), 1.0, st)], len(st.terms)
 
-    nodes.append(Node("first_op", 4, f"B{m}", (), run_first_op,
-                      "first-op" if checks_on else None))
+    nodes.append(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
+    plan["first_op"] = CorrectionSpec(bob(m), "spatial", x=k, z=frame.take_sign())
+    wants["first_op"] = (config.alpha, config.beta)
 
-    for (r_lbl, g_lbl), i in zip(labels.rg, range(m - 1, 0, -1)):
+    r_lbls, g_lbls = _family("r", m - 1), _family("g", m - 1)
+    for i in range(m - 1, 0, -1):
         def run_hop_link(state, bits, _i=i):
             d = state.definite_bit(bob(_i), "spatial")
             st = apply_bbs(state, bob(_i))
@@ -421,10 +353,11 @@ def build_protocol(
             probe = kerr(probe, st, bob(_i + 1), 0, -1)
             return readout(probe, st), peak
 
-        nodes.append(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbl,), run_hop_link,
-                          "hop-link" if checks_on and i == 1 else None))
+        nodes.append(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbls[i - 1],), run_hop_link,
+                          "hop-link"))
+        frame.resplit_single(landing[i - 1])
 
-        def run_hop_close(state, bits, _i=i, _g=g_lbl):
+        def run_hop_close(state, bits, _i=i, _g=g_lbls[i - 1]):
             st = apply_bbs(state, bob(_i + 1))
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, bob(_i + 1), 1, +1)
@@ -435,8 +368,12 @@ def build_protocol(
                 outs.append(((c,), p, s3))
             return outs, peak
 
-        nodes.append(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbl,), run_hop_close,
-                          "hop-done" if checks_on and i == 1 else None))
+        nodes.append(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbls[i - 1],), run_hop_close,
+                          "hop-done"))
+        frame.collapse_complementary(XorExpr.of(1), XorExpr.bit(g_lbls[i - 1]))
+        plan[f"hop_close[{i}]"] = CorrectionSpec(
+            bob(i), "spatial", x=landing[i - 1] ^ r_lbls[i - 1], z=frame.take_sign())
+        wants[f"hop_close[{i}]"] = target(config.unitaries[i:])
 
     def run_joint_b1(state, bits):
         st = apply_hwp(state, bob(1), 1)
@@ -444,17 +381,20 @@ def build_protocol(
         return enumerate_measurement(st, bob(1), ("polar", "spatial")), len(st.terms)
 
     nodes.append(Node("joint_measure[1]", 7, "B1", ("p", "q"), run_joint_b1))
+    # Every polarization readout after p flips the relative sign with its bit.
+    polar_sign = XorExpr.bit("q")
 
-    for i, w_lbl in zip(range(2, m + 1), labels.w):
+    for i, w_lbl in enumerate(_family("w", m - 1, start=2), start=2):
         def run_joint_w(state, bits, _i=i):
             path = state.definite_bit(bob(_i), "spatial")
             st = apply_qwp(state, bob(_i), path)
             return enumerate_measurement(st, bob(_i), ("polar",)), len(st.terms)
 
         nodes.append(Node(f"joint_measure[{i}]", 7, f"B{i}", (w_lbl,), run_joint_w,
-                          "joint-measure" if checks_on and i == m else None))
+                          "joint-measure"))
+        polar_sign = polar_sign ^ w_lbl
 
-    for j, v_lbl in enumerate(labels.v, start=1):
+    for j, v_lbl in enumerate(_family("v", n), start=1):
         def run_control(state, bits, _j=j):
             if not config.consent_phase2[_j - 1]:
                 return [], len(state.terms)
@@ -464,14 +404,16 @@ def build_protocol(
             return enumerate_measurement(st, charlie(_j), ("polar",)), len(st.terms)
 
         nodes.append(Node(f"control_measure[{j}]", 8, f"C{j}", (v_lbl,), run_control,
-                          "control-measure" if checks_on and j == n else None))
+                          "control-measure"))
+        polar_sign = polar_sign ^ v_lbl
 
     def run_polar_fix(state, bits):
         st = correct(state, bits, "polar_fix")
         return [((), 1.0, st)], len(st.terms)
 
-    nodes.append(Node("polar_fix", 8, "A", (), run_polar_fix,
-                      "polar-fixed" if checks_on else None))
+    nodes.append(Node("polar_fix", 8, "A", (), run_polar_fix, "polar-fixed"))
+    plan["polar_fix"] = CorrectionSpec(A, "polar", x=XorExpr.bit("p"), z=polar_sign)
+    wants["polar_fix"] = target(config.unitaries)
 
     def run_to_spatial(state, bits):
         in_path = state.definite_bit(A, "spatial")
@@ -480,7 +422,9 @@ def build_protocol(
         peak = len(st.terms)
         return [((), 1.0, correct(st, bits, "to_spatial"))], peak
 
-    nodes.append(Node("to_spatial", 9, "A", (), run_to_spatial, None))
+    nodes.append(Node("to_spatial", 9, "A", (), run_to_spatial))
+    plan["to_spatial"] = CorrectionSpec(A, "spatial", x=a_path, z=XorExpr())
+    wants["to_spatial"] = wants["polar_fix"]
 
     return Protocol(config, plan, nodes, initial)
 
@@ -514,12 +458,6 @@ class Transcript:
     classical_bits: int
     seed: int | None = None
 
-    def bit_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for rec in self.outcomes:
-            names.extend(rec.bits)
-        return tuple(names)
-
 
 @dataclass
 class BranchResult:
@@ -548,19 +486,16 @@ class BranchResult:
     def transcript(self) -> Transcript:
         bits = self.bits
         passed = self._protocol.nodes[:self._passed]
-        names = {node.name for node in passed}
+        plan = self._protocol.plan
         return Transcript(
             outcomes=[OutcomeRecord(node.name, node.party,
                                     {lbl: bits[lbl] for lbl in node.bit_labels})
                       for node in passed if node.bit_labels],
             corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(bits))
-                         for spec in self._protocol.plan.specs if spec.node in names],
+                         for spec in (plan.get(node.name) for node in passed) if spec],
             classical_bits=len(bits),
             seed=self.seed,
         )
-
-    def bit_values(self, order: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.bits[name] for name in order if name in self.bits)
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,16 @@ def fixed_polar_fix(monkeypatch):
     """Call with a PauliPower to make every protocol built afterwards apply
     that one polarization fix on every branch, in place of the v-dependent
     correction the frame derives."""
-    derive = protocol.derive_correction_plan
+    build = protocol.build_protocol
 
     def fix(power: PauliPower) -> None:
-        def plan(m: int, n: int) -> protocol.CorrectionPlan:
+        def build_fixed(*args, **kwargs) -> protocol.Protocol:
+            proto = build(*args, **kwargs)
             fixed = protocol.XorExpr.of
-            return protocol.CorrectionPlan(tuple(
-                dataclasses.replace(s, x=fixed(power.x_pow), z=fixed(power.z_pow))
-                if s.node == "polar_fix" else s
-                for s in derive(m, n).specs))
+            proto.plan["polar_fix"] = dataclasses.replace(
+                proto.plan["polar_fix"], x=fixed(power.x_pow), z=fixed(power.z_pow))
+            return proto
 
-        monkeypatch.setattr(protocol, "derive_correction_plan", plan)
+        monkeypatch.setattr(protocol, "build_protocol", build_fixed)
 
     return fix

@@ -16,8 +16,8 @@ from cjrio.hilbert import (BasisKet, HybridState, VERTICAL, bob,
                            reduced_purity, registry)
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
-from cjrio.protocol import (ProtocolConfig, check_variant, iter_branches,
-                            run_full)
+from cjrio.protocol import (ProtocolConfig, build_protocol, check_variant,
+                            iter_branches, run_full)
 
 from conftest import random_pair, random_su2
 
@@ -138,7 +138,7 @@ def test_criterion_4_reductions():
 def test_criterion_5_secrecy_uniformity():
     rng = np.random.default_rng(505)
     u1, u2 = random_su2(rng), random_su2(rng)
-    labels = ProtocolConfig(2, 1, (u1, u2), 1, 0).labels.order
+    labels = build_protocol(ProtocolConfig(2, 1, (u1, u2), 1, 0)).labels
 
     reference = None
     worst_dev = 0.0
@@ -214,7 +214,7 @@ def test_criterion_6_controller_power(fixed_polar_fix):
 
 def test_criterion_7_classical_ledger():
     res = run_full(ProtocolConfig(2, 1, (SU2Operator(1, 0),) * 2, 0.6, 0.8), seed=77)
-    names = res.transcript.bit_names()
+    names = tuple(lbl for rec in res.transcript.outcomes for lbl in rec.bits)
     assert names == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
     assert res.transcript.classical_bits == 11
     _report("criterion 7 (classical ledger)",

@@ -1,13 +1,16 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cjrio import cli, stages
-from cjrio.cli import (EXIT_BLOCKED, EXIT_CONFIG, EXIT_OK, main,
-                       parse_complex, parse_unitary)
+from cjrio.cli import (EXIT_BLOCKED, EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
+                       main, parse_complex, parse_unitary)
 
 
 def run_cli(capsys, *argv):
@@ -136,9 +139,12 @@ def test_non_normalized_input(capsys):
 
 
 def test_unknown_flag_is_config_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--bogus"])
-    assert exc.value.code == EXIT_CONFIG
+    # the subcommand is the run mode, so there is no --mode to override it
+    for argv in (["simulate", "--bogus"], ["stats", "--mode", "enumerate"],
+                 ["simulate", "--mode", "enumerate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
 
 
 def test_check_flag_needs_canonical_shape(capsys):
@@ -248,7 +254,7 @@ def _reference_enumerate_report(argv: list[str]) -> str:
     args = cli.make_parser().parse_args(argv)
     config = cli.build_config(args)
     target = cli.direct_apply(config.unitaries, config.alpha, config.beta)
-    labels = list(config.labels.order)
+    labels = list(cli.build_protocol(config).labels)
     branches, errata = [], []
     prob_sum, min_fid, blocked_count, classical_bits, max_terms = 0.0, None, 0, None, 0
     for res in cli.iter_branches(config, check_stages=args.check_paper_eqs):
@@ -339,3 +345,18 @@ def test_enumerate_memory_flat_in_branch_count(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_closed_stdout_exits_quietly():
+    # The (2,1) report is about 500 kB, more than a pipe buffer holds, so the
+    # report cannot be written out once the reader has gone.
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "cjrio.cli", "enumerate", "--m", "2", "--n", "1"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -7,9 +7,8 @@ from cjrio.hilbert import (A, VERTICAL, X, bob, charlie, reduced_purity)
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
 from cjrio.protocol import (BLOCKED, ProtocolConfig, ProtocolRun, XorExpr,
-                            branch_bit_count, branch_fidelity, check_variant,
-                            derive_correction_plan, iter_branches,
-                            outcome_labels, run_full)
+                            branch_bit_count, branch_fidelity, build_protocol,
+                            check_variant, iter_branches, run_full)
 
 from conftest import random_pair, random_su2
 
@@ -47,11 +46,20 @@ def test_variant_constraints():
 
 
 def test_outcome_labels_m2_n1():
-    labels = outcome_labels(2, 1)
-    assert labels.order == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
+    labels = build_protocol(cfg()).labels
+    assert labels == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
     assert branch_bit_count(2, 1) == 11
     assert branch_bit_count(3, 2) == 17
     assert branch_bit_count(1, 0) == 5
+    # the ledger formula against the node list, and a run's bits in node order
+    for m in range(1, 10):
+        for n in range(5):
+            labels = build_protocol(cfg(m=m, n=n)).labels
+            assert branch_bit_count(m, n) == len(labels)
+            assert labels == tuple(run_full(cfg(m=m, n=n), seed=0).bits)
+            if n:
+                vetoed = tuple(run_full(cfg(m=m, n=n, consent=(False,) * n), seed=0).bits)
+                assert vetoed == labels[:len(vetoed)] and len(vetoed) < len(labels)
 
 
 # -- symbolic corrections ---------------------------------------------------
@@ -61,36 +69,36 @@ def _expr(*syms, const=0):
 
 
 def test_plan_matches_published_exponents_m2_n1():
-    plan = derive_correction_plan(2, 1)
-    first = plan.by_node("first_op")
+    plan = build_protocol(cfg()).plan
+    first = plan["first_op"]
     assert first.party == bob(2) and first.dof == "spatial"
     assert first.x == _expr("k")
     assert first.z == _expr("k", "m", "n", "s", "l")
 
-    hop = plan.by_node("hop_close[1]")
+    hop = plan["hop_close[1]"]
     assert hop.party == bob(1) and hop.dof == "spatial"
     assert hop.x == _expr("k", "l", "r", const=1)
     assert hop.z == _expr("k", "l", "g", const=1)
 
-    polar = plan.by_node("polar_fix")
+    polar = plan["polar_fix"]
     assert polar.party == A and polar.dof == "polar"
     assert polar.x == _expr("p")
     assert polar.z == _expr("q", "w", "v")
 
-    final = plan.by_node("to_spatial")
+    final = plan["to_spatial"]
     assert final.x == _expr("k", "m", const=1)
     assert final.z == _expr()
 
 
 def test_plan_m2_n3_first_z_exponent():
-    plan = derive_correction_plan(2, 3)
-    assert plan.by_node("first_op").z == _expr("k", "m", "n", "s1", "s2", "s3", "l")
+    plan = build_protocol(cfg(n=3)).plan
+    assert plan["first_op"].z == _expr("k", "m", "n", "s1", "s2", "s3", "l")
 
 
 def test_derive_corrections_evaluates_plan():
-    plan = derive_correction_plan(2, 1)
+    plan = build_protocol(cfg()).plan
     bits = dict(k=1, m=0, n=1, s=1, l=0, r=1, g=0, p=1, q=0, w=1, v=1)
-    by_party = {(str(spec.party), spec.dof): spec.power(bits) for spec in plan.specs}
+    by_party = {(str(spec.party), spec.dof): spec.power(bits) for spec in plan.values()}
     assert by_party[("B2", "spatial")] == PauliPower(1, 1)  # x=k, z=k^m^n^s^l
     assert by_party[("B1", "spatial")] == PauliPower(1, 0)  # x=k^l^r^1, z=k^l^g^1
     assert by_party[("A", "polar")] == PauliPower(1, 0)     # x=p, z=q^w^v
@@ -308,8 +316,7 @@ def test_enumeration_m2_n1_branch_count_and_probabilities(rng):
 
 def test_enumeration_order_is_lexicographic(rng):
     config = cfg()
-    order = config.labels.order
-    seen = [res.bit_values(order) for res in iter_branches(config)]
+    seen = [tuple(res.bits.values()) for res in iter_branches(config)]
     assert seen == sorted(seen)
     assert len(set(seen)) == len(seen)
 
@@ -412,7 +419,7 @@ def test_sampled_bits_are_pinned(shape):
     got = []
     for _ in range(20):
         res = run_full(config, rng=gen)
-        got.append(int("".join(str(res.bits[lbl]) for lbl in config.labels.order), 2))
+        got.append(int("".join(str(bit) for bit in res.bits.values()), 2))
     assert got == SAMPLED_BITS[shape]
 
 
@@ -471,7 +478,8 @@ def test_transcript_ledger_m2_n1(rng):
     alpha, beta = random_pair(rng)
     res = run_full(cfg(alpha=alpha, beta=beta), seed=31)
     t = res.transcript
-    assert t.bit_names() == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
+    names = tuple(lbl for rec in t.outcomes for lbl in rec.bits)
+    assert names == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
     assert t.classical_bits == 11
     assert t.seed == 31
     parties = [(rec.party, rec.dof) for rec in t.corrections]
@@ -546,7 +554,7 @@ def test_marginals_uniform_across_inputs(rng):
     for _ in range(5):
         alpha, beta = random_pair(rng)
         config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=alpha, beta=beta)
-        marg = {lbl: 0.0 for lbl in config.labels.order}
+        marg = {lbl: 0.0 for lbl in build_protocol(config).labels}
         for res in iter_branches(config):
             for lbl in marg:
                 if res.bits[lbl]:
