@@ -11,7 +11,7 @@ from .kerr import CoherentProbe, enumerate_homodyne, fresh_probe, kerr
 from .optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                      apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                      apply_qwp, apply_su2_spatial)
-from .oracle import (CorrectionSearchError, TargetState, assert_equiv,
+from .oracle import (CorrectionSearchError, TargetState,
                      brute_force_correction, direct_apply, target_fidelity)
 from .protocol import (BLOCKED, BranchResult, CorrectionSpec,
                        FrameInconsistencyError, PauliFrame, ProtocolConfig,
@@ -26,7 +26,7 @@ __all__ = [
     "ProtocolRun", "SU2Operator", "StageMismatch", "TargetState", "Transcript",
     "X", "XorExpr", "apply_bbs", "apply_hwp", "apply_pauli_polar",
     "apply_pauli_spatial", "apply_pbs", "apply_qwp", "apply_su2_spatial",
-    "assert_equiv", "bob", "branch_fidelity", "brute_force_correction",
+    "bob", "branch_fidelity", "brute_force_correction",
     "build_initial_state", "build_protocol", "charlie", "direct_apply",
     "enumerate_homodyne", "enumerate_measurement", "equal_up_to_global_phase",
     "fresh_probe", "iter_branches", "kerr", "make_stage_checker", "overlap",

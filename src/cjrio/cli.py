@@ -25,8 +25,8 @@ from . import __version__
 from .optics import SQRT_HALF, SU2Operator
 from .oracle import direct_apply, target_fidelity
 from .protocol import (FIDELITY_THRESHOLD, BranchResult, ProtocolConfig,
-                       branch_bit_count, branch_fidelity, build_protocol,
-                       check_variant, iter_branches, run_full)
+                       ProtocolRun, branch_bit_count, branch_fidelity,
+                       build_protocol, check_variant, iter_branches, run_full)
 
 SCHEMA_VERSION = 1
 
@@ -352,11 +352,12 @@ def cmd_stats(args) -> int:
     _check_enumerable(config)
     if not all(config.consent) or not all(config.consent_phase2):
         raise ConfigError("stats needs a fully consenting configuration")
-    labels = list(build_protocol(config).labels)
+    proto = build_protocol(config)
+    labels = list(proto.labels)
 
     with _open_output(args) as out:
         expected = {lbl: 0.0 for lbl in labels}
-        for res in iter_branches(config):
+        for res in iter_branches(config, protocol=proto):
             for lbl in labels:
                 if res.bits[lbl]:
                     expected[lbl] += res.probability
@@ -366,7 +367,7 @@ def cmd_stats(args) -> int:
         rng = np.random.default_rng(seed)
         counts = {lbl: 0 for lbl in labels}
         for _ in range(args.samples):
-            res = run_full(config, rng=rng)
+            res = ProtocolRun(config, rng=rng, protocol=proto).finish()
             for lbl in labels:
                 counts[lbl] += res.bits[lbl]
 

@@ -7,6 +7,11 @@ protocol never populates more than a handful of kets at a time, so terms live
 in an associative map keyed by ket rather than a dense vector; that keeps
 branch enumeration exact and cheap.
 
+A ket is one int holding every photon's path and polarization bits.  Only
+this module knows where each bit sits; other modules go through
+:func:`BasisKet`, :meth:`PhotonRegister.mask` and :meth:`PhotonRegister.unpack`,
+and address a photon by its register position.
+
 Measured-out photons stay in the registry with their bits frozen (identical
 across every term) and their ``alive`` flag cleared, so transcripts keep
 stable photon identities for the whole run.
@@ -16,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
 INPUT_NORM_TOL = 1e-9
 PHASE_TOL = 1e-10
 
-HORIZONTAL = 0
 VERTICAL = 1
 
 _KINDS = ("X", "A", "B", "C")
@@ -60,20 +64,13 @@ def charlie(j: int) -> PhotonId:
     return PhotonId("C", j)
 
 
-class BasisKet(NamedTuple):
-    """One classical configuration: per-photon path bit and polarization bit,
-    in registry order."""
-
-    spatial: tuple[int, ...]
-    polar: tuple[int, ...]
-
-    def with_spatial(self, i: int, bit: int) -> "BasisKet":
-        s = self.spatial
-        return BasisKet(s[:i] + (bit,) + s[i + 1:], self.polar)
-
-    def with_polar(self, i: int, bit: int) -> "BasisKet":
-        p = self.polar
-        return BasisKet(self.spatial, p[:i] + (bit,) + p[i + 1:])
+def BasisKet(spatial: Sequence[int], polar: Sequence[int]) -> int:
+    """Pack one classical configuration, per-photon path bits and
+    polarization bits in registry order, into an int ket: with n photons,
+    photon i's path bit is bit i and its polarization bit is bit n + i."""
+    if len(spatial) != len(polar) or not {*spatial, *polar} <= {0, 1}:
+        raise ValueError("a ket needs one path bit and one polarization bit, 0 or 1, per photon")
+    return sum(b << i for i, b in enumerate((*spatial, *polar)))
 
 
 class PhotonRegister:
@@ -92,6 +89,22 @@ class PhotonRegister:
             return self._index[photon]
         except KeyError:
             raise ValueError(f"photon {photon} not in register") from None
+
+    def mask(self, i: int, dof: str) -> int:
+        """The ket bit holding the path ("spatial") or polarization ("polar")
+        bit of the photon at position ``i``."""
+        if dof == "spatial":
+            return 1 << i
+        if dof == "polar":
+            return 1 << (len(self.photons) + i)
+        raise ValueError(f"unknown dof {dof!r}")
+
+    def unpack(self, ket: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (path bits, polarization bits) of a ket, in registry order;
+        the inverse of :func:`BasisKet`."""
+        n = len(self.photons)
+        bits = tuple(ket >> i & 1 for i in range(2 * n))
+        return bits[:n], bits[n:]
 
     def __len__(self) -> int:
         return len(self.photons)
@@ -117,8 +130,8 @@ def registry(m: int, n: int) -> PhotonRegister:
 class HybridState:
     """Normalized pure state with value semantics.
 
-    ``terms`` maps :class:`BasisKet` to a complex amplitude.  Instances are
-    treated as immutable; every operation returns a new state.
+    ``terms`` maps an int ket (see :func:`BasisKet`) to a complex amplitude.
+    Instances are treated as immutable; every operation returns a new state.
     """
 
     __slots__ = ("register", "alive", "terms")
@@ -127,7 +140,7 @@ class HybridState:
         self,
         register: PhotonRegister,
         alive: tuple[bool, ...],
-        terms: Mapping[BasisKet, complex],
+        terms: Mapping[int, complex],
     ):
         if len(alive) != len(register):
             raise ValueError("alive flags do not match register")
@@ -142,48 +155,43 @@ class HybridState:
         return self.register.photons
 
     def index_of(self, photon: PhotonId) -> int:
+        """The register position of ``photon``: the one lookup by name."""
         return self.register.index(photon)
 
-    def is_alive(self, photon: PhotonId) -> bool:
-        return self.alive[self.index_of(photon)]
-
-    def require_alive(self, photon: PhotonId) -> int:
-        i = self.index_of(photon)
+    def require_alive(self, i: int) -> tuple[int, int]:
+        """Photon ``i``'s (path, polarization) masks; it must still be live."""
         if not self.alive[i]:
-            raise ValueError(f"photon {photon} has been measured out")
-        return i
+            raise ValueError(f"photon {self.photons[i]} has been measured out")
+        return self.register.mask(i, "spatial"), self.register.mask(i, "polar")
 
-    def definite_bit(self, photon: PhotonId, dof: str) -> int:
-        """The photon's bit on the given DOF, required constant over terms."""
-        i = self.index_of(photon)
-        vals = {(k.spatial[i] if dof == "spatial" else k.polar[i]) for k in self.terms}
-        if len(vals) != 1:
-            raise ValueError(f"photon {photon} {dof} bit is in superposition")
-        return vals.pop()
+    def definite_bit(self, i: int, dof: str) -> int:
+        """Photon ``i``'s bit on ``dof``, which must be the same in every term."""
+        mask = self.register.mask(i, dof)
+        bits = [ket & mask for ket in self.terms]
+        if not bits or bits.count(bits[0]) != len(bits):
+            raise ValueError(f"photon {self.photons[i]} {dof} bit is in superposition")
+        return 1 if bits[0] else 0
 
     # -- construction helpers ---------------------------------------------
 
-    def replace_terms(self, terms: Mapping[BasisKet, complex]) -> "HybridState":
+    def replace_terms(self, terms: Mapping[int, complex]) -> "HybridState":
         s = HybridState.__new__(HybridState)
         s.register = self.register
         s.alive = self.alive
         s.terms = dict(terms)
         return s
 
-    def mark_dead(self, photon: PhotonId) -> "HybridState":
-        """Freeze a photon out of the live registry.
+    def mark_dead(self, i: int) -> "HybridState":
+        """Freeze the photon at position ``i`` out of the live registry.
 
         Both of its bits must already be definite; the frozen values stay in
         every ket so later records can still report where it ended up.
         """
-        i = self.require_alive(photon)
-        self.definite_bit(photon, "spatial")
-        self.definite_bit(photon, "polar")
-        alive = self.alive[:i] + (False,) + self.alive[i + 1:]
-        s = HybridState.__new__(HybridState)
-        s.register = self.register
-        s.alive = alive
-        s.terms = dict(self.terms)
+        self.require_alive(i)
+        self.definite_bit(i, "spatial")
+        self.definite_bit(i, "polar")
+        s = self.replace_terms(self.terms)
+        s.alive = self.alive[:i] + (False,) + self.alive[i + 1:]
         return s
 
     # -- numerics ----------------------------------------------------------
@@ -198,15 +206,12 @@ class HybridState:
         inv = 1.0 / nrm
         return self.replace_terms({k: a * inv for k, a in self.terms.items()})
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __repr__(self) -> str:
         live = [str(p) for p, al in zip(self.photons, self.alive) if al]
         return f"HybridState({len(self.terms)} terms, live={','.join(live)})"
 
 
-def prune(terms: Mapping[BasisKet, complex]) -> dict[BasisKet, complex]:
+def prune(terms: Mapping[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
 
 
@@ -231,7 +236,7 @@ def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> Hybrid
 
     reg = registry(m, n)
     n_channel = len(reg) - 1
-    terms: dict[BasisKet, complex] = {}
+    terms: dict[int, complex] = {}
     for xbit, w in ((0, complex(alpha)), (1, complex(beta))):
         for branch in (0, 1):
             for pol in (0, 1):
@@ -248,18 +253,13 @@ def overlap(a: HybridState, b: HybridState) -> complex:
     """Inner product <a|b>; conjugate-symmetric by construction."""
     if a.register != b.register or a.alive != b.alive:
         raise ValueError("states live on different photon registries")
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    if len(b.terms) < len(a.terms):
+        return overlap(b, a).conjugate()  # walk the smaller state
     total = 0j
-    if small is a.terms:
-        for ket, amp in small.items():
-            other = big.get(ket)
-            if other is not None:
-                total += amp.conjugate() * other
-    else:
-        for ket, amp in small.items():
-            other = big.get(ket)
-            if other is not None:
-                total += other.conjugate() * amp
+    for ket, amp in a.terms.items():
+        other = b.terms.get(ket)
+        if other is not None:
+            total += amp.conjugate() * other
     return total
 
 
@@ -284,31 +284,18 @@ def reduced_purity(
         raise ValueError("keep set must be non-empty")
     if dof not in ("both", "spatial", "polar"):
         raise ValueError(f"unknown dof selector {dof!r}")
-    keep_idx = set()
+    keep_mask = 0
     for p in keep_set:
         i = state.index_of(p)
         if not state.alive[i]:
             raise ValueError(f"photon {p} is not alive")
-        keep_idx.add(i)
+        for d in ("spatial", "polar"):
+            if dof in ("both", d):
+                keep_mask |= state.register.mask(i, d)
 
-    want_spatial = dof in ("both", "spatial")
-    want_polar = dof in ("both", "polar")
-    n = len(state.register)
-
-    groups: dict[tuple, dict[tuple, complex]] = {}
+    groups: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
-        sub = []
-        env = []
-        for i in range(n):
-            if i in keep_idx and want_spatial:
-                sub.append(ket.spatial[i])
-            else:
-                env.append(ket.spatial[i])
-            if i in keep_idx and want_polar:
-                sub.append(ket.polar[i])
-            else:
-                env.append(ket.polar[i])
-        groups.setdefault(tuple(env), {})[tuple(sub)] = amp
+        groups.setdefault(ket & ~keep_mask, {})[ket & keep_mask] = amp
 
     norm_sq = sum(abs(a) ** 2 for vec in groups.values() for a in vec.values())
     vectors = list(groups.values())
@@ -326,28 +313,27 @@ def reduced_purity(
 
 def enumerate_measurement(
     state: HybridState,
-    photon: PhotonId,
+    i: int,
     dofs: Sequence[str] = ("polar", "spatial"),
 ) -> list[tuple[tuple[int, ...], float, HybridState]]:
-    """Projective measurement of a photon in the computational basis of the
-    listed DOFs, returning every outcome with its probability and collapsed
-    state (photon marked dead), ordered by outcome bits."""
-    i = state.require_alive(photon)
-    for d in dofs:
-        if d not in ("polar", "spatial"):
-            raise ValueError(f"unknown dof {d!r}")
+    """Projective measurement of the photon at position ``i`` in the
+    computational basis of the listed DOFs, returning every outcome with its
+    probability and collapsed state (photon marked dead), ordered by outcome
+    bits."""
+    state.require_alive(i)
+    masks = [state.register.mask(i, d) for d in dofs]
+    measured = sum(set(masks))  # one-bit masks: the sum of distinct ones is their union
 
-    buckets: dict[tuple[int, ...], dict[BasisKet, complex]] = {}
+    buckets: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
-        bits = tuple(ket.polar[i] if d == "polar" else ket.spatial[i] for d in dofs)
-        buckets.setdefault(bits, {})[ket] = amp
+        buckets.setdefault(ket & measured, {})[ket] = amp
 
     out = []
-    for bits in sorted(buckets):
-        terms = buckets[bits]
+    for bits, key in sorted((tuple(1 if key & m else 0 for m in masks), key) for key in buckets):
+        terms = buckets[key]
         p = sum(abs(a) ** 2 for a in terms.values())
         if p <= PRUNE_TOL ** 2:
             continue
-        collapsed = state.replace_terms(prune(terms)).normalized().mark_dead(photon)
+        collapsed = state.replace_terms(prune(terms)).normalized().mark_dead(i)
         out.append((bits, p, collapsed))
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hilbert import BasisKet, HybridState, PhotonId, prune
+from .hilbert import HybridState, prune
 
 ALLOWED_MULTIPLIERS = (-1, 1, 2)
 
@@ -22,7 +22,7 @@ ALLOWED_MULTIPLIERS = (-1, 1, 2)
 class CoherentProbe:
     """Phase-multiplier tags per basis ket."""
 
-    tags: dict[BasisKet, int]
+    tags: dict[int, int]
 
 
 def fresh_probe(state: HybridState) -> CoherentProbe:
@@ -32,18 +32,19 @@ def fresh_probe(state: HybridState) -> CoherentProbe:
 def kerr(
     probe: CoherentProbe,
     state: HybridState,
-    photon: PhotonId,
+    i: int,
     path: int,
     mult: int,
 ) -> CoherentProbe:
-    """Tap one path of a photon: every ket with the photon on ``path`` adds
-    ``mult`` to its probe multiplier.  Returns the updated probe; state
-    amplitudes are unchanged."""
+    """Tap one path of the photon at position ``i``: every ket with the
+    photon on ``path`` adds ``mult`` to its probe multiplier.  Returns the
+    updated probe; state amplitudes are unchanged."""
     if mult not in ALLOWED_MULTIPLIERS:
         raise ValueError(f"interaction multiplier must be one of {ALLOWED_MULTIPLIERS}")
-    i = state.require_alive(photon)
+    sm, _ = state.require_alive(i)
+    on_path = sm if path else 0
     tags = {
-        ket: probe.tags.get(ket, 0) + (mult if ket.spatial[i] == path else 0)
+        ket: probe.tags.get(ket, 0) + (mult if (ket & sm) == on_path else 0)
         for ket in state.terms
     }
     return CoherentProbe(tags=tags)
@@ -55,7 +56,7 @@ def enumerate_homodyne(
     """Every homodyne outcome with its probability and collapsed, renormalized
     state, deterministically ordered by phase class.  Pure: the same probe can
     be enumerated repeatedly."""
-    classes: dict[int, dict[BasisKet, complex]] = {}
+    classes: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
         try:
             c = abs(probe.tags[ket])

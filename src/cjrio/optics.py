@@ -1,7 +1,9 @@
 """Linear-optical elements and local unitaries on single photons.
 
 All operations are pure functions from state to state, exactly norm
-preserving, and reject photons that were already measured out.  The balanced
+preserving, and reject photons that were already measured out.  Each takes
+the photon's register position (``state.index_of(photon)``) and reads and
+flips its ket bits through the register's masks.  The balanced
 beam splitter and the quarter-wave plate are both modeled as the Hadamard
 rotation on their bit (sign carried by the path-1 / V output component), so
 each is its own inverse; that is the reading under which every published
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisKet, HybridState, PhotonId, prune
+from .hilbert import HybridState, prune
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 UNITARY_TOL = 1e-9
@@ -41,9 +43,6 @@ class SU2Operator:
         u, v = complex(self.u), complex(self.v)
         return np.array([[u, v], [-v.conjugate(), u.conjugate()]], dtype=complex)
 
-    def dagger(self) -> "SU2Operator":
-        return SU2Operator(complex(self.u).conjugate(), -complex(self.v))
-
 
 @dataclass(frozen=True)
 class PauliPower:
@@ -63,108 +62,107 @@ class PauliPower:
 ALL_PAULI_POWERS = (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliPower(1, 1))
 
 
-def apply_bbs(state: HybridState, photon: PhotonId) -> HybridState:
-    """Balanced beam splitter mixing the photon's two paths:
-    |0> -> (|0> + |1>)/sqrt2, |1> -> (|0> - |1>)/sqrt2.  Self-inverse."""
-    i = state.require_alive(photon)
-    out: dict[BasisKet, complex] = {}
+def apply_bbs(state: HybridState, i: int) -> HybridState:
+    """Balanced beam splitter mixing the paths of the photon at position
+    ``i``: |0> -> (|0> + |1>)/sqrt2, |1> -> (|0> - |1>)/sqrt2.  Self-inverse."""
+    on, _ = state.require_alive(i)
+    off = ~on
+    out: dict[int, complex] = {}
     for ket, amp in state.terms.items():
-        j = ket.spatial[i]
         half = amp * SQRT_HALF
-        k0 = ket.with_spatial(i, 0)
-        k1 = ket.with_spatial(i, 1)
+        k0 = ket & off
+        k1 = ket | on
         out[k0] = out.get(k0, 0j) + half
-        out[k1] = out.get(k1, 0j) + (-half if j else half)
+        out[k1] = out.get(k1, 0j) + (-half if ket & on else half)
     return state.replace_terms(prune(out))
 
 
-def apply_hwp(state: HybridState, photon: PhotonId, path: int) -> HybridState:
+def apply_hwp(state: HybridState, i: int, path: int) -> HybridState:
     """Half-wave plate on one path: swaps H and V there, other path untouched."""
-    i = state.require_alive(photon)
-    out: dict[BasisKet, complex] = {}
+    sm, pm = state.require_alive(i)
+    on_path = sm if path else 0
+    out: dict[int, complex] = {}
     for ket, amp in state.terms.items():
-        if ket.spatial[i] == path:
-            ket = ket.with_polar(i, ket.polar[i] ^ 1)
+        if (ket & sm) == on_path:
+            ket ^= pm
         out[ket] = out.get(ket, 0j) + amp
     return state.replace_terms(out)
 
 
-def apply_qwp(state: HybridState, photon: PhotonId, path: int) -> HybridState:
+def apply_qwp(state: HybridState, i: int, path: int) -> HybridState:
     """Quarter-wave plate on one path: polarization Hadamard,
     H -> (H + V)/sqrt2, V -> (H - V)/sqrt2."""
-    i = state.require_alive(photon)
-    out: dict[BasisKet, complex] = {}
+    sm, pm = state.require_alive(i)
+    on_path = sm if path else 0
+    out: dict[int, complex] = {}
     for ket, amp in state.terms.items():
-        if ket.spatial[i] != path:
+        if (ket & sm) != on_path:
             out[ket] = out.get(ket, 0j) + amp
             continue
-        j = ket.polar[i]
         half = amp * SQRT_HALF
-        kh = ket.with_polar(i, 0)
-        kv = ket.with_polar(i, 1)
+        kh = ket & ~pm
+        kv = ket | pm
         out[kh] = out.get(kh, 0j) + half
-        out[kv] = out.get(kv, 0j) + (-half if j else half)
+        out[kv] = out.get(kv, 0j) + (-half if ket & pm else half)
     return state.replace_terms(prune(out))
 
 
-def apply_pbs(state: HybridState, photon: PhotonId, in_path: int) -> HybridState:
+def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
     """Polarizing beam splitter fed from a single path: H is transmitted and
     keeps the path, V is reflected onto the other path.  Polarization is
     unchanged; the photon's path becomes correlated with it."""
-    i = state.require_alive(photon)
+    sm, pm = state.require_alive(i)
+    on_path = sm if in_path else 0
     for ket in state.terms:
-        if ket.spatial[i] != in_path:
+        if (ket & sm) != on_path:
             raise ValueError(
-                f"photon {photon} has amplitude off path {in_path}; "
+                f"photon {state.photons[i]} has amplitude off path {in_path}; "
                 "single-input use only"
             )
-    out: dict[BasisKet, complex] = {}
+    out: dict[int, complex] = {}
     for ket, amp in state.terms.items():
-        if ket.polar[i] == 1:
-            ket = ket.with_spatial(i, in_path ^ 1)
+        if ket & pm:
+            ket ^= sm
         out[ket] = out.get(ket, 0j) + amp
     return state.replace_terms(out)
 
 
-def _apply_pauli(state: HybridState, photon: PhotonId, power: PauliPower, dof: str) -> HybridState:
+def _apply_pauli(state: HybridState, i: int, power: PauliPower, dof: str) -> HybridState:
     # Z^z X^x as an operator product: X flips first, Z phases the flipped bit.
-    i = state.require_alive(photon)
-    x, z = power.x_pow, power.z_pow
-    if x == 0 and z == 0:
-        return state.replace_terms(state.terms)
-    out: dict[BasisKet, complex] = {}
+    sm, pm = state.require_alive(i)
+    bit = sm if dof == "spatial" else pm
+    flip = bit if power.x_pow else 0
+    out: dict[int, complex] = {}
     for ket, amp in state.terms.items():
-        bit = (ket.spatial[i] if dof == "spatial" else ket.polar[i]) ^ x
-        if z and bit:
+        ket ^= flip
+        if power.z_pow and ket & bit:
             amp = -amp
-        if x:
-            ket = ket.with_spatial(i, bit) if dof == "spatial" else ket.with_polar(i, bit)
         out[ket] = amp
     return state.replace_terms(out)
 
 
-def apply_pauli_spatial(state: HybridState, photon: PhotonId, power: PauliPower) -> HybridState:
-    """Path-qubit Pauli correction Z^z X^x on one photon."""
-    return _apply_pauli(state, photon, power, "spatial")
+def apply_pauli_spatial(state: HybridState, i: int, power: PauliPower) -> HybridState:
+    """Path-qubit Pauli correction Z^z X^x on the photon at position ``i``."""
+    return _apply_pauli(state, i, power, "spatial")
 
 
-def apply_pauli_polar(state: HybridState, photon: PhotonId, power: PauliPower) -> HybridState:
-    """Polarization-qubit Pauli correction Z^z X^x on one photon."""
-    return _apply_pauli(state, photon, power, "polar")
+def apply_pauli_polar(state: HybridState, i: int, power: PauliPower) -> HybridState:
+    """Polarization-qubit Pauli correction Z^z X^x on the photon at position ``i``."""
+    return _apply_pauli(state, i, power, "polar")
 
 
-def apply_su2_spatial(state: HybridState, photon: PhotonId, op: SU2Operator) -> HybridState:
-    """Apply a party's 2x2 operator to the photon's path qubit
-    (path 0 maps to the first matrix row)."""
-    i = state.require_alive(photon)
+def apply_su2_spatial(state: HybridState, i: int, op: SU2Operator) -> HybridState:
+    """Apply a party's 2x2 operator to the path qubit of the photon at
+    position ``i`` (path 0 maps to the first matrix row)."""
+    on, _ = state.require_alive(i)
+    off = ~on
     u, v = complex(op.u), complex(op.v)
-    pairs: dict[BasisKet, list[complex]] = {}
+    pairs: dict[int, list[complex]] = {}
     for ket, amp in state.terms.items():
-        key = ket.with_spatial(i, 0)
-        slot = pairs.setdefault(key, [0j, 0j])
-        slot[ket.spatial[i]] += amp
-    out: dict[BasisKet, complex] = {}
+        slot = pairs.setdefault(ket & off, [0j, 0j])
+        slot[1 if ket & on else 0] += amp
+    out: dict[int, complex] = {}
     for key, (a0, a1) in pairs.items():
         out[key] = u * a0 + v * a1
-        out[key.with_spatial(i, 1)] = -v.conjugate() * a0 + u.conjugate() * a1
+        out[key | on] = -v.conjugate() * a0 + u.conjugate() * a1
     return state.replace_terms(prune(out))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import A, HybridState, PhotonId, PHASE_TOL, VERTICAL
+from .hilbert import A, HybridState, PHASE_TOL, VERTICAL
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator,
                      apply_pauli_polar, apply_pauli_spatial)
 
@@ -60,78 +60,74 @@ def target_fidelity(final: HybridState, target: TargetState) -> float:
     for photon, alive in zip(final.photons, final.alive):
         if alive and photon != A:
             raise ValueError(f"protocol incomplete: photon {photon} still live")
-    if not final.is_alive(A):
-        raise ValueError("photon A must be live in the final state")
-    if final.definite_bit(A, "polar") != VERTICAL:
-        raise ValueError("final state must be V polarized on photon A")
     i = final.index_of(A)
+    if not final.alive[i]:
+        raise ValueError("photon A must be live in the final state")
+    if final.definite_bit(i, "polar") != VERTICAL:
+        raise ValueError("final state must be V polarized on photon A")
+    on = final.register.mask(i, "spatial")
     c = [0j, 0j]
     for ket, amp in final.terms.items():
-        c[ket.spatial[i]] += amp
+        c[1 if ket & on else 0] += amp
     return abs(target.a0.conjugate() * c[0] + target.a1.conjugate() * c[1])
 
 
-def assert_equiv(final: HybridState, target: TargetState, tol: float = PHASE_TOL) -> bool:
-    """Global-phase-insensitive equality of the final state and the target."""
-    return target_fidelity(final, target) >= 1.0 - tol
-
-
 def extract_qubit(
-    state: HybridState, photon: PhotonId, dof: str, tol: float = 1e-9
+    state: HybridState, i: int, dof: str, tol: float = 1e-9
 ) -> tuple[complex, complex]:
-    """Factor out the photon's qubit on one DOF.
+    """Factor out the qubit of the photon at position ``i`` on one DOF.
 
     Requires the state to split as (c0|0> + c1|1>) on that bit tensor an
     arbitrary remainder; returns the normalized (c0, c1).  Raises ValueError
     when the bit is entangled with the rest.
     """
-    i = state.require_alive(photon)
+    state.require_alive(i)
+    on = state.register.mask(i, dof)
     rests: tuple[dict, dict] = ({}, {})
     for ket, amp in state.terms.items():
-        bit = ket.spatial[i] if dof == "spatial" else ket.polar[i]
-        rest = ket.with_spatial(i, 0) if dof == "spatial" else ket.with_polar(i, 0)
-        rests[bit][rest] = amp
+        rests[1 if ket & on else 0][ket & ~on] = amp
     v0, v1 = rests
     if not v1:
         return (1.0 + 0j, 0j)
     if not v0:
         return (0j, 1.0 + 0j)
     if set(v0) != set(v1):
-        raise ValueError(f"photon {photon} {dof} bit is entangled with the rest")
+        raise ValueError(f"photon {state.photons[i]} {dof} bit is entangled with the rest")
     anchor = max(v0, key=lambda k: abs(v0[k]))
     lam = v1[anchor] / v0[anchor]
     for k, a in v0.items():
         if abs(v1[k] - lam * a) > tol:
-            raise ValueError(f"photon {photon} {dof} bit is entangled with the rest")
+            raise ValueError(f"photon {state.photons[i]} {dof} bit is entangled with the rest")
     scale = 1.0 / math.sqrt(1.0 + abs(lam) ** 2)
     return (scale + 0j, lam * scale)
 
 
 def brute_force_correction(
     state: HybridState,
-    photon: PhotonId,
+    i: int,
     dof: str,
     want: tuple[complex, complex],
     tol: float = PHASE_TOL,
 ) -> PauliPower:
-    """Search the four Pauli powers for the unique one that brings the
-    photon's qubit to the wanted amplitude pair (up to global phase)."""
+    """Search the four Pauli powers for the unique one that brings the qubit
+    of the photon at position ``i`` to the wanted amplitude pair (up to
+    global phase)."""
     w0, w1 = complex(want[0]), complex(want[1])
     wnorm = math.sqrt(abs(w0) ** 2 + abs(w1) ** 2)
     w0, w1 = w0 / wnorm, w1 / wnorm
     applier = apply_pauli_spatial if dof == "spatial" else apply_pauli_polar
     matches = []
     for power in ALL_PAULI_POWERS:
-        candidate = applier(state, photon, power)
+        candidate = applier(state, i, power)
         try:
-            c0, c1 = extract_qubit(candidate, photon, dof)
+            c0, c1 = extract_qubit(candidate, i, dof)
         except ValueError:
             continue
         if abs(w0.conjugate() * c0 + w1.conjugate() * c1) >= 1.0 - tol:
             matches.append(power)
     if len(matches) != 1:
         raise CorrectionSearchError(
-            f"expected exactly one working correction on {photon} {dof}, "
+            f"expected exactly one working correction on {state.photons[i]} {dof}, "
             f"found {len(matches)}: {[str(p) for p in matches]}"
         )
     return matches[0]

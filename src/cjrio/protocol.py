@@ -254,9 +254,14 @@ def build_protocol(
     its fix from the frame as it stands there."""
     m, n = config.m, config.n
     initial = build_initial_state(config.alpha, config.beta, m, n)
+    # Register positions, resolved once: the nodes address photons by these.
+    at_x, at_a = initial.index_of(X), initial.index_of(A)
+    at_b = [initial.index_of(bob(i)) for i in range(1, m + 1)]
+    at_c = [initial.index_of(charlie(j)) for j in range(1, n + 1)]
     k = XorExpr.bit("k")
     frame = PauliFrame()
     plan: dict[str, CorrectionSpec] = {}
+    fixed_at: dict[str, int] = {}  # register position of each plan entry's party
     # Oracle pairs the validator compares each correction against, None when
     # corrections are not validated.
     wants: dict[str, tuple[complex, complex] | None] = {}
@@ -270,13 +275,14 @@ def build_protocol(
 
     def correct(state: HybridState, bits: Mapping[str, int], node: str) -> HybridState:
         spec = plan[node]
+        i = fixed_at[node]
         power = spec.power(bits)
         if validate_corrections:
-            found = oracle.brute_force_correction(state, spec.party, spec.dof, wants[node])
+            found = oracle.brute_force_correction(state, i, spec.dof, wants[node])
             if found != power:
                 raise FrameInconsistencyError(node, bits, power, found)
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
-        return applier(state, spec.party, power)
+        return applier(state, i, power)
 
     def readout(probe, state) -> list[Outcome]:
         """The homodyne outcomes of a one-bit node, the class as its bit."""
@@ -286,22 +292,22 @@ def build_protocol(
 
     def run_entangle(state, bits):
         probe = fresh_probe(state)
-        probe = kerr(probe, state, X, 0, +1)
-        probe = kerr(probe, state, A, 0, -1)
+        probe = kerr(probe, state, at_x, 0, +1)
+        probe = kerr(probe, state, at_a, 0, -1)
         return readout(probe, state), len(state.terms)
 
     nodes.append(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
 
     def run_transfer(state, bits):
-        st = apply_bbs(state, X)
-        st = apply_bbs(st, A)
+        st = apply_bbs(state, at_x)
+        st = apply_bbs(st, at_a)
         peak = len(st.terms)
         probe = fresh_probe(st)
-        probe = kerr(probe, st, X, 0, +1)
-        probe = kerr(probe, st, A, bits["k"], +2)
+        probe = kerr(probe, st, at_x, 0, +1)
+        probe = kerr(probe, st, at_a, bits["k"], +2)
         outs = []
         for c, p, collapsed in enumerate_homodyne(probe, st):
-            outs.append((((c >> 1) & 1, c & 1), p, collapsed.mark_dead(X)))
+            outs.append((((c >> 1) & 1, c & 1), p, collapsed.mark_dead(at_x)))
         return outs, peak
 
     nodes.append(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer"))
@@ -311,12 +317,12 @@ def build_protocol(
     a_path = frame.collapse_complementary(k, XorExpr.bit("m"))
 
     for j, s_lbl in enumerate(_family("s", n), start=1):
-        def run_consent(state, bits, _j=j):
+        def run_consent(state, bits, _j=j, _c=at_c[j - 1]):
             if not config.consent[_j - 1]:
                 return [], len(state.terms)
-            st = apply_bbs(state, charlie(_j))
+            st = apply_bbs(state, _c)
             peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, charlie(_j), bits["k"], +1)
+            probe = kerr(fresh_probe(st), st, _c, bits["k"], +1)
             return readout(probe, st), peak
 
         nodes.append(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent"))
@@ -324,10 +330,10 @@ def build_protocol(
 
     landing: list[XorExpr] = []  # path each of B1..B(m-1) lands on
     for i, l_lbl in enumerate(_family("l", m - 1), start=1):
-        def run_concentrate(state, bits, _i=i):
-            st = apply_bbs(state, bob(_i))
+        def run_concentrate(state, bits, _b=at_b[i - 1]):
+            st = apply_bbs(state, _b)
             peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, bob(_i), bits["k"], +1)
+            probe = kerr(fresh_probe(st), st, _b, bits["k"], +1)
             return readout(probe, st), peak
 
         nodes.append(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
@@ -336,7 +342,7 @@ def build_protocol(
 
     def run_first_op(state, bits):
         st = correct(state, bits, "first_op")
-        st = apply_su2_spatial(st, bob(m), config.unitaries[m - 1])
+        st = apply_su2_spatial(st, at_b[m - 1], config.unitaries[m - 1])
         return [((), 1.0, st)], len(st.terms)
 
     nodes.append(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
@@ -345,26 +351,26 @@ def build_protocol(
 
     r_lbls, g_lbls = _family("r", m - 1), _family("g", m - 1)
     for i in range(m - 1, 0, -1):
-        def run_hop_link(state, bits, _i=i):
-            d = state.definite_bit(bob(_i), "spatial")
-            st = apply_bbs(state, bob(_i))
+        def run_hop_link(state, bits, _b=at_b[i - 1], _next=at_b[i]):
+            d = state.definite_bit(_b, "spatial")
+            st = apply_bbs(state, _b)
             peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, bob(_i), d, +1)
-            probe = kerr(probe, st, bob(_i + 1), 0, -1)
+            probe = kerr(fresh_probe(st), st, _b, d, +1)
+            probe = kerr(probe, st, _next, 0, -1)
             return readout(probe, st), peak
 
         nodes.append(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbls[i - 1],), run_hop_link,
                           "hop-link"))
         frame.resplit_single(landing[i - 1])
 
-        def run_hop_close(state, bits, _i=i, _g=g_lbls[i - 1]):
-            st = apply_bbs(state, bob(_i + 1))
+        def run_hop_close(state, bits, _i=i, _g=g_lbls[i - 1], _b=at_b[i - 1], _next=at_b[i]):
+            st = apply_bbs(state, _next)
             peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, bob(_i + 1), 1, +1)
+            probe = kerr(fresh_probe(st), st, _next, 1, +1)
             outs = []
             for c, p, s2 in enumerate_homodyne(probe, st):
                 s3 = correct(s2, {**bits, _g: c}, f"hop_close[{_i}]")
-                s3 = apply_su2_spatial(s3, bob(_i), config.unitaries[_i - 1])
+                s3 = apply_su2_spatial(s3, _b, config.unitaries[_i - 1])
                 outs.append(((c,), p, s3))
             return outs, peak
 
@@ -376,32 +382,32 @@ def build_protocol(
         wants[f"hop_close[{i}]"] = target(config.unitaries[i:])
 
     def run_joint_b1(state, bits):
-        st = apply_hwp(state, bob(1), 1)
-        st = apply_bbs(st, bob(1))
-        return enumerate_measurement(st, bob(1), ("polar", "spatial")), len(st.terms)
+        st = apply_hwp(state, at_b[0], 1)
+        st = apply_bbs(st, at_b[0])
+        return enumerate_measurement(st, at_b[0], ("polar", "spatial")), len(st.terms)
 
     nodes.append(Node("joint_measure[1]", 7, "B1", ("p", "q"), run_joint_b1))
     # Every polarization readout after p flips the relative sign with its bit.
     polar_sign = XorExpr.bit("q")
 
     for i, w_lbl in enumerate(_family("w", m - 1, start=2), start=2):
-        def run_joint_w(state, bits, _i=i):
-            path = state.definite_bit(bob(_i), "spatial")
-            st = apply_qwp(state, bob(_i), path)
-            return enumerate_measurement(st, bob(_i), ("polar",)), len(st.terms)
+        def run_joint_w(state, bits, _b=at_b[i - 1]):
+            path = state.definite_bit(_b, "spatial")
+            st = apply_qwp(state, _b, path)
+            return enumerate_measurement(st, _b, ("polar",)), len(st.terms)
 
         nodes.append(Node(f"joint_measure[{i}]", 7, f"B{i}", (w_lbl,), run_joint_w,
                           "joint-measure"))
         polar_sign = polar_sign ^ w_lbl
 
     for j, v_lbl in enumerate(_family("v", n), start=1):
-        def run_control(state, bits, _j=j):
+        def run_control(state, bits, _j=j, _c=at_c[j - 1]):
             if not config.consent_phase2[_j - 1]:
                 return [], len(state.terms)
-            path = state.definite_bit(charlie(_j), "spatial")
-            st = apply_qwp(state, charlie(_j), path)
-            st = apply_pbs(st, charlie(_j), path)
-            return enumerate_measurement(st, charlie(_j), ("polar",)), len(st.terms)
+            path = state.definite_bit(_c, "spatial")
+            st = apply_qwp(state, _c, path)
+            st = apply_pbs(st, _c, path)
+            return enumerate_measurement(st, _c, ("polar",)), len(st.terms)
 
         nodes.append(Node(f"control_measure[{j}]", 8, f"C{j}", (v_lbl,), run_control,
                           "control-measure"))
@@ -416,15 +422,16 @@ def build_protocol(
     wants["polar_fix"] = target(config.unitaries)
 
     def run_to_spatial(state, bits):
-        in_path = state.definite_bit(A, "spatial")
-        st = apply_pbs(state, A, in_path)
-        st = apply_hwp(st, A, in_path)
+        in_path = state.definite_bit(at_a, "spatial")
+        st = apply_pbs(state, at_a, in_path)
+        st = apply_hwp(st, at_a, in_path)
         peak = len(st.terms)
         return [((), 1.0, correct(st, bits, "to_spatial"))], peak
 
     nodes.append(Node("to_spatial", 9, "A", (), run_to_spatial))
     plan["to_spatial"] = CorrectionSpec(A, "spatial", x=a_path, z=XorExpr())
     wants["to_spatial"] = wants["polar_fix"]
+    fixed_at.update((name, initial.index_of(spec.party)) for name, spec in plan.items())
 
     return Protocol(config, plan, nodes, initial)
 
@@ -544,9 +551,14 @@ class _Branch(NamedTuple):
                             max_terms, seed, proto, idx)
 
 
-def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool):
-    """The protocol, its stage checker (or None) and the root branch."""
-    proto = build_protocol(config, validate_corrections=validate_corrections)
+def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
+           proto: Protocol | None):
+    """The protocol (``proto`` if given, else one built from ``config``),
+    its stage checker (or None) and the root branch."""
+    if proto is None:
+        proto = build_protocol(config, validate_corrections=validate_corrections)
+    elif proto.config != config or validate_corrections:
+        raise ValueError("a given protocol must come from this config, validated or not")
     checker = None
     if check_stages:
         from .stages import make_stage_checker
@@ -562,11 +574,12 @@ def iter_branches(
     *,
     check_stages: bool = False,
     validate_corrections: bool = False,
+    protocol: Protocol | None = None,
 ) -> Iterator[BranchResult]:
     """Depth-first enumeration of every outcome branch, in lexicographic
     order of the outcome-bit sequence.  Blocked branches absorb their whole
-    subtree probability."""
-    proto, checker, root = _start(config, check_stages, validate_corrections)
+    subtree probability.  ``protocol`` is ``config``'s node list, if built."""
+    proto, checker, root = _start(config, check_stages, validate_corrections, protocol)
     nodes = proto.nodes
     stack = [root]
     end = len(nodes)
@@ -587,7 +600,8 @@ def iter_branches(
 
 class ProtocolRun:
     """One sampled execution with stepwise control, for interactive use and
-    stage-by-stage tests.  ``run_full`` drives it end to end."""
+    stage-by-stage tests.  ``run_full`` drives it end to end.  ``protocol``
+    is ``config``'s node list, if built; many runs may share one build."""
 
     def __init__(
         self,
@@ -597,10 +611,11 @@ class ProtocolRun:
         *,
         check_stages: bool = False,
         validate_corrections: bool = False,
+        protocol: Protocol | None = None,
     ):
         self.config = config
         self._proto, self._checker, self._branch = _start(
-            config, check_stages, validate_corrections)
+            config, check_stages, validate_corrections, protocol)
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
 

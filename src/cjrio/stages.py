@@ -56,19 +56,22 @@ class StageMismatch:
 
 
 def _dump(state: HybridState) -> list[dict]:
+    """The terms as coefficient rows, ordered by (path bits, polarization bits)."""
+    unpack = state.register.unpack
     out = []
-    for ket in sorted(state.terms):
+    for ket in sorted(state.terms, key=unpack):
+        spatial, polar = unpack(ket)
         amp = state.terms[ket]
         out.append({
-            "paths": list(ket.spatial),
-            "pol": list(ket.polar),
+            "paths": list(spatial),
+            "pol": list(polar),
             "amp": [amp.real, amp.imag],
         })
     return out
 
 
 def _state(reg: PhotonRegister, alive: tuple[bool, ...],
-           terms: dict[BasisKet, complex]) -> HybridState:
+           terms: dict[int, complex]) -> HybridState:
     terms = {k: a for k, a in terms.items() if abs(a) > 1e-16}
     return HybridState(reg, alive, terms).normalized()
 
@@ -89,7 +92,7 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
     def ghz_state(alive, x_spatial, branches):
         """Two amplitude branches tensored with the polarization GHZ of the
         channel photons; X polar stays V."""
-        terms: dict[BasisKet, complex] = {}
+        terms: dict[int, complex] = {}
         for weight, (sa, sb1, sb2, sc) in branches:
             for u in (0, 1):
                 ket = BasisKet(
@@ -105,7 +108,7 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
     def f_entangle(b):
         k = b["k"]
         # X still live and in superposition: branch weight rides on X's path.
-        terms: dict[BasisKet, complex] = {}
+        terms: dict[int, complex] = {}
         for weight, xs, ch in ((alpha, 0, k), (beta, 1, k ^ 1)):
             for u in (0, 1):
                 ket = BasisKet((xs, ch, ch, ch, ch), (VERTICAL, u, u, u, u))

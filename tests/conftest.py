@@ -8,10 +8,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cjrio import SU2Operator, protocol
-from cjrio.hilbert import HybridState
+from cjrio.hilbert import HybridState, PhotonId
 from cjrio.optics import PauliPower
+
+
+# Property tests draw a fixed, bounded example set, so tier-1 stays
+# deterministic and its time stays bounded.
+settings.register_profile("cjrio", derandomize=True, max_examples=100, deadline=None,
+                          database=None)
+settings.load_profile("cjrio")
 
 
 def random_su2(rng: np.random.Generator) -> SU2Operator:
@@ -30,15 +38,22 @@ def random_pair(rng: np.random.Generator) -> tuple[complex, complex]:
     return a / nrm, b / nrm
 
 
+def bit(state: HybridState, ket: int, photon: PhotonId, dof: str = "spatial") -> int:
+    """One bit of a ket of ``state``, read through the register's mask."""
+    return 1 if ket & state.register.mask(state.index_of(photon), dof) else 0
+
+
 def dense_vector(state: HybridState) -> np.ndarray:
     """Flatten a sparse state into the full 4^n-dimensional vector, one
     (spatial, polar) qubit pair per photon, independent numpy path."""
-    n = len(state.register)
+    reg = state.register
+    n = len(reg)
+    masks = [(reg.mask(i, "spatial"), reg.mask(i, "polar")) for i in range(n)]
     vec = np.zeros(4 ** n, dtype=complex)
     for ket, amp in state.terms.items():
         idx = 0
-        for i in range(n):
-            idx = idx * 4 + ket.spatial[i] * 2 + ket.polar[i]
+        for spatial, polar in masks:
+            idx = idx * 4 + (2 if ket & spatial else 0) + (1 if ket & polar else 0)
         vec[idx] += amp
     return vec
 

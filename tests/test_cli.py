@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cjrio import cli, stages
-from cjrio.cli import (EXIT_BLOCKED, EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
-                       main, parse_complex, parse_unitary)
+from cjrio import cli, protocol, stages
+from cjrio.cli import (EXIT_BLOCKED, EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_FIDELITY,
+                       EXIT_OK, main, parse_complex, parse_unitary)
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +197,27 @@ def test_stats_bands(capsys):
     assert out == out2
 
 
+def test_stats_builds_one_protocol_for_every_sample(capsys, monkeypatch):
+    build = protocol.build_protocol
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "build_protocol", counted)
+    monkeypatch.setattr(cli, "build_protocol", counted)
+    per_run = []
+    for samples in (100, 300):
+        builds.clear()
+        code, out, _ = run_cli(capsys, "stats", "--m", "2", "--n", "1", "--seed", "3",
+                               "--samples", str(samples))
+        assert code in (EXIT_OK, EXIT_FIDELITY)
+        assert json.loads(out)["samples"] == samples
+        per_run.append(len(builds))
+    assert per_run == [1, 1]
+
+
 def test_stats_rejects_tiny_sample(capsys):
     code, _, err = run_cli(capsys, "stats", "--samples", "50")
     assert code == EXIT_CONFIG
@@ -323,16 +344,27 @@ def test_streamed_report_matches_reference(tmp_path, capsys, name, to_file):
 def test_streamed_report_matches_reference_with_errata(capsys, monkeypatch):
     def always_mismatch(config):
         def check(stage, bits, state):
-            return stages.StageMismatch(stage, dict(bits), ["X"], [], [{"amp": [0.5, -0.0]}])
+            # the real dump of the post-transfer state, so its row order shows
+            dump = stages._dump(state) if stage == "transfer" else []
+            return stages.StageMismatch(stage, dict(bits), ["X"], dump, [{"amp": [0.5, -0.0]}])
         return check
 
     monkeypatch.setattr(stages, "make_stage_checker", always_mismatch)
-    argv = ["enumerate", "--m", "2", "--n", "1", "--check-paper-eqs"]
+    # beta != 0 puts both amplitude branches, so four terms, in the dump
+    argv = ["enumerate", "--m", "2", "--n", "1", "--alpha", "0.6", "--beta", "0.8",
+            "--check-paper-eqs"]
     expected = _reference_enumerate_report(argv)
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    assert len(json.loads(out)["errata"]) == 10 * 2048
+    errata = json.loads(out)["errata"]
+    assert len(errata) == 10 * 2048
     assert out == expected
+    # coefficient rows come ordered by (path bits, polarization bits)
+    dumps = [e["simulator_coefficients"] for e in errata if e["stage"] == "transfer"]
+    assert len(dumps) == 2048
+    for rows in dumps:
+        keys = [(row["paths"], row["pol"]) for row in rows]
+        assert len(keys) == 4 and keys == sorted(keys)
 
 
 def test_enumerate_memory_flat_in_branch_count(tmp_path):

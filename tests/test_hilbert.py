@@ -7,8 +7,9 @@ from cjrio.hilbert import (A, BasisKet, HybridState, PhotonId, VERTICAL, X,
                            bob, build_initial_state, charlie,
                            enumerate_measurement, equal_up_to_global_phase,
                            overlap, reduced_purity, registry)
+from cjrio.optics import apply_pbs
 
-from conftest import dense_reduced_purity, random_pair
+from conftest import bit, dense_reduced_purity, random_pair
 
 
 def test_photon_ids():
@@ -83,7 +84,7 @@ def test_overlap_self_is_one(rng):
 
 def test_overlap_sign_flip_on_half_weight_branch():
     s = build_initial_state(1 / math.sqrt(2), 1 / math.sqrt(2), 1, 0)
-    flipped = {k: (-a if k.spatial[0] == 1 else a) for k, a in s.terms.items()}
+    flipped = {k: (-a if bit(s, k, X) == 1 else a) for k, a in s.terms.items()}
     s2 = s.replace_terms(flipped)
     assert abs(overlap(s, s2)) == pytest.approx(0.0, abs=1e-12)
 
@@ -94,7 +95,7 @@ def test_overlap_disjoint_spatial_supports(rng):
 
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
-    probe = kerr(kerr(fresh_probe(s), s, X, 0, +1), s, A, 0, -1)
+    probe = kerr(kerr(fresh_probe(s), s, s.index_of(X), 0, +1), s, s.index_of(A), 0, -1)
     outcomes = enumerate_homodyne(probe, s)
     assert len(outcomes) == 2
     s0, s1 = outcomes[0][2], outcomes[1][2]
@@ -111,8 +112,8 @@ def test_overlap_conjugate_symmetry(rng):
 
 def _with_dead(s):
     # freeze X by projecting onto its x0 component first
-    terms = {k: a for k, a in s.terms.items() if k.spatial[0] == 0}
-    return s.replace_terms(terms).normalized().mark_dead(X)
+    terms = {k: a for k, a in s.terms.items() if bit(s, k, X) == 0}
+    return s.replace_terms(terms).normalized().mark_dead(s.index_of(X))
 
 
 def test_overlap_registry_mismatch():
@@ -132,7 +133,7 @@ def test_equal_up_to_global_phase(rng):
     assert equal_up_to_global_phase(s, phased, 1e-10)
 
     # flipping the relative phase of the beta branch is a different state
-    rotated = s.replace_terms({k: (-amp if k.spatial[0] else amp)
+    rotated = s.replace_terms({k: (-amp if bit(s, k, X) else amp)
                                for k, amp in s.terms.items()})
     assert not equal_up_to_global_phase(s, rotated, 1e-10)
 
@@ -199,17 +200,35 @@ def test_reduced_purity_rejections():
 def test_enumerate_measurement_probabilities(rng):
     alpha, beta = random_pair(rng)
     s = build_initial_state(alpha, beta, 1, 0)
-    outs = enumerate_measurement(s, X, ("spatial",))
+    x = s.index_of(X)
+    outs = enumerate_measurement(s, x, ("spatial",))
     assert [bits for bits, _, _ in outs] == [(0,), (1,)]
     probs = {bits[0]: p for bits, p, _ in outs}
     assert probs[0] == pytest.approx(abs(alpha) ** 2, abs=1e-12)
     assert probs[1] == pytest.approx(abs(beta) ** 2, abs=1e-12)
     for _, _, st in outs:
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
-        assert not st.is_alive(X)
+        assert not st.alive[x]
 
 
 def test_mark_dead_requires_definite_bits():
     s = build_initial_state(0.6, 0.8, 2, 1)
     with pytest.raises(ValueError):
-        s.mark_dead(X)  # X path is in superposition
+        s.mark_dead(s.index_of(X))  # X path is in superposition
+
+
+def _first_term_only(s):
+    ket = next(iter(s.terms))
+    return s.replace_terms({ket: 1.0})
+
+
+@pytest.mark.parametrize("reach, message", [
+    (lambda s, b1, c1: _first_term_only(s).mark_dead(b1).require_alive(b1),
+     "photon B1 has been measured out"),
+    (lambda s, b1, c1: apply_pbs(s, c1, 0), "photon C1 has amplitude off path 0"),
+    (lambda s, b1, c1: s.definite_bit(b1, "spatial"), "photon B1 spatial bit is in superposition"),
+], ids=["measured-out", "off-path", "superposition"])
+def test_errors_reached_by_position_name_the_photon(reach, message):
+    s = build_initial_state(0.6, 0.8, 2, 1)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        reach(s, s.index_of(bob(1)), s.index_of(charlie(1)))

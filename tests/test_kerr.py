@@ -4,12 +4,12 @@ from cjrio.hilbert import A, X, build_initial_state
 from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
 from cjrio.optics import apply_bbs
 
-from conftest import random_pair
+from conftest import bit, random_pair
 
 
 def entangle_probe(state):
-    probe = kerr(fresh_probe(state), state, X, 0, +1)
-    return kerr(probe, state, A, 0, -1)
+    probe = kerr(fresh_probe(state), state, state.index_of(X), 0, +1)
+    return kerr(probe, state, state.index_of(A), 0, -1)
 
 
 def distribution(probe, state):
@@ -23,7 +23,7 @@ def test_entangle_taps_give_expected_multipliers(rng):
     probe = entangle_probe(s)
     # enumerate the four spatial configurations by hand
     for ket, mult in probe.tags.items():
-        want = (1 if ket.spatial[0] == 0 else 0) - (1 if ket.spatial[1] == 0 else 0)
+        want = (1 if bit(s, ket, X) == 0 else 0) - (1 if bit(s, ket, A) == 0 else 0)
         assert mult == want
     assert sorted(set(probe.tags.values())) == [-1, 0, 1]
 
@@ -32,9 +32,9 @@ def test_kerr_on_empty_path_changes_nothing(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 1, 0)
     # collapse X onto path 0 first so path 1 carries no amplitude
-    terms = {k: amp for k, amp in s.terms.items() if k.spatial[0] == 0}
+    terms = {k: amp for k, amp in s.terms.items() if bit(s, k, X) == 0}
     s = s.replace_terms(terms).normalized()
-    probe = kerr(fresh_probe(s), s, X, 1, +1)
+    probe = kerr(fresh_probe(s), s, s.index_of(X), 1, +1)
     assert all(m == 0 for m in probe.tags.values())
     assert distribution(probe, s) == [(0, pytest.approx(1.0))]
 
@@ -44,9 +44,10 @@ def test_transfer_taps_cover_four_classes(rng):
     s = build_initial_state(a, b, 2, 1)
     probe = entangle_probe(s)
     k, _, s1 = enumerate_homodyne(probe, s)[0]
-    st = apply_bbs(apply_bbs(s1, X), A)
-    probe2 = kerr(fresh_probe(st), st, X, 0, +1)
-    probe2 = kerr(probe2, st, A, 0, +2)
+    at_x, at_a = s.index_of(X), s.index_of(A)
+    st = apply_bbs(apply_bbs(s1, at_x), at_a)
+    probe2 = kerr(fresh_probe(st), st, at_x, 0, +1)
+    probe2 = kerr(probe2, st, at_a, 0, +2)
     assert sorted(set(probe2.tags.values())) == [0, 1, 2, 3]
     dist = distribution(probe2, st)
     assert [c for c, _ in dist] == [0, 1, 2, 3]
@@ -107,5 +108,5 @@ def test_multiplier_whitelist(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
     with pytest.raises(ValueError):
-        kerr(fresh_probe(s), s, X, 0, 3)
+        kerr(fresh_probe(s), s, s.index_of(X), 0, 3)
 

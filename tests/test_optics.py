@@ -10,7 +10,7 @@ from cjrio.optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                           apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                           apply_qwp, apply_su2_spatial)
 
-from conftest import random_pair, random_su2
+from conftest import bit, random_pair, random_su2
 
 S = 1 / math.sqrt(2)
 
@@ -29,17 +29,20 @@ def single_photon(spatial=0, polar=0, amp_pairs=None):
 
 
 def amp(state, spatial, polar):
-    i = state.index_of(bob(1))
     total = 0j
     for ket, a in state.terms.items():
-        if ket.spatial[i] == spatial and ket.polar[i] == polar:
+        if bit(state, ket, bob(1)) == spatial and bit(state, ket, bob(1), "polar") == polar:
             total += a
     return total
 
 
+# Register position of the stand-in photon B1 in single_photon states.
+B1 = registry(1, 0).index(bob(1))
+
+
 def test_bbs_path0_rule():
     s = single_photon(spatial=0)
-    out = apply_bbs(s, bob(1))
+    out = apply_bbs(s, B1)
     assert amp(out, 0, 0) == pytest.approx(S)
     assert amp(out, 1, 0) == pytest.approx(S)
 
@@ -47,14 +50,15 @@ def test_bbs_path0_rule():
 def test_bbs_is_involution(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
-    out = apply_bbs(apply_bbs(s, A), A)
+    i = s.index_of(A)
+    out = apply_bbs(apply_bbs(s, i), i)
     assert abs(overlap(s, out) - 1.0) < 1e-12
 
 
 def test_bbs_norm_preserved(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
-    assert apply_bbs(s, bob(2)).norm() == pytest.approx(1.0, abs=1e-12)
+    assert apply_bbs(s, s.index_of(bob(2))).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bbs_on_two_branch_state_matches_expansion(rng):
@@ -67,8 +71,8 @@ def test_bbs_on_two_branch_state_matches_expansion(rng):
         BasisKet((0, 1, 1, 1, 1), (VERTICAL,) * 5): beta,
     }
     s = HybridState(reg, (True,) * 5, terms)
-    out = apply_bbs(s, charlie(1))
-    got = {(k.spatial[2], k.spatial[4]): a for k, a in out.terms.items()}
+    out = apply_bbs(s, s.index_of(charlie(1)))
+    got = {(bit(out, k, bob(1)), bit(out, k, charlie(1))): a for k, a in out.terms.items()}
     assert got[(0, 0)] == pytest.approx(alpha * S)
     assert got[(0, 1)] == pytest.approx(alpha * S)
     assert got[(1, 0)] == pytest.approx(beta * S)
@@ -77,28 +81,28 @@ def test_bbs_on_two_branch_state_matches_expansion(rng):
 
 def test_hwp_swaps_on_its_path():
     s = single_photon(spatial=1, polar=0)
-    out = apply_hwp(s, bob(1), 1)
+    out = apply_hwp(s, B1, 1)
     assert amp(out, 1, 1) == pytest.approx(1.0)
     # other path untouched
     s2 = single_photon(spatial=0, polar=0)
-    out2 = apply_hwp(s2, bob(1), 1)
+    out2 = apply_hwp(s2, B1, 1)
     assert amp(out2, 0, 0) == pytest.approx(1.0)
 
 
 def test_hwp_is_involution():
     s = single_photon(amp_pairs={(1, 0): 0.6, (1, 1): 0.8})
-    out = apply_hwp(apply_hwp(s, bob(1), 1), bob(1), 1)
+    out = apply_hwp(apply_hwp(s, B1, 1), B1, 1)
     assert abs(overlap(s, out) - 1.0) < 1e-12
 
 
 def test_qwp_rules():
     s = single_photon(spatial=1, polar=0)
-    out = apply_qwp(s, bob(1), 1)
+    out = apply_qwp(s, B1, 1)
     assert amp(out, 1, 0) == pytest.approx(S)
     assert amp(out, 1, 1) == pytest.approx(S)
 
     s = single_photon(spatial=0, polar=1)
-    out = apply_qwp(s, bob(1), 0)
+    out = apply_qwp(s, B1, 0)
     assert amp(out, 0, 0) == pytest.approx(S)
     assert amp(out, 0, 1) == pytest.approx(-S)
 
@@ -106,37 +110,37 @@ def test_qwp_rules():
 def test_qwp_twice_is_identity(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(1, 0): a, (1, 1): b})
-    out = apply_qwp(apply_qwp(s, bob(1), 1), bob(1), 1)
+    out = apply_qwp(apply_qwp(s, B1, 1), B1, 1)
     assert abs(overlap(s, out) - 1.0) < 1e-12
 
 
 def test_pbs_splits_by_polarization(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(1, 0): a, (1, 1): b})
-    out = apply_pbs(s, bob(1), 1)
+    out = apply_pbs(s, B1, 1)
     assert amp(out, 1, 0) == pytest.approx(a)  # H transmitted
     assert amp(out, 0, 1) == pytest.approx(b)  # V reflected
 
     pure_h = single_photon(spatial=0, polar=0)
-    assert amp(apply_pbs(pure_h, bob(1), 0), 0, 0) == pytest.approx(1.0)
+    assert amp(apply_pbs(pure_h, B1, 0), 0, 0) == pytest.approx(1.0)
     pure_v = single_photon(spatial=0, polar=1)
-    assert amp(apply_pbs(pure_v, bob(1), 0), 1, 1) == pytest.approx(1.0)
+    assert amp(apply_pbs(pure_v, B1, 0), 1, 1) == pytest.approx(1.0)
 
 
 def test_pbs_rejects_dual_input():
     s = single_photon(amp_pairs={(0, 0): S, (1, 0): S})
     with pytest.raises(ValueError):
-        apply_pbs(s, bob(1), 0)
+        apply_pbs(s, B1, 0)
 
 
 def test_pauli_spatial_flip_and_sign(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(0, 0): a, (1, 0): b})
-    out = apply_pauli_spatial(s, bob(1), PauliPower(1, 0))
+    out = apply_pauli_spatial(s, B1, PauliPower(1, 0))
     assert amp(out, 0, 0) == pytest.approx(b)
     assert amp(out, 1, 0) == pytest.approx(a)
 
-    out = apply_pauli_spatial(s, bob(1), PauliPower(0, 1))
+    out = apply_pauli_spatial(s, B1, PauliPower(0, 1))
     assert amp(out, 0, 0) == pytest.approx(a)
     assert amp(out, 1, 0) == pytest.approx(-b)
     with pytest.raises(ValueError):
@@ -146,7 +150,7 @@ def test_pauli_spatial_flip_and_sign(rng):
 def test_pauli_polar_sign(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(0, 0): a, (0, 1): b})
-    out = apply_pauli_polar(s, bob(1), PauliPower(0, 1))
+    out = apply_pauli_polar(s, B1, PauliPower(0, 1))
     assert amp(out, 0, 0) == pytest.approx(a)
     assert amp(out, 0, 1) == pytest.approx(-b)
 
@@ -155,7 +159,7 @@ def test_pauli_z_fixes_flipped_branch_sign(rng):
     # the step-4 style fix: Z^1 recovers alpha|0> + beta|1> from a minus sign
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(0, 0): a, (1, 0): -b})
-    out = apply_pauli_spatial(s, bob(1), PauliPower(0, 1))
+    out = apply_pauli_spatial(s, B1, PauliPower(0, 1))
     want = single_photon(amp_pairs={(0, 0): a, (1, 0): b})
     assert equal_up_to_global_phase(out, want, 1e-12)
 
@@ -164,9 +168,9 @@ def test_su2_identity_and_swap(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(0, 0): a, (1, 0): b})
     assert equal_up_to_global_phase(
-        apply_su2_spatial(s, bob(1), SU2Operator(1, 0)), s, 1e-12)
+        apply_su2_spatial(s, B1, SU2Operator(1, 0)), s, 1e-12)
 
-    out = apply_su2_spatial(s, bob(1), SU2Operator(0, 1))
+    out = apply_su2_spatial(s, B1, SU2Operator(0, 1))
     assert amp(out, 0, 0) == pytest.approx(b)
     assert amp(out, 1, 0) == pytest.approx(-a)
 
@@ -176,7 +180,7 @@ def test_su2_matches_matrix_product(rng):
         op = random_su2(rng)
         a, b = random_pair(rng)
         s = single_photon(amp_pairs={(0, 0): a, (1, 0): b})
-        out = apply_su2_spatial(s, bob(1), op)
+        out = apply_su2_spatial(s, B1, op)
         want = op.matrix @ np.array([a, b])
         assert amp(out, 0, 0) == pytest.approx(complex(want[0]), abs=1e-12)
         assert amp(out, 1, 0) == pytest.approx(complex(want[1]), abs=1e-12)
@@ -186,7 +190,8 @@ def test_su2_dagger_inverts(rng):
     op = random_su2(rng)
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(0, 0): a, (1, 0): b})
-    out = apply_su2_spatial(apply_su2_spatial(s, bob(1), op), bob(1), op.dagger())
+    inverse = SU2Operator(complex(op.u).conjugate(), -complex(op.v))
+    out = apply_su2_spatial(apply_su2_spatial(s, B1, op), B1, inverse)
     assert abs(overlap(s, out) - 1.0) < 1e-12
 
 
@@ -201,8 +206,9 @@ def test_su2_rejects_non_unitary():
 def test_ops_on_distinct_photons_commute(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
-    one = apply_bbs(apply_bbs(s, A), bob(2))
-    two = apply_bbs(apply_bbs(s, bob(2)), A)
+    a, b2 = s.index_of(A), s.index_of(bob(2))
+    one = apply_bbs(apply_bbs(s, a), b2)
+    two = apply_bbs(apply_bbs(s, b2), a)
     assert set(one.terms) == set(two.terms)
     for ket in one.terms:
         assert one.terms[ket] == pytest.approx(two.terms[ket], abs=1e-15)
@@ -211,31 +217,33 @@ def test_ops_on_distinct_photons_commute(rng):
 def test_every_element_preserves_norm(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
+    at = s.index_of
     candidates = [
-        apply_bbs(s, bob(1)),
-        apply_hwp(s, bob(1), 1),
-        apply_qwp(s, charlie(1), 0),
-        apply_pauli_spatial(s, bob(2), PauliPower(1, 1)),
-        apply_pauli_polar(s, A, PauliPower(1, 1)),
-        apply_su2_spatial(s, bob(2), random_su2(rng)),
+        apply_bbs(s, at(bob(1))),
+        apply_hwp(s, at(bob(1)), 1),
+        apply_qwp(s, at(charlie(1)), 0),
+        apply_pauli_spatial(s, at(bob(2)), PauliPower(1, 1)),
+        apply_pauli_polar(s, at(A), PauliPower(1, 1)),
+        apply_su2_spatial(s, at(bob(2)), random_su2(rng)),
     ]
     # the splitter needs a single-path input
     collapsed = s.replace_terms({k: amp for k, amp in s.terms.items()
-                                 if k.spatial[1] == 0}).normalized()
-    candidates.append(apply_pbs(collapsed, A, 0))
+                                 if bit(s, k, A) == 0}).normalized()
+    candidates.append(apply_pbs(collapsed, at(A), 0))
     for out in candidates:
         assert abs(out.norm() - 1.0) < 1e-12
 
 
 def test_dead_photon_rejected():
     s = build_initial_state(1.0, 0.0, 2, 1)
+    x = s.index_of(X)
     dead = s.replace_terms({k: a for k, a in s.terms.items()
-                            if k.spatial[0] == 0}).normalized().mark_dead(X)
-    for fn in (lambda st: apply_bbs(st, X),
-               lambda st: apply_hwp(st, X, 0),
-               lambda st: apply_qwp(st, X, 0),
-               lambda st: apply_pbs(st, X, 0),
-               lambda st: apply_pauli_spatial(st, X, PauliPower(1, 0)),
-               lambda st: apply_su2_spatial(st, X, SU2Operator(1, 0))):
+                            if bit(s, k, X) == 0}).normalized().mark_dead(x)
+    for fn in (lambda st: apply_bbs(st, x),
+               lambda st: apply_hwp(st, x, 0),
+               lambda st: apply_qwp(st, x, 0),
+               lambda st: apply_pbs(st, x, 0),
+               lambda st: apply_pauli_spatial(st, x, PauliPower(1, 0)),
+               lambda st: apply_su2_spatial(st, x, SU2Operator(1, 0))):
         with pytest.raises(ValueError):
             fn(dead)

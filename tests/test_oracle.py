@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cjrio.hilbert import (A, BasisKet, HybridState, VERTICAL, bob,
+from cjrio.hilbert import (A, PHASE_TOL, BasisKet, HybridState, VERTICAL, bob,
                            registry)
 from cjrio.optics import PauliPower, SU2Operator, apply_pauli_spatial
-from cjrio.oracle import (CorrectionSearchError, TargetState, assert_equiv,
+from cjrio.oracle import (CorrectionSearchError, TargetState,
                           brute_force_correction, direct_apply, extract_qubit,
                           target_fidelity)
 
@@ -66,8 +66,8 @@ def _final_state(c0, c1, extra_live=False):
 def test_assert_equiv_and_rejections(rng):
     a, b = random_pair(rng)
     final = _final_state(a, b)
-    assert assert_equiv(final, TargetState(a, b))
-    assert not assert_equiv(_final_state(a, -b), TargetState(a, b))
+    assert target_fidelity(final, TargetState(a, b)) >= 1.0 - PHASE_TOL
+    assert not target_fidelity(_final_state(a, -b), TargetState(a, b)) >= 1.0 - PHASE_TOL
     with pytest.raises(ValueError):
         target_fidelity(_final_state(a, b, extra_live=True), TargetState(a, b))
 
@@ -75,7 +75,7 @@ def test_assert_equiv_and_rejections(rng):
 def test_extract_qubit_factorizable(rng):
     a, b = random_pair(rng)
     final = _final_state(a, b)
-    c0, c1 = extract_qubit(final, A, "spatial")
+    c0, c1 = extract_qubit(final, final.index_of(A), "spatial")
     # equal up to global phase
     assert abs(a.conjugate() * c0 + b.conjugate() * c1) == pytest.approx(1.0, abs=1e-12)
 
@@ -88,7 +88,7 @@ def test_extract_qubit_rejects_entangled():
     }
     s = HybridState(reg, (True,) * 3, terms)
     with pytest.raises(ValueError):
-        extract_qubit(s, A, "spatial")
+        extract_qubit(s, s.index_of(A), "spatial")
 
 
 def _one_pauli_away(a, b, power):
@@ -99,20 +99,20 @@ def _one_pauli_away(a, b, power):
     }
     s = HybridState(reg, (False, False, True), terms)
     # apply the inverse so that `power` is exactly what recovers (a, b)
-    return apply_pauli_spatial(s, bob(1), power)
+    return apply_pauli_spatial(s, s.index_of(bob(1)), power)
 
 
 def test_brute_force_identity_on_canonical():
     probe = (0.6, 0.8)
     s = _one_pauli_away(*probe, PauliPower(0, 0))
-    assert brute_force_correction(s, bob(1), "spatial", probe) == PauliPower(0, 0)
+    assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == PauliPower(0, 0)
 
 
 def test_brute_force_finds_each_power():
     probe = (0.6, 0.8)
     for power in (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliPower(1, 1)):
         s = _one_pauli_away(*probe, power)
-        assert brute_force_correction(s, bob(1), "spatial", probe) == power
+        assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == power
 
 
 def test_brute_force_degenerate_probe_is_ambiguous():
@@ -120,4 +120,4 @@ def test_brute_force_degenerate_probe_is_ambiguous():
     probe = (1 / math.sqrt(2), 1 / math.sqrt(2))
     s = _one_pauli_away(*probe, PauliPower(0, 0))
     with pytest.raises(CorrectionSearchError):
-        brute_force_correction(s, bob(1), "spatial", probe)
+        brute_force_correction(s, s.index_of(bob(1)), "spatial", probe)

@@ -10,7 +10,7 @@ from cjrio.protocol import (BLOCKED, ProtocolConfig, ProtocolRun, XorExpr,
                             branch_bit_count, branch_fidelity, build_protocol,
                             check_variant, iter_branches, run_full)
 
-from conftest import random_pair, random_su2
+from conftest import bit, random_pair, random_su2
 
 I2 = SU2Operator(1, 0)
 
@@ -113,6 +113,21 @@ def test_frame_agrees_with_brute_force_everywhere_m2_n1(rng):
     assert count == 2048
 
 
+def test_runs_share_one_built_protocol(rng):
+    config = cfg(us=(random_su2(rng), random_su2(rng)))
+    proto = build_protocol(config)
+    for seed in range(8):
+        shared = ProtocolRun(config, seed=seed, protocol=proto).finish()
+        fresh = run_full(config, seed=seed)
+        assert shared.bits == fresh.bits and shared.state.terms == fresh.state.terms
+    assert [r.bits for r in iter_branches(config, protocol=proto)] == [
+        r.bits for r in iter_branches(config)]
+    with pytest.raises(ValueError):
+        ProtocolRun(cfg(n=0), protocol=proto)
+    with pytest.raises(ValueError):
+        next(iter_branches(config, validate_corrections=True, protocol=proto))
+
+
 def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
     config = ProtocolConfig(3, 2, tuple(random_su2(rng) for _ in range(3)),
                             *random_pair(rng))
@@ -128,10 +143,11 @@ def test_step1_entangle_forms(rng):
     (k,) = run.step(1)
     i_x = run.state.index_of(X)
     for ket, amp in run.state.terms.items():
-        if ket.spatial[i_x] == 0:
-            assert all(b == k for b in ket.spatial[1:])
+        spatial, _ = run.state.register.unpack(ket)
+        if spatial[i_x] == 0:
+            assert all(b == k for b in spatial[1:])
         else:
-            assert all(b == (k ^ 1) for b in ket.spatial[1:])
+            assert all(b == (k ^ 1) for b in spatial[1:])
     assert run.state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -151,14 +167,13 @@ def test_step2_collapsed_form(rng):
     (k,) = run.step(1)
     m, n = run.step(2)
     st = run.state
-    assert not st.is_alive(X)
-    assert st.definite_bit(X, "spatial") == n ^ 1
-    assert st.definite_bit(A, "spatial") == k ^ m ^ 1
+    assert not st.alive[st.index_of(X)]
+    assert st.definite_bit(st.index_of(X), "spatial") == n ^ 1
+    assert st.definite_bit(st.index_of(A), "spatial") == k ^ m ^ 1
     # two-branch structure on the remaining photons with sign (-1)^(k^m^n)
-    i_b1 = st.index_of(bob(1))
     branch = {}
     for ket, amp in st.terms.items():
-        branch.setdefault(ket.spatial[i_b1], []).append(amp)
+        branch.setdefault(bit(st, ket, bob(1)), []).append(amp)
     sgn = -1.0 if (k ^ m ^ n) else 1.0
     got = sum(branch[k ^ 1]) / sum(branch[k])
     assert got == pytest.approx(sgn * beta / alpha, abs=1e-9)
@@ -171,7 +186,7 @@ def test_step3_consent_disentangles_controller(rng):
     run.step(2)
     (s_bit,) = run.step(3)
     k = run.bits["k"]
-    assert run.state.definite_bit(charlie(1), "spatial") == k ^ s_bit ^ 1
+    assert run.state.definite_bit(run.state.index_of(charlie(1)), "spatial") == k ^ s_bit ^ 1
     assert reduced_purity(run.state, [bob(1), bob(2)], dof="spatial") == pytest.approx(1.0, abs=1e-12)
 
 
@@ -222,11 +237,10 @@ def test_step4_identity_operator_form(rng):
     (l_bit,) = run.step(4)
     st = run.state
     k = run.bits["k"]
-    assert st.definite_bit(bob(1), "spatial") == k ^ l_bit ^ 1
+    assert st.definite_bit(st.index_of(bob(1)), "spatial") == k ^ l_bit ^ 1
     # with U2 = I the secret pair sits cleanly on B2's paths
-    i = st.index_of(bob(2))
-    amp0 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 0)
-    amp1 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 1)
+    amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 0)
+    amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 1)
     assert amp1 / amp0 == pytest.approx(beta / alpha, abs=1e-9)
 
 
@@ -238,9 +252,8 @@ def test_step4_swap_operator(rng):
     run.step(3)
     run.step(4)
     st = run.state
-    i = st.index_of(bob(2))
-    amp0 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 0)
-    amp1 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 1)
+    amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 0)
+    amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 1)
     # (alpha, beta) -> (beta, -alpha)
     assert amp1 / amp0 == pytest.approx(-alpha / beta, abs=1e-9)
 
@@ -254,10 +267,9 @@ def test_shift_chain_identity_recovers_input(rng):
     run.step(4)
     r_bit, g_bit = run.step(5)
     st = run.state
-    assert st.definite_bit(bob(2), "spatial") == g_bit
-    i = st.index_of(bob(1))
-    amp0 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 0)
-    amp1 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 1)
+    assert st.definite_bit(st.index_of(bob(2)), "spatial") == g_bit
+    amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 0)
+    amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 1)
     assert amp1 / amp0 == pytest.approx(beta / alpha, abs=1e-9)
 
 
@@ -271,9 +283,8 @@ def test_shift_chain_random_operators_match_product(rng):
     run.step(4)
     run.step(5)
     st = run.state
-    i = st.index_of(bob(1))
-    amp0 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 0)
-    amp1 = sum(a for ket, a in st.terms.items() if ket.spatial[i] == 1)
+    amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 0)
+    amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 1)
     want = u1.matrix @ (u2.matrix @ np.array([alpha, beta]))
     assert amp1 / amp0 == pytest.approx(complex(want[1] / want[0]), abs=1e-9)
 
@@ -293,9 +304,8 @@ def test_joint_measure_probabilities(rng):
 def test_full_run_final_state_exact_for_identity():
     res = run_full(cfg(alpha=0.6, beta=0.8), seed=29)
     st = res.state
-    assert st.definite_bit(A, "polar") == VERTICAL
-    i = st.index_of(A)
-    amp = {ket.spatial[i]: a for ket, a in st.terms.items()}
+    assert st.definite_bit(st.index_of(A), "polar") == VERTICAL
+    amp = {bit(st, ket, A): a for ket, a in st.terms.items()}
     ratio = amp[1] / amp[0]
     assert ratio == pytest.approx(0.8 / 0.6, abs=1e-9)
     assert branch_fidelity(cfg(alpha=0.6, beta=0.8), res) == pytest.approx(1.0, abs=1e-12)
@@ -528,8 +538,7 @@ def test_reduction_rio_with_z_like_operator():
     target = direct_apply(config.unitaries, 0.6, 0.8)
     for res in results:
         assert target_fidelity(res.state, target) >= 1.0 - 1e-10
-        i = res.state.index_of(A)
-        amp = {ket.spatial[i]: a for ket, a in res.state.terms.items()}
+        amp = {bit(res.state, ket, A): a for ket, a in res.state.terms.items()}
         assert amp[1] / amp[0] == pytest.approx(-0.8 / 0.6, abs=1e-9)
 
 

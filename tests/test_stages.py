@@ -7,7 +7,7 @@ from cjrio.optics import SU2Operator
 from cjrio.protocol import ProtocolConfig, iter_branches, run_full
 from cjrio.stages import CHECK_IDS, StageMismatch, make_stage_checker
 
-from conftest import random_pair, random_su2
+from conftest import bit, random_pair, random_su2
 
 ERRATA_FILE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "errata.json"
 
@@ -59,10 +59,9 @@ def test_mismatch_record_structure(rng):
     r.step(1)
     r.step(2)
     state = r.state
-    i = state.index_of(bob(1))
     k = r.bits["k"]
     corrupted = state.replace_terms({
-        ket: (-a if ket.spatial[i] == (k ^ 1) else a)
+        ket: (-a if bit(state, ket, bob(1)) == (k ^ 1) else a)
         for ket, a in state.terms.items()
     })
     record = checker("transfer", r.bits, corrupted)
