@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
 INPUT_NORM_TOL = 1e-9
@@ -68,21 +69,27 @@ def BasisKet(spatial: Sequence[int], polar: Sequence[int]) -> int:
     """Pack one classical configuration, per-photon path bits and
     polarization bits in registry order, into an int ket: with n photons,
     photon i's path bit is bit i and its polarization bit is bit n + i."""
-    if len(spatial) != len(polar) or not {*spatial, *polar} <= {0, 1}:
-        raise ValueError("a ket needs one path bit and one polarization bit, 0 or 1, per photon")
-    return sum(b << i for i, b in enumerate((*spatial, *polar)))
+    if len(spatial) != len(polar):
+        raise ValueError("a ket needs one path bit and one polarization bit per photon")
+    ket = 0
+    for i, b in enumerate((*spatial, *polar)):
+        if b != 0 and b != 1:
+            raise ValueError("a ket's bits must be 0 or 1")
+        ket |= b << i
+    return ket
 
 
 class PhotonRegister:
     """Immutable photon list shared by every state of one run."""
 
-    __slots__ = ("photons", "_index")
+    __slots__ = ("photons", "masks", "_index")
 
     def __init__(self, photons: Iterable[PhotonId]):
         self.photons = tuple(photons)
         self._index = {p: i for i, p in enumerate(self.photons)}
         if len(self._index) != len(self.photons):
             raise ValueError("duplicate photon in register")
+        self.masks = tuple((1 << i, 1 << (len(self.photons) + i)) for i in range(len(self.photons)))
 
     def index(self, photon: PhotonId) -> int:
         try:
@@ -132,6 +139,7 @@ class HybridState:
 
     ``terms`` maps an int ket (see :func:`BasisKet`) to a complex amplitude.
     Instances are treated as immutable; every operation returns a new state.
+    States may share one ``terms`` dict, so it must never be mutated.
     """
 
     __slots__ = ("register", "alive", "terms")
@@ -159,27 +167,35 @@ class HybridState:
         return self.register.index(photon)
 
     def require_alive(self, i: int) -> tuple[int, int]:
-        """Photon ``i``'s (path, polarization) masks; it must still be live."""
+        """Photon ``i``'s (path, polarization) mask pair; it must still be live."""
         if not self.alive[i]:
             raise ValueError(f"photon {self.photons[i]} has been measured out")
-        return self.register.mask(i, "spatial"), self.register.mask(i, "polar")
+        return self.register.masks[i]
 
     def definite_bit(self, i: int, dof: str) -> int:
         """Photon ``i``'s bit on ``dof``, which must be the same in every term."""
         mask = self.register.mask(i, dof)
-        bits = [ket & mask for ket in self.terms]
-        if not bits or bits.count(bits[0]) != len(bits):
-            raise ValueError(f"photon {self.photons[i]} {dof} bit is in superposition")
-        return 1 if bits[0] else 0
+        want = next(iter(self.terms), 0) & mask
+        for ket in self.terms:
+            if ket & mask != want:
+                break
+        else:
+            if self.terms:
+                return 1 if want else 0
+        raise ValueError(f"photon {self.photons[i]} {dof} bit is in superposition")
 
     # -- construction helpers ---------------------------------------------
 
-    def replace_terms(self, terms: Mapping[int, complex]) -> "HybridState":
+    def adopt(self, terms: dict[int, complex]) -> "HybridState":
+        """A state on the same photons that takes over ``terms``, uncopied."""
         s = HybridState.__new__(HybridState)
         s.register = self.register
         s.alive = self.alive
-        s.terms = dict(terms)
+        s.terms = terms
         return s
+
+    def replace_terms(self, terms: Mapping[int, complex]) -> "HybridState":
+        return self.adopt(dict(terms))
 
     def mark_dead(self, i: int) -> "HybridState":
         """Freeze the photon at position ``i`` out of the live registry.
@@ -190,7 +206,7 @@ class HybridState:
         self.require_alive(i)
         self.definite_bit(i, "spatial")
         self.definite_bit(i, "polar")
-        s = self.replace_terms(self.terms)
+        s = self.adopt(self.terms)
         s.alive = self.alive[:i] + (False,) + self.alive[i + 1:]
         return s
 
@@ -204,7 +220,7 @@ class HybridState:
         if nrm < PRUNE_TOL:
             raise ValueError("cannot normalize a null state")
         inv = 1.0 / nrm
-        return self.replace_terms({k: a * inv for k, a in self.terms.items()})
+        return self.adopt({k: a * inv for k, a in self.terms.items()})
 
     def __repr__(self) -> str:
         live = [str(p) for p, al in zip(self.photons, self.alive) if al]
@@ -311,11 +327,51 @@ def reduced_purity(
     return total / (norm_sq * norm_sq)
 
 
-def enumerate_measurement(
-    state: HybridState,
-    i: int,
-    dofs: Sequence[str] = ("polar", "spatial"),
-) -> list[tuple[tuple[int, ...], float, HybridState]]:
+class Outcome:
+    """One readout outcome: its bits (or homodyne class), its probability and
+    ``build``, which makes its state each time it is called, so a run builds
+    only the outcome it enters.  Unpacks, and indexes, as ``bits, p, state``."""
+
+    __slots__ = ("bits", "p", "build")
+
+    def __init__(self, bits, p: float, build: Callable[[], HybridState]):
+        self.bits, self.p, self.build = bits, p, build
+
+    def __iter__(self):
+        return iter((self.bits, self.p, self.build()))
+
+    def __getitem__(self, k):
+        return tuple(self)[k]
+
+
+def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None,
+              unmeasured: Sequence[str]) -> HybridState:
+    """``state`` projected onto ``terms``, pruned, normalized, photon ``dead`` (if any) retired."""
+    s = state.adopt(prune(terms)).normalized()
+    if dead is not None:
+        for dof in unmeasured:
+            s.definite_bit(dead, dof)
+        s.alive = s.alive[:dead] + (False,) + s.alive[dead + 1:]
+    return s
+
+
+def collapse_outcomes(state: HybridState, buckets: Mapping[Hashable, dict[int, complex]],
+                      order: Iterable[tuple[object, Hashable]], dead: int | None = None,
+                      unmeasured: Sequence[str] = ()) -> list[Outcome]:
+    """The outcomes of a readout that splits ``state``'s kets into ``buckets``, one
+    per (bits, key) in ``order``, skipping a bucket of p <= ``PRUNE_TOL ** 2``."""
+    out = []
+    for bits, key in order:
+        terms = buckets[key]
+        p = sum(abs(a) ** 2 for a in terms.values())
+        if p <= PRUNE_TOL ** 2:
+            continue
+        out.append(Outcome(bits, p, partial(_collapse, state, terms, dead, unmeasured)))
+    return out
+
+
+def enumerate_measurement(state: HybridState, i: int,
+                          dofs: Sequence[str] = ("polar", "spatial")) -> list[Outcome]:
     """Projective measurement of the photon at position ``i`` in the
     computational basis of the listed DOFs, returning every outcome with its
     probability and collapsed state (photon marked dead), ordered by outcome
@@ -323,17 +379,9 @@ def enumerate_measurement(
     state.require_alive(i)
     masks = [state.register.mask(i, d) for d in dofs]
     measured = sum(set(masks))  # one-bit masks: the sum of distinct ones is their union
-
     buckets: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
         buckets.setdefault(ket & measured, {})[ket] = amp
-
-    out = []
-    for bits, key in sorted((tuple(1 if key & m else 0 for m in masks), key) for key in buckets):
-        terms = buckets[key]
-        p = sum(abs(a) ** 2 for a in terms.values())
-        if p <= PRUNE_TOL ** 2:
-            continue
-        collapsed = state.replace_terms(prune(terms)).normalized().mark_dead(i)
-        out.append((bits, p, collapsed))
-    return out
+    order = sorted((tuple(1 if key & m else 0 for m in masks), key) for key in buckets)
+    return collapse_outcomes(state, buckets, order, i,
+                             [d for d in ("spatial", "polar") if d not in dofs])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hilbert import HybridState, prune
+from .hilbert import HybridState, Outcome, collapse_outcomes
 
 ALLOWED_MULTIPLIERS = (-1, 1, 2)
 
@@ -50,9 +50,7 @@ def kerr(
     return CoherentProbe(tags=tags)
 
 
-def enumerate_homodyne(
-    probe: CoherentProbe, state: HybridState
-) -> list[tuple[int, float, HybridState]]:
+def enumerate_homodyne(probe: CoherentProbe, state: HybridState) -> list[Outcome]:
     """Every homodyne outcome with its probability and collapsed, renormalized
     state, deterministically ordered by phase class.  Pure: the same probe can
     be enumerated repeatedly."""
@@ -63,11 +61,4 @@ def enumerate_homodyne(
         except KeyError:
             raise ValueError("probe tags do not cover the state; re-tap after state changes") from None
         classes.setdefault(c, {})[ket] = amp
-    out = []
-    for c in sorted(classes):
-        terms = classes[c]
-        p = sum(abs(a) ** 2 for a in terms.values())
-        if p <= 0.0:
-            continue
-        out.append((c, p, state.replace_terms(prune(terms)).normalized()))
-    return out
+    return collapse_outcomes(state, classes, [(c, c) for c in sorted(classes)])

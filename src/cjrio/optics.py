@@ -74,7 +74,7 @@ def apply_bbs(state: HybridState, i: int) -> HybridState:
         k1 = ket | on
         out[k0] = out.get(k0, 0j) + half
         out[k1] = out.get(k1, 0j) + (-half if ket & on else half)
-    return state.replace_terms(prune(out))
+    return state.adopt(prune(out))
 
 
 def apply_hwp(state: HybridState, i: int, path: int) -> HybridState:
@@ -86,7 +86,7 @@ def apply_hwp(state: HybridState, i: int, path: int) -> HybridState:
         if (ket & sm) == on_path:
             ket ^= pm
         out[ket] = out.get(ket, 0j) + amp
-    return state.replace_terms(out)
+    return state.adopt(out)
 
 
 def apply_qwp(state: HybridState, i: int, path: int) -> HybridState:
@@ -104,7 +104,7 @@ def apply_qwp(state: HybridState, i: int, path: int) -> HybridState:
         kv = ket | pm
         out[kh] = out.get(kh, 0j) + half
         out[kv] = out.get(kv, 0j) + (-half if ket & pm else half)
-    return state.replace_terms(prune(out))
+    return state.adopt(prune(out))
 
 
 def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
@@ -124,7 +124,7 @@ def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
         if ket & pm:
             ket ^= sm
         out[ket] = out.get(ket, 0j) + amp
-    return state.replace_terms(out)
+    return state.adopt(out)
 
 
 def _apply_pauli(state: HybridState, i: int, power: PauliPower, dof: str) -> HybridState:
@@ -138,7 +138,7 @@ def _apply_pauli(state: HybridState, i: int, power: PauliPower, dof: str) -> Hyb
         if power.z_pow and ket & bit:
             amp = -amp
         out[ket] = amp
-    return state.replace_terms(out)
+    return state.adopt(out)
 
 
 def apply_pauli_spatial(state: HybridState, i: int, power: PauliPower) -> HybridState:
@@ -165,4 +165,4 @@ def apply_su2_spatial(state: HybridState, i: int, op: SU2Operator) -> HybridStat
     for key, (a0, a1) in pairs.items():
         out[key] = u * a0 + v * a1
         out[key | on] = -v.conjugate() * a0 + u.conjugate() * a1
-    return state.replace_terms(prune(out))
+    return state.adopt(prune(out))

@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from . import oracle
-from .hilbert import (A, HybridState, PhotonId, X, bob, build_initial_state,
+from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, build_initial_state,
                       charlie, enumerate_measurement)
 from .kerr import enumerate_homodyne, fresh_probe, kerr
-from .optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
-                     apply_pauli_polar, apply_pauli_spatial, apply_pbs,
+from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator, apply_bbs,
+                     apply_hwp, apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                      apply_qwp, apply_su2_spatial)
 
 BLOCKED = "blocked"
@@ -106,7 +106,8 @@ class CorrectionSpec:
     z: XorExpr
 
     def power(self, bits: Mapping[str, int]) -> PauliPower:
-        return PauliPower(self.x.evaluate(bits), self.z.evaluate(bits))
+        """One of the four shared ``ALL_PAULI_POWERS``."""
+        return ALL_PAULI_POWERS[self.x.evaluate(bits) | self.z.evaluate(bits) << 1]
 
 
 class PauliFrame:
@@ -207,18 +208,13 @@ def _family(base: str, count: int, start: int = 1) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-# A node outcome: the bits it broadcasts (one per label), its probability and
-# the state it leaves.
-Outcome = tuple[tuple[int, ...], float, HybridState]
-
-
 @dataclass
 class Node:
-    """One step of the scheme.  ``run`` returns every outcome of the node and
-    its largest intermediate term count; an empty outcome list means the
-    node's controller withheld consent.  ``check_id`` names the stage
-    checkpoint the state is compared with after the node, where a checker
-    exists (m=2, n=1 only)."""
+    """One step of the scheme.  ``run`` returns every outcome of the node (its
+    state built on demand) and its largest intermediate term count; an empty
+    outcome list means the node's controller withheld consent.  ``check_id``
+    names the stage checkpoint the state is compared with after the node,
+    where a checker exists (m=2, n=1 only)."""
 
     name: str
     stage: int
@@ -286,7 +282,7 @@ def build_protocol(
 
     def readout(probe, state) -> list[Outcome]:
         """The homodyne outcomes of a one-bit node, the class as its bit."""
-        return [((c,), p, s2) for c, p, s2 in enumerate_homodyne(probe, state)]
+        return [Outcome((o.bits,), o.p, o.build) for o in enumerate_homodyne(probe, state)]
 
     nodes: list[Node] = []
 
@@ -305,10 +301,9 @@ def build_protocol(
         probe = fresh_probe(st)
         probe = kerr(probe, st, at_x, 0, +1)
         probe = kerr(probe, st, at_a, bits["k"], +2)
-        outs = []
-        for c, p, collapsed in enumerate_homodyne(probe, st):
-            outs.append((((c >> 1) & 1, c & 1), p, collapsed.mark_dead(at_x)))
-        return outs, peak
+        return [Outcome(((o.bits >> 1) & 1, o.bits & 1), o.p,
+                        lambda build=o.build: build().mark_dead(at_x))
+                for o in enumerate_homodyne(probe, st)], peak
 
     nodes.append(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer"))
     # X was tapped on path 0 (bit n fires it), A on path k (bit m fires it);
@@ -343,7 +338,7 @@ def build_protocol(
     def run_first_op(state, bits):
         st = correct(state, bits, "first_op")
         st = apply_su2_spatial(st, at_b[m - 1], config.unitaries[m - 1])
-        return [((), 1.0, st)], len(st.terms)
+        return [Outcome((), 1.0, lambda: st)], len(st.terms)
 
     nodes.append(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
     plan["first_op"] = CorrectionSpec(bob(m), "spatial", x=k, z=frame.take_sign())
@@ -367,12 +362,12 @@ def build_protocol(
             st = apply_bbs(state, _next)
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, _next, 1, +1)
-            outs = []
-            for c, p, s2 in enumerate_homodyne(probe, st):
-                s3 = correct(s2, {**bits, _g: c}, f"hop_close[{_i}]")
-                s3 = apply_su2_spatial(s3, _b, config.unitaries[_i - 1])
-                outs.append(((c,), p, s3))
-            return outs, peak
+
+            def close(build, c):  # the correction and the operator, on demand
+                s3 = correct(build(), {**bits, _g: c}, f"hop_close[{_i}]")
+                return apply_su2_spatial(s3, _b, config.unitaries[_i - 1])
+            return [Outcome((o.bits,), o.p, partial(close, o.build, o.bits))
+                    for o in enumerate_homodyne(probe, st)], peak
 
         nodes.append(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbls[i - 1],), run_hop_close,
                           "hop-done"))
@@ -415,7 +410,7 @@ def build_protocol(
 
     def run_polar_fix(state, bits):
         st = correct(state, bits, "polar_fix")
-        return [((), 1.0, st)], len(st.terms)
+        return [Outcome((), 1.0, lambda: st)], len(st.terms)
 
     nodes.append(Node("polar_fix", 8, "A", (), run_polar_fix, "polar-fixed"))
     plan["polar_fix"] = CorrectionSpec(A, "polar", x=XorExpr.bit("p"), z=polar_sign)
@@ -426,7 +421,8 @@ def build_protocol(
         st = apply_pbs(state, at_a, in_path)
         st = apply_hwp(st, at_a, in_path)
         peak = len(st.terms)
-        return [((), 1.0, correct(st, bits, "to_spatial"))], peak
+        st = correct(st, bits, "to_spatial")
+        return [Outcome((), 1.0, lambda: st)], peak
 
     nodes.append(Node("to_spatial", 9, "A", (), run_to_spatial))
     plan["to_spatial"] = CorrectionSpec(A, "spatial", x=a_path, z=XorExpr())
@@ -524,20 +520,17 @@ class _Branch(NamedTuple):
     blocked_at: str | None
 
     def advance(self, node: Node, outcome: Outcome, peak: int, checker) -> "_Branch":
-        """The branch after ``node`` produced ``outcome``; ``peak`` is the
-        node's largest intermediate term count."""
+        """The branch after ``node`` produced ``outcome``, whose state is
+        built here; ``peak`` is the node's largest intermediate term count."""
         idx, _, bits, probability, errata, max_terms, _ = self
-        out_bits, prob, state = outcome
-        if peak > max_terms:
-            max_terms = peak
+        out_bits, prob, state = outcome.bits, outcome.p, outcome.build()
         if node.bit_labels:
             bits = {**bits, **dict(zip(node.bit_labels, out_bits))}
         if checker is not None and node.check_id is not None:
             mismatch = checker(node.check_id, bits, state)
             if mismatch is not None:
                 errata = errata + (mismatch,)
-        if len(state.terms) > max_terms:
-            max_terms = len(state.terms)
+        max_terms = max(max_terms, peak, len(state.terms))
         return _Branch(idx + 1, state, bits, probability * prob, errata, max_terms, None)
 
     def halt(self, node: Node, peak: int) -> "_Branch":
@@ -593,9 +586,8 @@ def iter_branches(
         outcomes, peak = node.run(state, bits)
         if not outcomes:
             stack.append(branch.halt(node, peak))
-        # Reversed, so the first outcome is popped, and walked, first.
-        for out in reversed(outcomes):
-            stack.append(branch.advance(node, out, peak, checker))
+        # Built in outcome order; pushed reversed, so the first is walked first.
+        stack.extend(reversed([branch.advance(node, out, peak, checker) for out in outcomes]))
 
 
 class ProtocolRun:
@@ -639,7 +631,8 @@ class ProtocolRun:
         """Run the nodes of ``stage``, or every remaining node for None, until
         the branch is blocked.  Each node with a choice draws one uniform
         number and takes the first outcome whose running probability sum
-        exceeds it, or the last outcome if rounding leaves the sum short."""
+        exceeds it, or the last outcome if rounding leaves the sum short; only
+        the outcome taken has its state built."""
         nodes = self._proto.nodes
         rng, checker = self._rng, self._checker
         branch = self._branch
@@ -656,7 +649,7 @@ class ProtocolRun:
                 r = rng.random()
                 acc = 0.0
                 for out in outcomes:
-                    acc += out[1]
+                    acc += out.p
                     if r < acc:
                         pick = out
                         break

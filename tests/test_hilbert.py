@@ -232,3 +232,43 @@ def test_errors_reached_by_position_name_the_photon(reach, message):
     s = build_initial_state(0.6, 0.8, 2, 1)
     with pytest.raises(ValueError, match=f"^{message}"):
         reach(s, s.index_of(bob(1)), s.index_of(charlie(1)))
+
+
+def test_basis_ket_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="one path bit and one polarization bit"):
+        BasisKet((0, 1), (1,))
+
+
+@pytest.mark.parametrize("spatial, polar", [((0, 2), (1, 0)), ((0, 1), (1, -1))],
+                         ids=["path-2", "polar-minus-1"])
+def test_basis_ket_rejects_non_binary_bits(spatial, polar):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        BasisKet(spatial, polar)
+
+
+def test_replace_terms_copies_its_argument():
+    s = build_initial_state(0.6, 0.8, 1, 0)
+    terms = dict(s.terms)
+    before = dict(terms)
+    copy = s.replace_terms(terms)
+    terms.clear()
+    terms[0] = 1.0
+    assert copy.terms == before
+
+
+def test_outcomes_below_the_pruning_tolerance_are_skipped():
+    # A class of probability 1e-30 carries no state to collapse onto: both
+    # readouts skip it rather than fail to normalize it.
+    from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
+
+    reg = registry(1, 0)
+    ket_a = BasisKet((0, 0, 0), (1, 0, 0))  # X on path 0
+    ket_b = BasisKet((1, 0, 0), (1, 0, 0))  # X on path 1
+    s = HybridState(reg, (True,) * 3, {ket_a: 1.0, ket_b: 1e-15})
+    x = s.index_of(X)
+    measured = enumerate_measurement(s, x, ("spatial",))
+    assert [(bits, p) for bits, p, _ in measured] == [((0,), 1.0)]
+    tapped = enumerate_homodyne(kerr(fresh_probe(s), s, x, 1, +1), s)
+    assert [(c, p) for c, p, _ in tapped] == [(0, 1.0)]
+    _, _, state = tapped[0]
+    assert state.terms == {ket_a: 1.0}

@@ -1,18 +1,26 @@
-"""Property tests of the optics and the ket format on random registries up
-to (4,3) and random sparse states, each primitive held against a dense
-4x4 matrix applied to ``dense_vector``.  Examples come from the
-derandomized profile registered in conftest, so runs are repeatable."""
+"""Property tests on random registries up to (4,3) and random sparse states:
+each optics primitive held against a dense 4x4 matrix applied to
+``dense_vector``, the ket format, and each measurement outcome against the
+prune-normalize-retire composition it replaces.  Sampled runs with random
+SU(2) operators and inputs up to (8,4) are checked against the oracle.
+Examples come from the derandomized profile registered in conftest, so runs
+are repeatable."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cjrio.hilbert import BasisKet, HybridState, registry
+from cjrio.hilbert import (PRUNE_TOL, BasisKet, HybridState, enumerate_measurement,
+                           prune, registry)
+from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
 from cjrio.optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                           apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                           apply_qwp, apply_su2_spatial)
+from cjrio.oracle import direct_apply, target_fidelity
+from cjrio.protocol import ProtocolConfig, run_full
 
 from conftest import dense_vector
 
@@ -40,6 +48,17 @@ def pauli(power: PauliPower) -> np.ndarray:
 @st.composite
 def registers(draw):
     return registry(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+
+
+def _unit_pair(z: list[float]) -> tuple[complex, complex]:
+    nrm = math.sqrt(sum(x * x for x in z))
+    return complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
+
+
+def unit_pairs():
+    """Complex pairs (a, b) with |a|^2 + |b|^2 = 1."""
+    return st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+        lambda z: sum(x * x for x in z) > 1e-3).map(_unit_pair)
 
 
 @st.composite
@@ -78,10 +97,7 @@ def cases(draw, ops=OPS):
         power = PauliPower(draw(st.integers(0, 1)), draw(st.integers(0, 1)))
         local = np.kron(pauli(power), I2) if op == "pauli_spatial" else np.kron(I2, pauli(power))
         return state, op, i, power, local
-    z = draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
-        lambda z: sum(x * x for x in z) > 1e-3))
-    nrm = math.sqrt(sum(x * x for x in z))
-    su2 = SU2Operator(complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm)
+    su2 = SU2Operator(*draw(unit_pairs()))
     return state, op, i, su2, np.kron(su2.matrix, I2)
 
 
@@ -131,3 +147,105 @@ def test_basis_ket_round_trips(data):
     for i in range(len(reg)):
         assert (1 if ket & reg.mask(i, "spatial") else 0) == spatial[i]
         assert (1 if ket & reg.mask(i, "polar") else 0) == polar[i]
+
+
+@st.composite
+def readouts(draw):
+    """(state, readout, photon position, dofs or taps): a measurement of one
+    photon on both DOFs or on its polarization alone (its path then
+    definite), or a homodyne readout of one to three Kerr taps."""
+    reg = draw(registers())
+    size = len(reg)
+    kind = draw(st.sampled_from(("both", "polar", "homodyne")))
+    i = draw(st.integers(0, size - 1))
+    bits = st.lists(st.integers(0, 1), min_size=size, max_size=size)
+    pairs = draw(st.lists(st.tuples(bits, bits), min_size=1, max_size=8))
+    if kind == "polar":
+        path = draw(st.integers(0, 1))
+        for spatial, _ in pairs:
+            spatial[i] = path
+    amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    terms = {BasisKet(s, p): draw(amp) for s, p in pairs}
+    if sum(abs(a) ** 2 for a in terms.values()) < 1e-6:
+        terms = {ket: 1.0 for ket in terms}
+    state = HybridState(reg, (True,) * size, terms).normalized()
+    if kind == "homodyne":
+        tap = st.tuples(st.integers(0, size - 1), st.integers(0, 1), st.sampled_from((-1, 1, 2)))
+        return state, kind, i, draw(st.lists(tap, min_size=1, max_size=3))
+    return state, kind, i, ("polar", "spatial") if kind == "both" else ("polar",)
+
+
+def _built(build):
+    """A built state, or the message of the ValueError building it raised."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(readouts())
+def test_outcomes_equal_the_prune_normalize_retire_composition(case):
+    state, kind, i, arg = case
+    reg = state.register
+    if kind == "homodyne":
+        probe = fresh_probe(state)
+        for j, path, mult in arg:
+            probe = kerr(probe, state, j, path, mult)
+        got = enumerate_homodyne(probe, state)
+        labels = {ket: abs(probe.tags[ket]) for ket in state.terms}
+    else:
+        got = enumerate_measurement(state, i, arg)
+        labels = {ket: tuple(1 if ket & reg.mask(i, d) else 0 for d in arg)
+                  for ket in state.terms}
+    # The reference: bucket by outcome, skip a bucket the pruning tolerance
+    # leaves empty, then copy, prune, normalize and (for a measurement)
+    # retire the photon, one step at a time.
+    buckets: dict = {}
+    for ket, amp in state.terms.items():
+        buckets.setdefault(labels[ket], {})[ket] = amp
+    want = []
+    for bits in sorted(buckets):
+        terms = buckets[bits]
+        p = sum(abs(a) ** 2 for a in terms.values())
+        if p <= PRUNE_TOL ** 2:
+            continue
+
+        def build(terms=terms):
+            collapsed = state.replace_terms(prune(terms)).normalized()
+            return collapsed if kind == "homodyne" else collapsed.mark_dead(i)
+
+        want.append((bits, p, build))
+    assert [(o.bits, o.p) for o in got] == [(bits, p) for bits, p, _ in want]
+    for out, (_, _, build) in zip(got, want):
+        s_got, s_want = _built(out.build), _built(build)
+        if isinstance(s_want, str):
+            assert s_got == s_want
+            continue
+        assert s_got.register == s_want.register and s_got.alive == s_want.alive
+        assert list(s_got.terms.items()) == list(s_want.terms.items())
+
+
+@st.composite
+def configs(draw):
+    """Consenting configurations up to (8,4) with random SU(2) operators and
+    inputs, and a run seed."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    ops = tuple(SU2Operator(*draw(unit_pairs())) for _ in range(m))
+    return ProtocolConfig(m, n, ops, *draw(unit_pairs())), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(configs())
+def test_sampled_runs_check_their_frame_and_reach_the_target(case):
+    # validate_corrections checks every frame-derived correction against
+    # exhaustive Pauli search and raises FrameInconsistencyError on a
+    # mismatch.  The search cannot tell Z^0 from Z^1 when a pair it aims at
+    # is a basis state (test_brute_force_degenerate_probe_is_ambiguous), so
+    # such draws are checked for fidelity alone.
+    config, seed = case
+    ops, alpha, beta = config.unitaries, config.alpha, config.beta
+    targets = [(alpha, beta)] + [astuple(direct_apply(ops[i:], alpha, beta))
+                                 for i in range(config.m)]
+    generic = all(min(abs(a0), abs(a1)) > 1e-4 for a0, a1 in targets)
+    res = run_full(config, seed=seed, validate_corrections=generic)
+    assert not res.blocked
+    assert target_fidelity(res.state, direct_apply(ops, alpha, beta)) >= 1.0 - 1e-10

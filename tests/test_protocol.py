@@ -135,6 +135,26 @@ def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
         run_full(config, seed=seed, validate_corrections=True)
 
 
+def test_sampled_run_applies_each_operator_once(rng, monkeypatch):
+    # A sampled run builds only the outcome it draws, so each party's
+    # operator is applied once, not once per outcome of its node.
+    from cjrio import protocol
+
+    calls = []
+    apply = protocol.apply_su2_spatial
+
+    def counted(state, i, op):
+        calls.append(op)
+        return apply(state, i, op)
+
+    monkeypatch.setattr(protocol, "apply_su2_spatial", counted)
+    config = ProtocolConfig(3, 2, tuple(random_su2(rng) for _ in range(3)),
+                            *random_pair(rng))
+    res = run_full(config, seed=7)
+    assert not res.blocked and len(calls) == config.m
+    assert sorted(map(id, calls)) == sorted(map(id, config.unitaries))
+
+
 # -- stepwise runs ----------------------------------------------------------
 
 def test_step1_entangle_forms(rng):
