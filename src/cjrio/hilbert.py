@@ -330,18 +330,12 @@ def reduced_purity(
 class Outcome:
     """One readout outcome: its bits (or homodyne class), its probability and
     ``build``, which makes its state each time it is called, so a run builds
-    only the outcome it enters.  Unpacks, and indexes, as ``bits, p, state``."""
+    only the outcome it enters."""
 
     __slots__ = ("bits", "p", "build")
 
     def __init__(self, bits, p: float, build: Callable[[], HybridState]):
         self.bits, self.p, self.build = bits, p, build
-
-    def __iter__(self):
-        return iter((self.bits, self.p, self.build()))
-
-    def __getitem__(self, k):
-        return tuple(self)[k]
 
 
 def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None,

@@ -22,7 +22,7 @@ from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator,
 
 
 class CorrectionSearchError(ValueError):
-    """Exhaustive Pauli search found no (or no unique) working correction."""
+    """Exhaustive Pauli search found no working correction."""
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,11 @@ def brute_force_correction(
     dof: str,
     want: tuple[complex, complex],
     tol: float = PHASE_TOL,
-) -> PauliPower:
-    """Search the four Pauli powers for the unique one that brings the qubit
-    of the photon at position ``i`` to the wanted amplitude pair (up to
-    global phase)."""
+) -> tuple[PauliPower, ...]:
+    """Search the four Pauli powers for every one that brings the qubit of
+    the photon at position ``i`` to the wanted amplitude pair (up to global
+    phase), in ``ALL_PAULI_POWERS`` order.  A generic pair has exactly one,
+    a degenerate pair more: on a basis state, Z is only a global phase."""
     w0, w1 = complex(want[0]), complex(want[1])
     wnorm = math.sqrt(abs(w0) ** 2 + abs(w1) ** 2)
     w0, w1 = w0 / wnorm, w1 / wnorm
@@ -125,9 +126,6 @@ def brute_force_correction(
             continue
         if abs(w0.conjugate() * c0 + w1.conjugate() * c1) >= 1.0 - tol:
             matches.append(power)
-    if len(matches) != 1:
-        raise CorrectionSearchError(
-            f"expected exactly one working correction on {state.photons[i]} {dof}, "
-            f"found {len(matches)}: {[str(p) for p in matches]}"
-        )
-    return matches[0]
+    if not matches:
+        raise CorrectionSearchError(f"no working correction on {state.photons[i]} {dof}")
+    return tuple(matches)

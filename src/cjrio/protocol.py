@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,12 +42,12 @@ VARIANTS = ("cjrio", "jrio", "crio", "rio")
 
 
 class FrameInconsistencyError(RuntimeError):
-    """A frame-derived correction disagreed with exhaustive search."""
+    """A frame-derived correction is not among those exhaustive search finds."""
 
-    def __init__(self, node: str, bits: Mapping[str, int], derived: PauliPower, found: PauliPower):
+    def __init__(self, node: str, bits: Mapping[str, int], derived: PauliPower, found: tuple):
         super().__init__(
             f"frame correction {derived} at {node} disagrees with searched "
-            f"{found} on branch {dict(bits)}"
+            f"{' or '.join(map(str, found))} on branch {dict(bits)}"
         )
         self.node = node
         self.bits = dict(bits)
@@ -55,59 +55,53 @@ class FrameInconsistencyError(RuntimeError):
         self.found = found
 
 
+def _namer(labels: Sequence[str]) -> Callable[[int, int], dict[str, int]]:
+    """Names the first ``width`` bits of a word, bit j as ``labels[j]``, in one
+    dict rewritten in place: a depth-first walk names words that share most
+    bits with the last one, so only the bits that differ are rewritten.  The
+    dict stays the namer's; whoever keeps it takes a copy."""
+    names: dict[str, int] = {}
+    last = 0
+
+    def named(word: int, width: int) -> dict[str, int]:
+        nonlocal last
+        while len(names) > width:
+            names.popitem()
+        # The bits that changed and those past the dict's end, lowest first.
+        stale = ((word ^ last) | -1 << len(names)) & ((1 << width) - 1)
+        while stale:
+            j = (stale & -stale).bit_length() - 1
+            names[labels[j]] = word >> j & 1
+            stale &= stale - 1
+        last = word
+        return names
+    return named
+
+
 # ---------------------------------------------------------------------------
-# XOR-linear expressions and the Pauli frame
+# XOR-linear forms and the Pauli frame
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XorExpr:
-    """Affine GF(2) form over named outcome bits: const XOR (sym1 ^ sym2 ...)."""
-
-    const: int = 0
-    syms: frozenset = frozenset()
-
-    @staticmethod
-    def bit(name: str) -> "XorExpr":
-        return XorExpr(0, frozenset((name,)))
-
-    @staticmethod
-    def of(value: int) -> "XorExpr":
-        return XorExpr(value & 1)
-
-    def __xor__(self, other) -> "XorExpr":
-        if isinstance(other, int):
-            return XorExpr(self.const ^ (other & 1), self.syms)
-        if isinstance(other, str):
-            other = XorExpr.bit(other)
-        return XorExpr(self.const ^ other.const, self.syms ^ other.syms)
-
-    def evaluate(self, bits: Mapping[str, int]) -> int:
-        v = self.const
-        for s in self.syms:
-            v ^= bits[s]
-        return v
-
-    def __str__(self) -> str:
-        parts = sorted(self.syms)
-        if self.const:
-            parts.append("1")
-        return "^".join(parts) if parts else "0"
+#
+# A branch's outcome bits are one int, its word: the j-th broadcast bit at
+# bit j.  An affine GF(2) form over them is an int too: bit 0 its constant,
+# bit j + 1 the coefficient of the j-th broadcast bit.  Forms add with ``^``.
 
 
 @dataclass(frozen=True)
 class CorrectionSpec:
     """One deferred Pauli fix: which party, which DOF, and the exponents as
-    XOR-linear functions of the broadcast outcome bits."""
+    affine forms over the broadcast outcome bits."""
 
     party: PhotonId
     dof: str
-    x: XorExpr
-    z: XorExpr
+    x: int
+    z: int
 
-    def power(self, bits: Mapping[str, int]) -> PauliPower:
-        """One of the four shared ``ALL_PAULI_POWERS``."""
-        return ALL_PAULI_POWERS[self.x.evaluate(bits) | self.z.evaluate(bits) << 1]
+    def power(self, word: int) -> PauliPower:
+        """One of the four shared ``ALL_PAULI_POWERS``, on the bits of ``word``."""
+        live = word << 1 | 1  # the constant's bit is always on
+        x, z = (self.x & live).bit_count() & 1, (self.z & live).bit_count() & 1
+        return ALL_PAULI_POWERS[x | z << 1]
 
 
 class PauliFrame:
@@ -124,19 +118,18 @@ class PauliFrame:
     """
 
     def __init__(self) -> None:
-        self.sign = XorExpr()
+        self.sign = 0
 
-    def collapse_complementary(self, tap: XorExpr, outcome: XorExpr) -> XorExpr:
+    def collapse_complementary(self, tap: int, outcome: int) -> int:
         landing = tap ^ outcome ^ 1
-        self.sign = self.sign ^ landing
+        self.sign ^= landing
         return landing
 
-    def resplit_single(self, path: XorExpr) -> None:
-        self.sign = self.sign ^ path
+    def resplit_single(self, path: int) -> None:
+        self.sign ^= path
 
-    def take_sign(self) -> XorExpr:
-        out = self.sign
-        self.sign = XorExpr()
+    def take_sign(self) -> int:
+        out, self.sign = self.sign, 0
         return out
 
 
@@ -210,34 +203,43 @@ def _family(base: str, count: int, start: int = 1) -> list[str]:
 
 @dataclass
 class Node:
-    """One step of the scheme.  ``run`` returns every outcome of the node (its
-    state built on demand) and its largest intermediate term count; an empty
-    outcome list means the node's controller withheld consent.  ``check_id``
-    names the stage checkpoint the state is compared with after the node,
-    where a checker exists (m=2, n=1 only)."""
+    """One step of the scheme.  ``run`` maps a state and a word to every
+    outcome of the node (its state built on demand, its bits a word) and its
+    largest intermediate term count; an empty outcome list means the node's
+    controller withheld consent.  ``check_id`` names the stage checkpoint the
+    state is compared with after the node, where a checker exists (m=2, n=1
+    only)."""
 
     name: str
     stage: int
     party: str
     bit_labels: tuple[str, ...]
-    run: Callable[[HybridState, Mapping[str, int]], tuple[list[Outcome], int]]
+    run: Callable[[HybridState, int], tuple[list[Outcome], int]]
     check_id: str | None = None
 
 
 @dataclass
 class Protocol:
-    """The node list of one run and, keyed by node name in node order, the
-    Pauli fix each correcting node applies."""
+    """The node list of one run, its bit names in broadcast order and, keyed
+    by node name in node order, the Pauli fix each correcting node applies."""
 
     config: ProtocolConfig
     plan: dict[str, CorrectionSpec]
     nodes: list[Node]
     initial_state: HybridState
+    labels: tuple[str, ...]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Every outcome-bit name, in broadcast order."""
-        return tuple(lbl for node in self.nodes for lbl in node.bit_labels)
+
+# The word of one or two measured bits: the j-th at bit j.
+_WORD = {(0,): 0, (1,): 1, (0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+
+
+def _measure(state: HybridState, i: int, dofs: tuple[str, ...]) -> list[Outcome]:
+    """``enumerate_measurement``'s outcomes, their bits made words: DOF j's at bit j."""
+    outcomes = enumerate_measurement(state, i, dofs)
+    for o in outcomes:
+        o.bits = _WORD[o.bits]
+    return outcomes
 
 
 def build_protocol(
@@ -246,21 +248,33 @@ def build_protocol(
     validate_corrections: bool = False,
 ) -> Protocol:
     """The node list of ``config``, in broadcast order.  Each measuring node
-    names its bits and advances the Pauli frame; each correcting node takes
-    its fix from the frame as it stands there."""
+    names its bits (k is bit 0) and advances the Pauli frame; each correcting
+    node takes its fix from the frame as it stands there."""
     m, n = config.m, config.n
     initial = build_initial_state(config.alpha, config.beta, m, n)
     # Register positions, resolved once: the nodes address photons by these.
     at_x, at_a = initial.index_of(X), initial.index_of(A)
     at_b = [initial.index_of(bob(i)) for i in range(1, m + 1)]
     at_c = [initial.index_of(charlie(j)) for j in range(1, n + 1)]
-    k = XorExpr.bit("k")
     frame = PauliFrame()
+    nodes: list[Node] = []
+    labels: list[str] = []
     plan: dict[str, CorrectionSpec] = {}
-    fixed_at: dict[str, int] = {}  # register position of each plan entry's party
-    # Oracle pairs the validator compares each correction against, None when
-    # corrections are not validated.
-    wants: dict[str, tuple[complex, complex] | None] = {}
+    # Per plan entry: its party's register position, the oracle pair validation
+    # compares it with (None unless validated) and how many bits are out by then.
+    sites: dict[str, tuple[int, tuple[complex, complex] | None, int]] = {}
+
+    def add(node: Node) -> list[int]:
+        """Append ``node``, naming its bits at the next word positions;
+        returns their forms."""
+        nodes.append(node)
+        labels.extend(node.bit_labels)
+        return [2 << j for j in range(len(labels) - len(node.bit_labels), len(labels))]
+
+    def fix(node: str, party: PhotonId, dof: str, x: int, z: int,
+            want: tuple[complex, complex] | None) -> None:
+        plan[node] = CorrectionSpec(party, dof, x, z)
+        sites[node] = (initial.index_of(party), want, len(labels))
 
     def target(ops) -> tuple[complex, complex] | None:
         """The input pair after ``ops``, if corrections are validated."""
@@ -269,30 +283,24 @@ def build_protocol(
         t = oracle.direct_apply(ops, config.alpha, config.beta)
         return t.a0, t.a1
 
-    def correct(state: HybridState, bits: Mapping[str, int], node: str) -> HybridState:
+    def correct(state: HybridState, bits: int, node: str) -> HybridState:
         spec = plan[node]
-        i = fixed_at[node]
+        i, want, heard = sites[node]
         power = spec.power(bits)
         if validate_corrections:
-            found = oracle.brute_force_correction(state, i, spec.dof, wants[node])
-            if found != power:
-                raise FrameInconsistencyError(node, bits, power, found)
+            found = oracle.brute_force_correction(state, i, spec.dof, want)
+            if power not in found:
+                raise FrameInconsistencyError(node, _namer(labels)(bits, heard), power, found)
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
         return applier(state, i, power)
-
-    def readout(probe, state) -> list[Outcome]:
-        """The homodyne outcomes of a one-bit node, the class as its bit."""
-        return [Outcome((o.bits,), o.p, o.build) for o in enumerate_homodyne(probe, state)]
-
-    nodes: list[Node] = []
 
     def run_entangle(state, bits):
         probe = fresh_probe(state)
         probe = kerr(probe, state, at_x, 0, +1)
         probe = kerr(probe, state, at_a, 0, -1)
-        return readout(probe, state), len(state.terms)
+        return enumerate_homodyne(probe, state), len(state.terms)
 
-    nodes.append(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
+    (k,) = add(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
 
     def run_transfer(state, bits):
         st = apply_bbs(state, at_x)
@@ -300,16 +308,17 @@ def build_protocol(
         peak = len(st.terms)
         probe = fresh_probe(st)
         probe = kerr(probe, st, at_x, 0, +1)
-        probe = kerr(probe, st, at_a, bits["k"], +2)
-        return [Outcome(((o.bits >> 1) & 1, o.bits & 1), o.p,
+        probe = kerr(probe, st, at_a, bits & 1, +2)
+        # Class c reads m = c >> 1 and n = c & 1.
+        return [Outcome(o.bits >> 1 | (o.bits & 1) << 1, o.p,
                         lambda build=o.build: build().mark_dead(at_x))
                 for o in enumerate_homodyne(probe, st)], peak
 
-    nodes.append(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer"))
+    bit_m, bit_n = add(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer"))
     # X was tapped on path 0 (bit n fires it), A on path k (bit m fires it);
     # both collapse together.
-    frame.collapse_complementary(XorExpr.of(0), XorExpr.bit("n"))
-    a_path = frame.collapse_complementary(k, XorExpr.bit("m"))
+    frame.collapse_complementary(0, bit_n)
+    a_path = frame.collapse_complementary(k, bit_m)
 
     for j, s_lbl in enumerate(_family("s", n), start=1):
         def run_consent(state, bits, _j=j, _c=at_c[j - 1]):
@@ -317,32 +326,31 @@ def build_protocol(
                 return [], len(state.terms)
             st = apply_bbs(state, _c)
             peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, _c, bits["k"], +1)
-            return readout(probe, st), peak
+            probe = kerr(fresh_probe(st), st, _c, bits & 1, +1)
+            return enumerate_homodyne(probe, st), peak
 
-        nodes.append(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent"))
-        frame.collapse_complementary(k, XorExpr.bit(s_lbl))
+        (s,) = add(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent"))
+        frame.collapse_complementary(k, s)
 
-    landing: list[XorExpr] = []  # path each of B1..B(m-1) lands on
+    landing: list[int] = []  # path each of B1..B(m-1) lands on
     for i, l_lbl in enumerate(_family("l", m - 1), start=1):
         def run_concentrate(state, bits, _b=at_b[i - 1]):
             st = apply_bbs(state, _b)
             peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, _b, bits["k"], +1)
-            return readout(probe, st), peak
+            probe = kerr(fresh_probe(st), st, _b, bits & 1, +1)
+            return enumerate_homodyne(probe, st), peak
 
-        nodes.append(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
-                          "concentrate"))
-        landing.append(frame.collapse_complementary(k, XorExpr.bit(l_lbl)))
+        (l,) = add(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
+                        "concentrate"))
+        landing.append(frame.collapse_complementary(k, l))
 
     def run_first_op(state, bits):
         st = correct(state, bits, "first_op")
         st = apply_su2_spatial(st, at_b[m - 1], config.unitaries[m - 1])
-        return [Outcome((), 1.0, lambda: st)], len(st.terms)
+        return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
-    nodes.append(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
-    plan["first_op"] = CorrectionSpec(bob(m), "spatial", x=k, z=frame.take_sign())
-    wants["first_op"] = (config.alpha, config.beta)
+    add(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
+    fix("first_op", bob(m), "spatial", k, frame.take_sign(), (config.alpha, config.beta))
 
     r_lbls, g_lbls = _family("r", m - 1), _family("g", m - 1)
     for i in range(m - 1, 0, -1):
@@ -352,48 +360,48 @@ def build_protocol(
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, _b, d, +1)
             probe = kerr(probe, st, _next, 0, -1)
-            return readout(probe, st), peak
+            return enumerate_homodyne(probe, st), peak
 
-        nodes.append(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbls[i - 1],), run_hop_link,
-                          "hop-link"))
+        (r,) = add(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbls[i - 1],), run_hop_link,
+                        "hop-link"))
         frame.resplit_single(landing[i - 1])
 
-        def run_hop_close(state, bits, _i=i, _g=g_lbls[i - 1], _b=at_b[i - 1], _next=at_b[i]):
+        # _g: bit g's position in the word, the next one, which add gives it below.
+        def run_hop_close(state, bits, _i=i, _g=len(labels), _b=at_b[i - 1], _next=at_b[i]):
             st = apply_bbs(state, _next)
             peak = len(st.terms)
             probe = kerr(fresh_probe(st), st, _next, 1, +1)
 
             def close(build, c):  # the correction and the operator, on demand
-                s3 = correct(build(), {**bits, _g: c}, f"hop_close[{_i}]")
+                s3 = correct(build(), bits | c << _g, f"hop_close[{_i}]")
                 return apply_su2_spatial(s3, _b, config.unitaries[_i - 1])
-            return [Outcome((o.bits,), o.p, partial(close, o.build, o.bits))
+            return [Outcome(o.bits, o.p, partial(close, o.build, o.bits))
                     for o in enumerate_homodyne(probe, st)], peak
 
-        nodes.append(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbls[i - 1],), run_hop_close,
-                          "hop-done"))
-        frame.collapse_complementary(XorExpr.of(1), XorExpr.bit(g_lbls[i - 1]))
-        plan[f"hop_close[{i}]"] = CorrectionSpec(
-            bob(i), "spatial", x=landing[i - 1] ^ r_lbls[i - 1], z=frame.take_sign())
-        wants[f"hop_close[{i}]"] = target(config.unitaries[i:])
+        (g,) = add(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbls[i - 1],), run_hop_close,
+                        "hop-done"))
+        frame.collapse_complementary(1, g)
+        fix(f"hop_close[{i}]", bob(i), "spatial", landing[i - 1] ^ r, frame.take_sign(),
+            target(config.unitaries[i:]))
 
     def run_joint_b1(state, bits):
         st = apply_hwp(state, at_b[0], 1)
         st = apply_bbs(st, at_b[0])
-        return enumerate_measurement(st, at_b[0], ("polar", "spatial")), len(st.terms)
+        return _measure(st, at_b[0], ("polar", "spatial")), len(st.terms)
 
-    nodes.append(Node("joint_measure[1]", 7, "B1", ("p", "q"), run_joint_b1))
+    p, q = add(Node("joint_measure[1]", 7, "B1", ("p", "q"), run_joint_b1))
     # Every polarization readout after p flips the relative sign with its bit.
-    polar_sign = XorExpr.bit("q")
+    polar_sign = q
 
     for i, w_lbl in enumerate(_family("w", m - 1, start=2), start=2):
         def run_joint_w(state, bits, _b=at_b[i - 1]):
             path = state.definite_bit(_b, "spatial")
             st = apply_qwp(state, _b, path)
-            return enumerate_measurement(st, _b, ("polar",)), len(st.terms)
+            return _measure(st, _b, ("polar",)), len(st.terms)
 
-        nodes.append(Node(f"joint_measure[{i}]", 7, f"B{i}", (w_lbl,), run_joint_w,
-                          "joint-measure"))
-        polar_sign = polar_sign ^ w_lbl
+        (w,) = add(Node(f"joint_measure[{i}]", 7, f"B{i}", (w_lbl,), run_joint_w,
+                        "joint-measure"))
+        polar_sign ^= w
 
     for j, v_lbl in enumerate(_family("v", n), start=1):
         def run_control(state, bits, _j=j, _c=at_c[j - 1]):
@@ -402,19 +410,18 @@ def build_protocol(
             path = state.definite_bit(_c, "spatial")
             st = apply_qwp(state, _c, path)
             st = apply_pbs(st, _c, path)
-            return enumerate_measurement(st, _c, ("polar",)), len(st.terms)
+            return _measure(st, _c, ("polar",)), len(st.terms)
 
-        nodes.append(Node(f"control_measure[{j}]", 8, f"C{j}", (v_lbl,), run_control,
-                          "control-measure"))
-        polar_sign = polar_sign ^ v_lbl
+        (v,) = add(Node(f"control_measure[{j}]", 8, f"C{j}", (v_lbl,), run_control,
+                        "control-measure"))
+        polar_sign ^= v
 
     def run_polar_fix(state, bits):
         st = correct(state, bits, "polar_fix")
-        return [Outcome((), 1.0, lambda: st)], len(st.terms)
+        return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
-    nodes.append(Node("polar_fix", 8, "A", (), run_polar_fix, "polar-fixed"))
-    plan["polar_fix"] = CorrectionSpec(A, "polar", x=XorExpr.bit("p"), z=polar_sign)
-    wants["polar_fix"] = target(config.unitaries)
+    add(Node("polar_fix", 8, "A", (), run_polar_fix, "polar-fixed"))
+    fix("polar_fix", A, "polar", p, polar_sign, target(config.unitaries))
 
     def run_to_spatial(state, bits):
         in_path = state.definite_bit(at_a, "spatial")
@@ -422,14 +429,12 @@ def build_protocol(
         st = apply_hwp(st, at_a, in_path)
         peak = len(st.terms)
         st = correct(st, bits, "to_spatial")
-        return [Outcome((), 1.0, lambda: st)], peak
+        return [Outcome(0, 1.0, lambda: st)], peak
 
-    nodes.append(Node("to_spatial", 9, "A", (), run_to_spatial))
-    plan["to_spatial"] = CorrectionSpec(A, "spatial", x=a_path, z=XorExpr())
-    wants["to_spatial"] = wants["polar_fix"]
-    fixed_at.update((name, initial.index_of(spec.party)) for name, spec in plan.items())
+    add(Node("to_spatial", 9, "A", (), run_to_spatial))
+    fix("to_spatial", A, "spatial", a_path, 0, sites["polar_fix"][1])
 
-    return Protocol(config, plan, nodes, initial)
+    return Protocol(config, plan, nodes, initial, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +472,9 @@ class BranchResult:
     """One protocol branch: its outcome bits, probability, final (or halt)
     state and any stage-check mismatch records.
 
-    Its transcript is not stored: every bit is broadcast once and every
-    correction is a function of the bits, so it is read off the first
-    ``_passed`` nodes of ``_protocol`` when first asked for."""
+    Its transcript is not stored: each bit is broadcast once and each
+    correction is a function of the bits, so it is read off ``_word`` and the
+    first ``_passed`` nodes of ``_protocol`` when first asked for."""
 
     bits: dict[str, int]
     probability: float
@@ -480,6 +485,7 @@ class BranchResult:
     seed: int | None
     _protocol: Protocol = field(repr=False, compare=False)
     _passed: int = field(repr=False, compare=False)
+    _word: int = field(repr=False, compare=False)
 
     @property
     def blocked(self) -> bool:
@@ -494,7 +500,7 @@ class BranchResult:
             outcomes=[OutcomeRecord(node.name, node.party,
                                     {lbl: bits[lbl] for lbl in node.bit_labels})
                       for node in passed if node.bit_labels],
-            corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(bits))
+            corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(self._word))
                          for spec in (plan.get(node.name) for node in passed) if spec],
             classical_bits=len(bits),
             seed=self.seed,
@@ -508,58 +514,86 @@ class BranchResult:
 
 class _Branch(NamedTuple):
     """Where one branch stands: the index of its next node (or of the node
-    that blocked it), its state, its bits and what it has gathered so far.
-    Both drivers move it with :meth:`advance`, one node outcome at a time."""
+    that blocked it), its state, its bits as a word (the j-th broadcast bit at
+    bit j) and how many there are, and what it has gathered so far.  The
+    walk moves it with :meth:`advance`, one node outcome at a time."""
 
     idx: int
     state: HybridState
-    bits: dict[str, int]
+    word: int
+    width: int
     probability: float
     errata: tuple
     max_terms: int
     blocked_at: str | None
 
-    def advance(self, node: Node, outcome: Outcome, peak: int, checker) -> "_Branch":
+    def advance(self, node: Node, outcome: Outcome, peak: int, checker, names) -> "_Branch":
         """The branch after ``node`` produced ``outcome``, whose state is
-        built here; ``peak`` is the node's largest intermediate term count."""
-        idx, _, bits, probability, errata, max_terms, _ = self
-        out_bits, prob, state = outcome.bits, outcome.p, outcome.build()
-        if node.bit_labels:
-            bits = {**bits, **dict(zip(node.bit_labels, out_bits))}
+        built here; ``peak`` is the node's largest intermediate term count.
+        A stage ``checker`` reads the bits as ``names`` gives them."""
+        idx, _, word, width, probability, errata, max_terms, _ = self
+        state = outcome.build()
+        word |= outcome.bits << width
+        width += len(node.bit_labels)
         if checker is not None and node.check_id is not None:
-            mismatch = checker(node.check_id, bits, state)
+            mismatch = checker(node.check_id, names(word, width), state)
             if mismatch is not None:
                 errata = errata + (mismatch,)
         max_terms = max(max_terms, peak, len(state.terms))
-        return _Branch(idx + 1, state, bits, probability * prob, errata, max_terms, None)
+        return _Branch(idx + 1, state, word, width, probability * outcome.p, errata,
+                       max_terms, None)
 
-    def halt(self, node: Node, peak: int) -> "_Branch":
-        """The branch stopped at ``node``, whose controller withheld consent."""
-        return self._replace(max_terms=max(self.max_terms, peak), blocked_at=node.name)
-
-    def result(self, proto: Protocol, seed: int | None = None) -> BranchResult:
-        """The finished, or blocked, branch."""
-        idx, state, bits, probability, errata, max_terms, blocked_at = self
-        return BranchResult(dict(bits), probability, state, blocked_at, list(errata),
-                            max_terms, seed, proto, idx)
+    def result(self, proto: Protocol, names, seed: int | None = None) -> BranchResult:
+        """The finished, or blocked, branch, its bits named by ``names``."""
+        idx, state, word, width, probability, errata, max_terms, blocked_at = self
+        return BranchResult(dict(names(word, width)), probability, state,
+                            blocked_at, list(errata), max_terms, seed, proto, idx, word)
 
 
 def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
            proto: Protocol | None):
-    """The protocol (``proto`` if given, else one built from ``config``),
-    its stage checker (or None) and the root branch."""
+    """The protocol (``proto`` if given, else one built from ``config``), its
+    word namer, its walk (running the stage checks if asked) and the root."""
     if proto is None:
         proto = build_protocol(config, validate_corrections=validate_corrections)
     elif proto.config != config or validate_corrections:
         raise ValueError("a given protocol must come from this config, validated or not")
+    names = _namer(proto.labels)
     checker = None
     if check_stages:
         from .stages import make_stage_checker
 
         checker = make_stage_checker(config)
     state = proto.initial_state
-    root = _Branch(0, state, {}, 1.0, (), len(state.terms), None)
-    return proto, checker, root
+    root = _Branch(0, state, 0, 0, 1.0, (), len(state.terms), None)
+    return proto, names, partial(_walk, proto, names, checker), root
+
+
+def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
+          stage: int | None = None) -> Iterator[_Branch]:
+    """Depth-first from ``branch``: run each node and enter the outcomes
+    ``choose`` keeps of its outcome list, first to last.  Yields each branch
+    that is finished or blocked or, for a ``stage``, has reached a node of
+    another stage."""
+    nodes = proto.nodes
+    end = len(nodes)
+    stack = [branch]
+    while stack:
+        branch = stack.pop()
+        idx = branch.idx
+        if (branch.blocked_at is not None or idx == end
+                or stage is not None and nodes[idx].stage != stage):
+            yield branch
+            continue
+        node = nodes[idx]
+        outcomes, peak = node.run(branch.state, branch.word)
+        if not outcomes:  # the node's controller withheld consent
+            stack.append(branch._replace(max_terms=max(branch.max_terms, peak),
+                                         blocked_at=node.name))
+            continue
+        # Built in outcome order; pushed reversed, so the first is walked first.
+        stack.extend(reversed([branch.advance(node, out, peak, checker, names)
+                               for out in choose(outcomes)]))
 
 
 def iter_branches(
@@ -572,22 +606,9 @@ def iter_branches(
     """Depth-first enumeration of every outcome branch, in lexicographic
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability.  ``protocol`` is ``config``'s node list, if built."""
-    proto, checker, root = _start(config, check_stages, validate_corrections, protocol)
-    nodes = proto.nodes
-    stack = [root]
-    end = len(nodes)
-    while stack:
-        branch = stack.pop()
-        idx, state, bits, _, _, _, blocked_at = branch
-        if blocked_at is not None or idx == end:
-            yield branch.result(proto)
-            continue
-        node = nodes[idx]
-        outcomes, peak = node.run(state, bits)
-        if not outcomes:
-            stack.append(branch.halt(node, peak))
-        # Built in outcome order; pushed reversed, so the first is walked first.
-        stack.extend(reversed([branch.advance(node, out, peak, checker) for out in outcomes]))
+    proto, names, walk, root = _start(config, check_stages, validate_corrections, protocol)
+    for branch in walk(root, lambda outcomes: outcomes):
+        yield branch.result(proto, names)
 
 
 class ProtocolRun:
@@ -606,7 +627,7 @@ class ProtocolRun:
         protocol: Protocol | None = None,
     ):
         self.config = config
-        self._proto, self._checker, self._branch = _start(
+        self._proto, self._names, self._walk, self._branch = _start(
             config, check_stages, validate_corrections, protocol)
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
@@ -617,7 +638,7 @@ class ProtocolRun:
 
     @property
     def bits(self) -> dict[str, int]:
-        return self._branch.bits
+        return dict(self._names(self._branch.word, self._branch.width))
 
     @property
     def blocked(self) -> bool:
@@ -627,40 +648,25 @@ class ProtocolRun:
     def blocked_at(self) -> str | None:
         return self._branch.blocked_at
 
-    def _advance_stage(self, stage: int | None) -> None:
-        """Run the nodes of ``stage``, or every remaining node for None, until
-        the branch is blocked.  Each node with a choice draws one uniform
-        number and takes the first outcome whose running probability sum
-        exceeds it, or the last outcome if rounding leaves the sum short; only
-        the outcome taken has its state built."""
-        nodes = self._proto.nodes
-        rng, checker = self._rng, self._checker
-        branch = self._branch
-        while branch.blocked_at is None and branch.idx < len(nodes):
-            node = nodes[branch.idx]
-            if stage is not None and node.stage != stage:
-                break
-            outcomes, peak = node.run(branch.state, branch.bits)
-            if not outcomes:
-                branch = branch.halt(node, peak)
-                continue
-            pick = outcomes[-1]
-            if len(outcomes) > 1:
-                r = rng.random()
-                acc = 0.0
-                for out in outcomes:
-                    acc += out.p
-                    if r < acc:
-                        pick = out
-                        break
-            branch = branch.advance(node, pick, peak, checker)
-        self._branch = branch
+    def _draw(self, outcomes: list[Outcome]) -> list[Outcome]:
+        """The outcome a node with a choice draws: one uniform number, and the
+        first outcome whose running probability sum exceeds it, or the last
+        outcome if rounding leaves the sum short.  Only the outcome taken has
+        its state built."""
+        if len(outcomes) > 1:
+            r = self._rng.random()
+            acc = 0.0
+            for out in outcomes:
+                acc += out.p
+                if r < acc:
+                    return [out]
+        return outcomes[-1:]
 
     def step(self, stage: int):
         """Run the nodes of ``stage`` and return the bits they broadcast, in
         order, or BLOCKED once a controller has withheld consent.  Stages
         are numbered as in the node list: 1 to 9, the shift chain being 5."""
-        self._advance_stage(stage)
+        (self._branch,) = self._walk(self._branch, self._draw, stage)
         if self.blocked:
             return BLOCKED
         bits = self.bits
@@ -668,8 +674,8 @@ class ProtocolRun:
                      for lbl in node.bit_labels)
 
     def finish(self) -> BranchResult:
-        self._advance_stage(None)
-        return self._branch.result(self._proto, seed=self._seed)
+        (self._branch,) = self._walk(self._branch, self._draw)
+        return self._branch.result(self._proto, self._names, seed=self._seed)
 
 
 def run_full(

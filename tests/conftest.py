@@ -92,11 +92,28 @@ def fixed_polar_fix(monkeypatch):
     def fix(power: PauliPower) -> None:
         def build_fixed(*args, **kwargs) -> protocol.Protocol:
             proto = build(*args, **kwargs)
-            fixed = protocol.XorExpr.of
+            # constant forms: the exponents on bit 0, no outcome bit
             proto.plan["polar_fix"] = dataclasses.replace(
-                proto.plan["polar_fix"], x=fixed(power.x_pow), z=fixed(power.z_pow))
+                proto.plan["polar_fix"], x=power.x_pow, z=power.z_pow)
             return proto
 
         monkeypatch.setattr(protocol, "build_protocol", build_fixed)
 
     return fix
+
+
+@pytest.fixture
+def flipped_x(monkeypatch):
+    """Call with a node name to make every protocol built afterwards flip the
+    constant of that node's X exponent: a wrong fix on every branch."""
+    build = protocol.build_protocol
+
+    def flip(node: str) -> None:
+        def build_flipped(*args, **kwargs) -> protocol.Protocol:
+            proto = build(*args, **kwargs)
+            proto.plan[node] = dataclasses.replace(proto.plan[node], x=proto.plan[node].x ^ 1)
+            return proto
+
+        monkeypatch.setattr(protocol, "build_protocol", build_flipped)
+
+    return flip

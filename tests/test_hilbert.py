@@ -98,7 +98,7 @@ def test_overlap_disjoint_spatial_supports(rng):
     probe = kerr(kerr(fresh_probe(s), s, s.index_of(X), 0, +1), s, s.index_of(A), 0, -1)
     outcomes = enumerate_homodyne(probe, s)
     assert len(outcomes) == 2
-    s0, s1 = outcomes[0][2], outcomes[1][2]
+    s0, s1 = outcomes[0].build(), outcomes[1].build()
     assert abs(overlap(s0, s1)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -202,11 +202,11 @@ def test_enumerate_measurement_probabilities(rng):
     s = build_initial_state(alpha, beta, 1, 0)
     x = s.index_of(X)
     outs = enumerate_measurement(s, x, ("spatial",))
-    assert [bits for bits, _, _ in outs] == [(0,), (1,)]
-    probs = {bits[0]: p for bits, p, _ in outs}
+    assert [o.bits for o in outs] == [(0,), (1,)]
+    probs = {o.bits[0]: o.p for o in outs}
     assert probs[0] == pytest.approx(abs(alpha) ** 2, abs=1e-12)
     assert probs[1] == pytest.approx(abs(beta) ** 2, abs=1e-12)
-    for _, _, st in outs:
+    for st in (o.build() for o in outs):
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
         assert not st.alive[x]
 
@@ -267,8 +267,8 @@ def test_outcomes_below_the_pruning_tolerance_are_skipped():
     s = HybridState(reg, (True,) * 3, {ket_a: 1.0, ket_b: 1e-15})
     x = s.index_of(X)
     measured = enumerate_measurement(s, x, ("spatial",))
-    assert [(bits, p) for bits, p, _ in measured] == [((0,), 1.0)]
+    assert [(o.bits, o.p) for o in measured] == [((0,), 1.0)]
     tapped = enumerate_homodyne(kerr(fresh_probe(s), s, x, 1, +1), s)
-    assert [(c, p) for c, p, _ in tapped] == [(0, 1.0)]
-    _, _, state = tapped[0]
+    assert [(o.bits, o.p) for o in tapped] == [(0, 1.0)]
+    state = tapped[0].build()
     assert state.terms == {ket_a: 1.0}

@@ -14,7 +14,7 @@ def entangle_probe(state):
 
 def distribution(probe, state):
     """(phase class, probability) pairs, ascending by class."""
-    return [(c, p) for c, p, _ in enumerate_homodyne(probe, state)]
+    return [(o.bits, o.p) for o in enumerate_homodyne(probe, state)]
 
 
 def test_entangle_taps_give_expected_multipliers(rng):
@@ -43,7 +43,7 @@ def test_transfer_taps_cover_four_classes(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
     probe = entangle_probe(s)
-    k, _, s1 = enumerate_homodyne(probe, s)[0]
+    s1 = enumerate_homodyne(probe, s)[0].build()
     at_x, at_a = s.index_of(X), s.index_of(A)
     st = apply_bbs(apply_bbs(s1, at_x), at_a)
     probe2 = kerr(fresh_probe(st), st, at_x, 0, +1)
@@ -77,7 +77,7 @@ def test_sign_blind_class_merge(rng):
     # +1 and -1 kets land in the same outcome class
     classes = enumerate_homodyne(probe, s)
     assert len(classes) == 2
-    _, p1, merged = classes[1]
+    p1, merged = classes[1].p, classes[1].build()
     mults = {probe.tags[k] for k in merged.terms}
     assert mults == {-1, 1}
     assert p1 == pytest.approx(0.5, abs=1e-12)
@@ -89,8 +89,8 @@ def test_distribution_sums_to_one_and_collapse_normalized(rng):
     probe = entangle_probe(s)
     total = sum(p for _, p in distribution(probe, s))
     assert total == pytest.approx(1.0, abs=1e-12)
-    for _, _, st in enumerate_homodyne(probe, s):
-        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    for o in enumerate_homodyne(probe, s):
+        assert o.build().norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unentangled_probe_single_outcome(rng):
@@ -101,7 +101,7 @@ def test_unentangled_probe_single_outcome(rng):
     assert dist == [(0, pytest.approx(1.0))]
     outcomes = enumerate_homodyne(probe, s)
     assert len(outcomes) == 1
-    assert abs(sum((outcomes[0][2].terms[k] - s.terms[k]) for k in s.terms)) < 1e-12
+    assert abs(sum((outcomes[0].build().terms[k] - s.terms[k]) for k in s.terms)) < 1e-12
 
 
 def test_multiplier_whitelist(rng):

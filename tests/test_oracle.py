@@ -105,19 +105,33 @@ def _one_pauli_away(a, b, power):
 def test_brute_force_identity_on_canonical():
     probe = (0.6, 0.8)
     s = _one_pauli_away(*probe, PauliPower(0, 0))
-    assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == PauliPower(0, 0)
+    assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == (PauliPower(0, 0),)
 
 
 def test_brute_force_finds_each_power():
     probe = (0.6, 0.8)
     for power in (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliPower(1, 1)):
         s = _one_pauli_away(*probe, power)
-        assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == power
+        assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == (power,)
 
 
 def test_brute_force_degenerate_probe_is_ambiguous():
     # equal magnitudes make X-corrections indistinguishable up to phase
     probe = (1 / math.sqrt(2), 1 / math.sqrt(2))
     s = _one_pauli_away(*probe, PauliPower(0, 0))
-    with pytest.raises(CorrectionSearchError):
-        brute_force_correction(s, s.index_of(bob(1)), "spatial", probe)
+    assert brute_force_correction(s, s.index_of(bob(1)), "spatial", probe) == (
+        PauliPower(0, 0), PauliPower(1, 0))
+
+
+def test_brute_force_basis_state_takes_either_z_power():
+    # on a basis state Z is a global phase
+    s = HybridState(registry(1, 0), (False, False, True),
+                    {BasisKet((0, 0, 1), (VERTICAL, VERTICAL, 0)): 1.0})
+    assert brute_force_correction(s, s.index_of(bob(1)), "spatial", (1.0, 0.0)) == (
+        PauliPower(1, 0), PauliPower(1, 1))
+
+
+def test_brute_force_raises_when_no_power_works():
+    s = _one_pauli_away(0.6, 0.8, PauliPower(0, 0))
+    with pytest.raises(CorrectionSearchError, match="no working correction"):
+        brute_force_correction(s, s.index_of(bob(1)), "spatial", (0.6, 0.8j))

@@ -6,9 +6,10 @@ import pytest
 from cjrio.hilbert import (A, VERTICAL, X, bob, charlie, reduced_purity)
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
-from cjrio.protocol import (BLOCKED, ProtocolConfig, ProtocolRun, XorExpr,
-                            branch_bit_count, branch_fidelity, build_protocol,
-                            check_variant, iter_branches, run_full)
+from cjrio.protocol import (BLOCKED, FIDELITY_THRESHOLD, FrameInconsistencyError,
+                            ProtocolConfig, ProtocolRun, branch_bit_count,
+                            branch_fidelity, build_protocol, check_variant,
+                            iter_branches, run_full)
 
 from conftest import bit, random_pair, random_su2
 
@@ -54,7 +55,16 @@ def test_outcome_labels_m2_n1():
     # the ledger formula against the node list, and a run's bits in node order
     for m in range(1, 10):
         for n in range(5):
-            labels = build_protocol(cfg(m=m, n=n)).labels
+            proto = build_protocol(cfg(m=m, n=n))
+            labels = proto.labels
+            assert labels == tuple(lbl for node in proto.nodes for lbl in node.bit_labels)
+            # every plan form reads only bits broadcast up to its own node
+            out = 0
+            for node in proto.nodes:
+                out += len(node.bit_labels)
+                if node.name in proto.plan:
+                    spec = proto.plan[node.name]
+                    assert (spec.x | spec.z) >> 1 < 1 << out, (m, n, node.name)
             assert branch_bit_count(m, n) == len(labels)
             assert labels == tuple(run_full(cfg(m=m, n=n), seed=0).bits)
             if n:
@@ -64,8 +74,13 @@ def test_outcome_labels_m2_n1():
 
 # -- symbolic corrections ---------------------------------------------------
 
-def _expr(*syms, const=0):
-    return XorExpr(const, frozenset(syms))
+M2_N1_LABELS = ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
+
+
+def _expr(*syms, const=0, labels=M2_N1_LABELS):
+    """The affine form const ^ syms over the bits named ``labels``: bit 0
+    the constant, bit j + 1 the j-th label."""
+    return const | sum(2 << labels.index(s) for s in syms)
 
 
 def test_plan_matches_published_exponents_m2_n1():
@@ -91,14 +106,16 @@ def test_plan_matches_published_exponents_m2_n1():
 
 
 def test_plan_m2_n3_first_z_exponent():
-    plan = build_protocol(cfg(n=3)).plan
-    assert plan["first_op"].z == _expr("k", "m", "n", "s1", "s2", "s3", "l")
+    proto = build_protocol(cfg(n=3))
+    assert proto.plan["first_op"].z == _expr("k", "m", "n", "s1", "s2", "s3", "l",
+                                             labels=proto.labels)
 
 
 def test_derive_corrections_evaluates_plan():
     plan = build_protocol(cfg()).plan
     bits = dict(k=1, m=0, n=1, s=1, l=0, r=1, g=0, p=1, q=0, w=1, v=1)
-    by_party = {(str(spec.party), spec.dof): spec.power(bits) for spec in plan.values()}
+    word = sum(b << M2_N1_LABELS.index(lbl) for lbl, b in bits.items())
+    by_party = {(str(spec.party), spec.dof): spec.power(word) for spec in plan.values()}
     assert by_party[("B2", "spatial")] == PauliPower(1, 1)  # x=k, z=k^m^n^s^l
     assert by_party[("B1", "spatial")] == PauliPower(1, 0)  # x=k^l^r^1, z=k^l^g^1
     assert by_party[("A", "polar")] == PauliPower(1, 0)     # x=p, z=q^w^v
@@ -133,6 +150,52 @@ def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
                             *random_pair(rng))
     for seed in range(64):
         run_full(config, seed=seed, validate_corrections=True)
+
+
+def test_basis_state_pairs_validate():
+    # On a basis state Z is a global phase, so two powers work; the frame's
+    # is among them.  Identity operators on the CLI's default input (1, 0):
+    config = cfg(alpha=1, beta=0)
+    res = run_full(config, seed=1, validate_corrections=True)
+    assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
+    # and the (1,0) input (0, 1j), where every seed used to be rejected.
+    config = cfg(m=1, n=0, alpha=0, beta=1j)
+    for seed in range(8):
+        res = run_full(config, seed=seed, validate_corrections=True)
+        assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
+
+
+def test_flipped_plan_entry_raises_at_its_node(flipped_x):
+    flipped_x("hop_close[1]")
+    with pytest.raises(FrameInconsistencyError, match=r"Z\^0X\^1 at hop_close\[1\]") as info:
+        run_full(cfg(), seed=3, validate_corrections=True)
+    err = info.value
+    assert err.node == "hop_close[1]"
+    assert list(err.bits.items()) == [("k", 0), ("m", 0), ("n", 0), ("s", 1), ("l", 1),
+                                      ("r", 0), ("g", 0)]
+    assert err.derived == PauliPower(1, 0) and err.found == (PauliPower(0, 0),)
+    # on a basis state both Z powers of the right X work, and neither is the frame's
+    with pytest.raises(FrameInconsistencyError) as info:
+        run_full(cfg(alpha=1, beta=0), seed=3, validate_corrections=True)
+    assert info.value.found == (PauliPower(0, 0), PauliPower(0, 1))
+
+
+def test_flipped_plan_entry_raises_at_its_node_m8_n4(rng, flipped_x):
+    config = ProtocolConfig(8, 4, tuple(random_su2(rng) for _ in range(8)),
+                            *random_pair(rng))
+    proto = build_protocol(config)
+    node = "hop_close[5]"
+    upto = [n.name for n in proto.nodes].index(node) + 1
+    heard = proto.labels[:sum(len(n.bit_labels) for n in proto.nodes[:upto])]
+    runs = [run_full(config, seed=seed) for seed in range(4)]
+    flipped_x(node)
+    for seed, res in enumerate(runs):
+        with pytest.raises(FrameInconsistencyError) as info:
+            run_full(config, seed=seed, validate_corrections=True)
+        err = info.value
+        assert err.node == node
+        assert list(err.bits.items()) == [(lbl, res.bits[lbl]) for lbl in heard]
+        assert err.derived not in err.found and len(err.found) == 1
 
 
 def test_sampled_run_applies_each_operator_once(rng, monkeypatch):
