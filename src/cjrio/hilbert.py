@@ -20,6 +20,7 @@ stable photon identities for the whole run.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -210,6 +211,32 @@ class HybridState:
         s.alive = self.alive[:i] + (False,) + self.alive[i + 1:]
         return s
 
+    def live_part(self) -> tuple["HybridState", int]:
+        """This state with the bits of its retired photons cleared from every
+        ket, and those bits, which are the same in every ket: the inverse of
+        :meth:`with_frozen`.  Term order and amplitudes are kept as they are."""
+        live = 0
+        for (sm, pm), alive in zip(self.register.masks, self.alive):
+            if alive:
+                live |= sm | pm
+        frozen = next(iter(self.terms), 0) & ~live
+        if not frozen:
+            return self, 0
+        return self.adopt({ket & live: a for ket, a in self.terms.items()}), frozen
+
+    def with_frozen(self, frozen: int) -> "HybridState":
+        """This state with the retired bits ``frozen`` set in every ket."""
+        if not frozen:
+            return self
+        return self.adopt({ket | frozen: a for ket, a in self.terms.items()})
+
+    def exact_key(self) -> tuple:
+        """A key equal for two states only if they hold the same alive flags,
+        the same kets in the same order and bit-identical amplitudes: unlike
+        ``==``, it tells -0.0 from 0.0."""
+        amps = [x for a in self.terms.values() for x in (a.real, a.imag)]
+        return self.alive, tuple(self.terms), struct.pack(f"{len(amps)}d", *amps)
+
     # -- numerics ----------------------------------------------------------
 
     def norm(self) -> float:
@@ -328,9 +355,9 @@ def reduced_purity(
 
 
 class Outcome:
-    """One readout outcome: its bits (or homodyne class), its probability and
-    ``build``, which makes its state each time it is called, so a run builds
-    only the outcome it enters."""
+    """One readout outcome: its bits as a word (or homodyne class), its
+    probability and ``build``, which makes its state each time it is called,
+    so a run builds only the outcome it enters."""
 
     __slots__ = ("bits", "p", "build")
 
@@ -368,14 +395,18 @@ def enumerate_measurement(state: HybridState, i: int,
                           dofs: Sequence[str] = ("polar", "spatial")) -> list[Outcome]:
     """Projective measurement of the photon at position ``i`` in the
     computational basis of the listed DOFs, returning every outcome with its
-    probability and collapsed state (photon marked dead), ordered by outcome
-    bits."""
+    probability and collapsed state (photon marked dead).  An outcome's bits
+    are a word, the j-th listed DOF's bit at bit j; outcomes come in
+    lexicographic order of the bits in DOF order, not in numeric word order."""
     state.require_alive(i)
     masks = [state.register.mask(i, d) for d in dofs]
     measured = sum(set(masks))  # one-bit masks: the sum of distinct ones is their union
     buckets: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
         buckets.setdefault(ket & measured, {})[ket] = amp
-    order = sorted((tuple(1 if key & m else 0 for m in masks), key) for key in buckets)
-    return collapse_outcomes(state, buckets, order, i,
+    # Every readout as (word, bucket key), lexicographic in the bits in DOF order.
+    readouts = [(0, 0)]
+    for j in reversed(range(len(masks))):
+        readouts += [(word | 1 << j, key | masks[j]) for word, key in readouts]
+    return collapse_outcomes(state, buckets, [r for r in readouts if r[1] in buckets], i,
                              [d for d in ("spatial", "polar") if d not in dofs])

@@ -55,6 +55,16 @@ class FrameInconsistencyError(RuntimeError):
         self.found = found
 
 
+class _FrameMismatch(Exception):
+    """A node run's correction check failed on the bits it reads, ``word``
+    (the first ``heard`` broadcast bits, masked); the walk, which holds the
+    branch's whole word, raises it as a :class:`FrameInconsistencyError`."""
+
+    def __init__(self, word: int, heard: int, derived: PauliPower, found: tuple):
+        super().__init__(word, heard, derived, found)
+        self.word, self.heard, self.derived, self.found = word, heard, derived, found
+
+
 def _namer(labels: Sequence[str]) -> Callable[[int, int], dict[str, int]]:
     """Names the first ``width`` bits of a word, bit j as ``labels[j]``, in one
     dict rewritten in place: a depth-first walk names words that share most
@@ -206,7 +216,9 @@ class Node:
     """One step of the scheme.  ``run`` maps a state and a word to every
     outcome of the node (its state built on demand, its bits a word) and its
     largest intermediate term count; an empty outcome list means the node's
-    controller withheld consent.  ``check_id`` names the stage checkpoint the
+    controller withheld consent.  The walk hands ``run`` only the word's bits
+    in ``reads``: k for a node whose Kerr tap sits on path k, and the bits a
+    correcting node's fix reads.  ``check_id`` names the stage checkpoint the
     state is compared with after the node, where a checker exists (m=2, n=1
     only)."""
 
@@ -216,30 +228,47 @@ class Node:
     bit_labels: tuple[str, ...]
     run: Callable[[HybridState, int], tuple[list[Outcome], int]]
     check_id: str | None = None
+    reads: int = 0
+
+
+class _Row(NamedTuple):
+    """One stored outcome of a node run: its bits, its probability, its
+    state's live part (canonical) and the bits that part leaves out."""
+
+    bits: int
+    p: float
+    state: HybridState
+    frozen: int
 
 
 @dataclass
 class Protocol:
     """The node list of one run, its bit names in broadcast order and, keyed
-    by node name in node order, the Pauli fix each correcting node applies."""
+    by node name in node order, the Pauli fix each correcting node applies.
+
+    It also keeps the walk's two tables.  ``interned`` maps the exact content
+    of a live-only state to its one canonical copy.  ``results[i]`` maps a
+    canonical state and the bits node ``i`` reads to that node's run there:
+    its peak term count and its outcome rows; it is None until node ``i``
+    first runs."""
 
     config: ProtocolConfig
     plan: dict[str, CorrectionSpec]
     nodes: list[Node]
     initial_state: HybridState
     labels: tuple[str, ...]
+    interned: dict[tuple, HybridState] = field(default_factory=dict, repr=False,
+                                               compare=False)
+    results: list[dict | None] = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        self.results = [None] * len(self.nodes)
 
-# The word of one or two measured bits: the j-th at bit j.
-_WORD = {(0,): 0, (1,): 1, (0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-
-
-def _measure(state: HybridState, i: int, dofs: tuple[str, ...]) -> list[Outcome]:
-    """``enumerate_measurement``'s outcomes, their bits made words: DOF j's at bit j."""
-    outcomes = enumerate_measurement(state, i, dofs)
-    for o in outcomes:
-        o.bits = _WORD[o.bits]
-    return outcomes
+    def intern(self, state: HybridState) -> tuple[HybridState, int]:
+        """The canonical copy of ``state``'s live part, and the retired bits
+        it leaves out."""
+        live, frozen = state.live_part()
+        return self.interned.setdefault(live.exact_key(), live), frozen
 
 
 def build_protocol(
@@ -273,8 +302,10 @@ def build_protocol(
 
     def fix(node: str, party: PhotonId, dof: str, x: int, z: int,
             want: tuple[complex, complex] | None) -> None:
+        """Give ``node``, the one just added, its correction."""
         plan[node] = CorrectionSpec(party, dof, x, z)
         sites[node] = (initial.index_of(party), want, len(labels))
+        nodes[-1].reads |= (x | z) >> 1  # the forms' bit j + 1 is word bit j
 
     def target(ops) -> tuple[complex, complex] | None:
         """The input pair after ``ops``, if corrections are validated."""
@@ -290,7 +321,7 @@ def build_protocol(
         if validate_corrections:
             found = oracle.brute_force_correction(state, i, spec.dof, want)
             if power not in found:
-                raise FrameInconsistencyError(node, _namer(labels)(bits, heard), power, found)
+                raise _FrameMismatch(bits, heard, power, found)
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
         return applier(state, i, power)
 
@@ -314,7 +345,7 @@ def build_protocol(
                         lambda build=o.build: build().mark_dead(at_x))
                 for o in enumerate_homodyne(probe, st)], peak
 
-    bit_m, bit_n = add(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer"))
+    bit_m, bit_n = add(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer", 1))
     # X was tapped on path 0 (bit n fires it), A on path k (bit m fires it);
     # both collapse together.
     frame.collapse_complementary(0, bit_n)
@@ -329,7 +360,7 @@ def build_protocol(
             probe = kerr(fresh_probe(st), st, _c, bits & 1, +1)
             return enumerate_homodyne(probe, st), peak
 
-        (s,) = add(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent"))
+        (s,) = add(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent", 1))
         frame.collapse_complementary(k, s)
 
     landing: list[int] = []  # path each of B1..B(m-1) lands on
@@ -341,7 +372,7 @@ def build_protocol(
             return enumerate_homodyne(probe, st), peak
 
         (l,) = add(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
-                        "concentrate"))
+                        "concentrate", 1))
         landing.append(frame.collapse_complementary(k, l))
 
     def run_first_op(state, bits):
@@ -387,7 +418,7 @@ def build_protocol(
     def run_joint_b1(state, bits):
         st = apply_hwp(state, at_b[0], 1)
         st = apply_bbs(st, at_b[0])
-        return _measure(st, at_b[0], ("polar", "spatial")), len(st.terms)
+        return enumerate_measurement(st, at_b[0], ("polar", "spatial")), len(st.terms)
 
     p, q = add(Node("joint_measure[1]", 7, "B1", ("p", "q"), run_joint_b1))
     # Every polarization readout after p flips the relative sign with its bit.
@@ -397,7 +428,7 @@ def build_protocol(
         def run_joint_w(state, bits, _b=at_b[i - 1]):
             path = state.definite_bit(_b, "spatial")
             st = apply_qwp(state, _b, path)
-            return _measure(st, _b, ("polar",)), len(st.terms)
+            return enumerate_measurement(st, _b, ("polar",)), len(st.terms)
 
         (w,) = add(Node(f"joint_measure[{i}]", 7, f"B{i}", (w_lbl,), run_joint_w,
                         "joint-measure"))
@@ -410,7 +441,7 @@ def build_protocol(
             path = state.definite_bit(_c, "spatial")
             st = apply_qwp(state, _c, path)
             st = apply_pbs(st, _c, path)
-            return _measure(st, _c, ("polar",)), len(st.terms)
+            return enumerate_measurement(st, _c, ("polar",)), len(st.terms)
 
         (v,) = add(Node(f"control_measure[{j}]", 8, f"C{j}", (v_lbl,), run_control,
                         "control-measure"))
@@ -472,13 +503,14 @@ class BranchResult:
     """One protocol branch: its outcome bits, probability, final (or halt)
     state and any stage-check mismatch records.
 
-    Its transcript is not stored: each bit is broadcast once and each
-    correction is a function of the bits, so it is read off ``_word`` and the
-    first ``_passed`` nodes of ``_protocol`` when first asked for."""
+    Neither its state nor its transcript is stored.  The state is built when
+    first asked for, by setting the retired bits ``_frozen`` in every ket of
+    ``_live``.  Each bit is broadcast once and each correction is a function of the
+    bits, so the transcript is read off ``_word`` and the first ``_passed``
+    nodes of ``_protocol``."""
 
     bits: dict[str, int]
     probability: float
-    state: HybridState
     blocked_at: str | None
     errata: list
     max_terms: int
@@ -486,10 +518,16 @@ class BranchResult:
     _protocol: Protocol = field(repr=False, compare=False)
     _passed: int = field(repr=False, compare=False)
     _word: int = field(repr=False, compare=False)
+    _live: HybridState = field(repr=False, compare=False)
+    _frozen: int = field(repr=False, compare=False)
 
     @property
     def blocked(self) -> bool:
         return self.blocked_at is not None
+
+    @cached_property
+    def state(self) -> HybridState:
+        return self._live.with_frozen(self._frozen)
 
     @cached_property
     def transcript(self) -> Transcript:
@@ -512,14 +550,19 @@ class BranchResult:
 # ---------------------------------------------------------------------------
 
 
+_tuple_new = tuple.__new__
+
+
 class _Branch(NamedTuple):
     """Where one branch stands: the index of its next node (or of the node
-    that blocked it), its state, its bits as a word (the j-th broadcast bit at
-    bit j) and how many there are, and what it has gathered so far.  The
-    walk moves it with :meth:`advance`, one node outcome at a time."""
+    that blocked it), its state (``state`` with the retired bits ``frozen``
+    set in every ket), its bits as a word (the j-th broadcast bit at bit j)
+    and how many there are, and what it has gathered so far.  The walk moves
+    it with :meth:`advance`, one node outcome at a time."""
 
     idx: int
     state: HybridState
+    frozen: int
     word: int
     width: int
     probability: float
@@ -527,27 +570,37 @@ class _Branch(NamedTuple):
     max_terms: int
     blocked_at: str | None
 
-    def advance(self, node: Node, outcome: Outcome, peak: int, checker, names) -> "_Branch":
-        """The branch after ``node`` produced ``outcome``, whose state is
-        built here; ``peak`` is the node's largest intermediate term count.
-        A stage ``checker`` reads the bits as ``names`` gives them."""
-        idx, _, word, width, probability, errata, max_terms, _ = self
-        state = outcome.build()
-        word |= outcome.bits << width
+    def advance(self, node: Node, bits: int, p: float, state: HybridState, frozen: int,
+                peak: int, checker, names) -> "_Branch":
+        """The branch after ``node`` produced the outcome ``bits`` with
+        probability ``p`` and the state ``state`` with ``frozen`` set;
+        ``peak`` is the node's largest intermediate term count.  A stage
+        ``checker`` reads the bits as ``names`` gives them, and the full
+        state, built for it."""
+        idx, _, _, word, width, probability, errata, max_terms, _ = self
+        word |= bits << width
         width += len(node.bit_labels)
         if checker is not None and node.check_id is not None:
-            mismatch = checker(node.check_id, names(word, width), state)
+            mismatch = checker(node.check_id, names(word, width), state.with_frozen(frozen))
             if mismatch is not None:
                 errata = errata + (mismatch,)
-        max_terms = max(max_terms, peak, len(state.terms))
-        return _Branch(idx + 1, state, word, width, probability * outcome.p, errata,
-                       max_terms, None)
+        # Compared by hand and built with tuple.__new__, which skips the
+        # Python-level __new__ of a NamedTuple: this runs once per edge of the
+        # outcome tree, and without the max() call and that frame a (3,2)
+        # enumeration takes 20% less CPU time.
+        terms = len(state.terms)
+        if terms < peak:
+            terms = peak
+        if terms > max_terms:
+            max_terms = terms
+        return _tuple_new(_Branch, (idx + 1, state, frozen, word, width, probability * p,
+                                    errata, max_terms, None))
 
     def result(self, proto: Protocol, names, seed: int | None = None) -> BranchResult:
         """The finished, or blocked, branch, its bits named by ``names``."""
-        idx, state, word, width, probability, errata, max_terms, blocked_at = self
-        return BranchResult(dict(names(word, width)), probability, state,
-                            blocked_at, list(errata), max_terms, seed, proto, idx, word)
+        idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = self
+        return BranchResult(dict(names(word, width)), probability, blocked_at, list(errata),
+                            max_terms, seed, proto, idx, word, state, frozen)
 
 
 def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
@@ -565,7 +618,7 @@ def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: boo
 
         checker = make_stage_checker(config)
     state = proto.initial_state
-    root = _Branch(0, state, 0, 0, 1.0, (), len(state.terms), None)
+    root = _Branch(0, state, 0, 0, 0, 1.0, (), len(state.terms), None)
     return proto, names, partial(_walk, proto, names, checker), root
 
 
@@ -574,8 +627,19 @@ def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
     """Depth-first from ``branch``: run each node and enter the outcomes
     ``choose`` keeps of its outcome list, first to last.  Yields each branch
     that is finished or blocked or, for a ``stage``, has reached a node of
-    another stage."""
-    nodes = proto.nodes
+    another stage.
+
+    A node's outcomes depend only on the live part of its input state and on
+    the word's bits it reads (primitives touch live photons only, and a
+    retired photon's bits are the same in every ket), so each node runs once
+    per (canonical live part, bits read) and ``proto.results`` keeps the
+    outcome rows for every later branch that arrives with the same key.  The
+    correction check of ``validate_corrections`` runs inside the node, so it
+    too runs once per key; its verdict is a function of that key alone.  A
+    node's first run is stored nowhere and builds only the outcomes
+    ``choose`` keeps, so a sampled run, which enters each node once, pays for
+    no table."""
+    nodes, results, intern = proto.nodes, proto.results, proto.intern
     end = len(nodes)
     stack = [branch]
     while stack:
@@ -586,14 +650,37 @@ def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
             yield branch
             continue
         node = nodes[idx]
-        outcomes, peak = node.run(branch.state, branch.word)
+        state, frozen = branch.state, branch.frozen
+        bits = branch.word & node.reads
+        table = results[idx]
+        try:
+            if table is None:
+                results[idx] = {}
+                outcomes, peak = node.run(state, bits)
+                children = [branch.advance(node, out.bits, out.p, out.build(), frozen, peak,
+                                           checker, names) for out in choose(outcomes)]
+            else:
+                entry = table.get((state, bits))
+                if entry is None:
+                    state, retired = intern(state)
+                    frozen |= retired
+                    entry = table.get((state, bits))
+                    if entry is None:
+                        outcomes, peak = node.run(state, bits)
+                        entry = table[state, bits] = peak, [
+                            _Row(out.bits, out.p, *intern(out.build())) for out in outcomes]
+                peak, outcomes = entry
+                children = [branch.advance(node, row.bits, row.p, row.state, frozen | row.frozen,
+                                           peak, checker, names) for row in choose(outcomes)]
+        except _FrameMismatch as err:
+            raise FrameInconsistencyError(node.name, names(branch.word | err.word, err.heard),
+                                          err.derived, err.found) from None
         if not outcomes:  # the node's controller withheld consent
             stack.append(branch._replace(max_terms=max(branch.max_terms, peak),
                                          blocked_at=node.name))
             continue
-        # Built in outcome order; pushed reversed, so the first is walked first.
-        stack.extend(reversed([branch.advance(node, out, peak, checker, names)
-                               for out in choose(outcomes)]))
+        # Advanced in outcome order; pushed reversed, so the first is walked first.
+        stack.extend(reversed(children))
 
 
 def iter_branches(
@@ -631,10 +718,15 @@ class ProtocolRun:
             config, check_stages, validate_corrections, protocol)
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._shown = self._state = None
 
     @property
     def state(self) -> HybridState:
-        return self._branch.state
+        """The full state where the run stands, built once per branch."""
+        branch = self._branch
+        if self._shown is not branch:
+            self._shown, self._state = branch, branch.state.with_frozen(branch.frozen)
+        return self._state
 
     @property
     def bits(self) -> dict[str, int]:

@@ -202,8 +202,8 @@ def test_enumerate_measurement_probabilities(rng):
     s = build_initial_state(alpha, beta, 1, 0)
     x = s.index_of(X)
     outs = enumerate_measurement(s, x, ("spatial",))
-    assert [o.bits for o in outs] == [(0,), (1,)]
-    probs = {o.bits[0]: o.p for o in outs}
+    assert [o.bits for o in outs] == [0, 1]
+    probs = {o.bits: o.p for o in outs}
     assert probs[0] == pytest.approx(abs(alpha) ** 2, abs=1e-12)
     assert probs[1] == pytest.approx(abs(beta) ** 2, abs=1e-12)
     for st in (o.build() for o in outs):
@@ -267,7 +267,7 @@ def test_outcomes_below_the_pruning_tolerance_are_skipped():
     s = HybridState(reg, (True,) * 3, {ket_a: 1.0, ket_b: 1e-15})
     x = s.index_of(X)
     measured = enumerate_measurement(s, x, ("spatial",))
-    assert [(o.bits, o.p) for o in measured] == [((0,), 1.0)]
+    assert [(o.bits, o.p) for o in measured] == [(0, 1.0)]
     tapped = enumerate_homodyne(kerr(fresh_probe(s), s, x, 1, +1), s)
     assert [(o.bits, o.p) for o in tapped] == [(0, 1.0)]
     state = tapped[0].build()

@@ -203,6 +203,8 @@ def test_outcomes_equal_the_prune_normalize_retire_composition(case):
     for ket, amp in state.terms.items():
         buckets.setdefault(labels[ket], {})[ket] = amp
     want = []
+    # Ordered by class, or lexicographically by the bits in DOF order, while
+    # a measurement's outcome reports its bits as a word: DOF j's at bit j.
     for bits in sorted(buckets):
         terms = buckets[bits]
         p = sum(abs(a) ** 2 for a in terms.values())
@@ -213,7 +215,8 @@ def test_outcomes_equal_the_prune_normalize_retire_composition(case):
             collapsed = state.replace_terms(prune(terms)).normalized()
             return collapsed if kind == "homodyne" else collapsed.mark_dead(i)
 
-        want.append((bits, p, build))
+        word = bits if kind == "homodyne" else sum(b << j for j, b in enumerate(bits))
+        want.append((word, p, build))
     assert [(o.bits, o.p) for o in got] == [(bits, p) for bits, p, _ in want]
     for out, (_, _, build) in zip(got, want):
         s_got, s_want = _built(out.build), _built(build)

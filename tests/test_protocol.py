@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -439,6 +440,94 @@ def test_degenerate_inputs_run_end_to_end():
         for seed in range(8):
             res = run_full(config, seed=seed)
             assert target_fidelity(res.state, target) >= 1.0 - 1e-10
+
+
+# -- the walk's tables ------------------------------------------------------
+
+def _reference_walk(proto):
+    """Every branch of ``proto`` depth-first, first outcome first, as (word,
+    state, probability, max_terms), with no use of the walk's tables.  At
+    every node of every branch it checks the tables' premise: the node run on
+    the full state with the whole word, and on the state's live part with only
+    the bits the node reads, agree once the frozen bits are set back."""
+    nodes = proto.nodes
+    state = proto.initial_state
+    stack = [(0, state, 0, 0, 1.0, len(state.terms))]
+    while stack:
+        idx, state, word, width, probability, max_terms = stack.pop()
+        if idx == len(nodes):
+            yield word, state, probability, max_terms
+            continue
+        node = nodes[idx]
+        outcomes, peak = node.run(state, word)
+        live, frozen = state.live_part()
+        on_live, live_peak = node.run(live, word & node.reads)
+        assert peak == live_peak, node.name
+        assert [(o.bits, o.p) for o in outcomes] == [(o.bits, o.p) for o in on_live], node.name
+        children = []
+        for out, other in zip(outcomes, on_live):
+            child, rebased = out.build(), other.build().with_frozen(frozen)
+            assert child.alive == rebased.alive, node.name
+            assert list(child.terms.items()) == list(rebased.terms.items()), node.name
+            assert child.exact_key() == rebased.exact_key(), node.name  # signed zeros too
+            children.append((idx + 1, child, word | out.bits << width,
+                             width + len(node.bit_labels), probability * out.p,
+                             max(max_terms, peak, len(child.terms))))
+        stack.extend(reversed(children))
+
+
+# Validated at (2,1), so the premise covers the correction check's verdict
+# too; the larger shapes, (3,1) here and (2,2) below, run unchecked.
+@pytest.mark.parametrize("shape, validate", [((2, 1), True), ((3, 1), False)],
+                         ids=["m2-n1", "m3-n1"])
+def test_node_runs_depend_only_on_live_part_and_read_bits(rng, shape, validate):
+    m, n = shape
+    config = ProtocolConfig(m, n, tuple(random_su2(rng) for _ in range(m)),
+                            *random_pair(rng))
+    proto = build_protocol(config, validate_corrections=validate)
+    assert sum(1 for _ in _reference_walk(proto)) == 2 ** branch_bit_count(m, n)
+
+
+def test_enumeration_equals_a_replay_without_tables_m2_n2(rng):
+    # Each branch the tabled walk yields, against the same branch replayed
+    # node by node on a freshly built protocol whose tables stay unused.
+    config = ProtocolConfig(2, 2, (random_su2(rng), random_su2(rng)), *random_pair(rng))
+    replay = _reference_walk(build_protocol(config))
+    count = 0
+    for res, (word, state, probability, max_terms) in zip(iter_branches(config), replay,
+                                                          strict=True):
+        assert res._word == word
+        assert res.probability == probability and res.max_terms == max_terms
+        assert res.state.alive == state.alive
+        assert res.state.exact_key() == state.exact_key()
+        count += 1
+    assert count == 2 ** 13
+
+
+def test_enumeration_runs_each_node_once_per_table_key(rng, monkeypatch):
+    # Without the tables a (3,2) enumeration runs a node 389,243 times, once
+    # per node of every branch; with them, once per distinct live part and
+    # read bits (1,574 here).
+    from cjrio import protocol
+
+    runs = []
+    build = protocol.build_protocol
+
+    def counted(run, state, bits):
+        runs.append(1)
+        return run(state, bits)
+
+    def counted_build(*args, **kwargs):
+        proto = build(*args, **kwargs)
+        for node in proto.nodes:
+            node.run = partial(counted, node.run)
+        return proto
+
+    monkeypatch.setattr(protocol, "build_protocol", counted_build)
+    config = ProtocolConfig(3, 2, tuple(random_su2(rng) for _ in range(3)),
+                            *random_pair(rng))
+    assert sum(1 for _ in iter_branches(config)) == 2 ** 17
+    assert len(runs) <= 1_600
 
 
 # -- one driver for sampling and enumeration --------------------------------
