@@ -22,9 +22,16 @@ import sys
 import time
 from pathlib import Path
 
-# A (2,1) operator with complex entries, and two generic (2,2) inputs written
-# the way the benchmark writes them (shortest round-trip digits).
+# A (2,1) operator with complex entries, a random complex (2,1) input, and two
+# generic (2,2) inputs written the way the benchmark writes them (shortest
+# round-trip digits).
 _GENERIC = ["--alpha=0.6", "--beta=-0.8j", "--u1=0.6+0.48j,0.64j", "--u2", "preset:pauli-z"]
+_RANDOM_21 = [
+    "--alpha=-0.8811999406590537-0.45498665299503344j",
+    "--beta=-0.08769975050259558-0.09371533460773546j",
+    "--u1=-0.17547439839203136+0.8014734357988105j,-0.046073835870012125+0.5698475838906644j",
+    "--u2=-0.4341752927689969+0.5160279857654675j,0.6155850087501356+0.40775241269413204j",
+]
 _RANDOM_22 = [
     ["--alpha=-0.3107338493342951+0.34887479316139364j",
      "--beta=-0.15061012478906208-0.8712332890136312j",
@@ -45,6 +52,7 @@ ARGVS: list[list[str]] = [
      "--u1", "preset:identity", "--u2", "preset:hadamard-like", "--seed", "9"],
     # enumerate
     ["enumerate", "--m", "2", "--n", "1", *_GENERIC, "--check-paper-eqs"],
+    ["enumerate", "--m", "2", "--n", "1", *_RANDOM_21, "--check-paper-eqs"],
     ["enumerate", "--m", "2", "--n", "2", *_RANDOM_22[0]],
     ["enumerate", "--m", "2", "--n", "2", *_RANDOM_22[1]],
     ["enumerate", "--m", "3", "--n", "1", "--alpha=0.6", "--beta=0.8j", *_U3],

@@ -21,12 +21,12 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import __version__, protocol
 from .optics import SQRT_HALF, SU2Operator
 from .oracle import direct_apply, target_fidelity
 from .protocol import (FIDELITY_THRESHOLD, BranchResult, ProtocolConfig,
                        ProtocolRun, branch_bit_count, branch_fidelity,
-                       build_protocol, check_variant, iter_branches, run_full)
+                       check_variant, iter_branches, run_full)
 
 SCHEMA_VERSION = 1
 
@@ -277,11 +277,16 @@ def cmd_enumerate(args) -> int:
     _check_enumerable(config)
     _check_paper_eqs_shape(args, config)
     target = direct_apply(config.unitaries, config.alpha, config.beta)
-    labels = list(build_protocol(config).labels)
+    # Looked up on the module, where iter_branches looks it up, so a wrapper
+    # put there sees the one build.
+    proto = protocol.build_protocol(config)
 
     # Errata stay in memory: --check-paper-eqs runs only at (2,1), so there are
     # at most 2^11 branches x 10 checked nodes = 20480 records.
     errata = []
+    # A fidelity reads live photons only, and branches that end in one live
+    # state share its object, so each is computed once per such object.
+    fidelities = {}
     prob_sum = 0.0
     min_fid = None
     blocked_count = 0
@@ -292,7 +297,7 @@ def cmd_enumerate(args) -> int:
     # branch count.  sort_keys puts "aggregate", known only after the last
     # branch, ahead of "branches", hence the spool.
     with _open_output(args) as out, tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        for res in iter_branches(config, check_stages=args.check_paper_eqs):
+        for res in iter_branches(config, check_stages=args.check_paper_eqs, protocol=proto):
             if count:
                 spool.write(",\n")
             count += 1
@@ -303,7 +308,9 @@ def cmd_enumerate(args) -> int:
                 blocked_count += 1
                 spool.write(_branch_text(branch_bits, res.probability, None, True))
                 continue
-            fid = target_fidelity(res.state, target)
+            fid = fidelities.get(res.live)
+            if fid is None:
+                fid = fidelities[res.live] = target_fidelity(res.live, target)
             min_fid = fid if min_fid is None else min(min_fid, fid)
             classical_bits = len(res.bits)
             errata.extend(res.errata)
@@ -313,7 +320,7 @@ def cmd_enumerate(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "enumerate",
             "config": _config_json(config, args, "enumerate"),
-            "outcome_labels": labels,
+            "outcome_labels": list(proto.labels),
             "branches": _BRANCHES_MARK,
             "aggregate": {
                 "branch_count": count,
@@ -352,7 +359,7 @@ def cmd_stats(args) -> int:
     _check_enumerable(config)
     if not all(config.consent) or not all(config.consent_phase2):
         raise ConfigError("stats needs a fully consenting configuration")
-    proto = build_protocol(config)
+    proto = protocol.build_protocol(config)
     labels = list(proto.labels)
 
     with _open_output(args) as out:

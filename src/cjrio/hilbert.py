@@ -118,7 +118,8 @@ class PhotonRegister:
         return len(self.photons)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhotonRegister) and self.photons == other.photons
+        return self is other or (isinstance(other, PhotonRegister)
+                                 and self.photons == other.photons)
 
     def __hash__(self) -> int:
         return hash(self.photons)
@@ -127,12 +128,19 @@ class PhotonRegister:
         return f"PhotonRegister({', '.join(str(p) for p in self.photons)})"
 
 
+_REGISTRIES: dict[tuple[int, int], PhotonRegister] = {}
+
+
 def registry(m: int, n: int) -> PhotonRegister:
-    """Standard registry for a run: X, A, B1..Bm, C1..Cn."""
-    photons = [X, A]
-    photons += [bob(i) for i in range(1, m + 1)]
-    photons += [charlie(j) for j in range(1, n + 1)]
-    return PhotonRegister(photons)
+    """Standard registry for a run: X, A, B1..Bm, C1..Cn.  Registers are
+    immutable, so every call for one shape returns the same object."""
+    reg = _REGISTRIES.get((m, n))
+    if reg is None:
+        photons = [X, A]
+        photons += [bob(i) for i in range(1, m + 1)]
+        photons += [charlie(j) for j in range(1, n + 1)]
+        reg = _REGISTRIES[m, n] = PhotonRegister(photons)
+    return reg
 
 
 class HybridState:

@@ -57,10 +57,15 @@ def target_fidelity(final: HybridState, target: TargetState) -> float:
 
     The final state must have photon A as its only live photon, V polarized.
     """
-    for photon, alive in zip(final.photons, final.alive):
-        if alive and photon != A:
-            raise ValueError(f"protocol incomplete: photon {photon} still live")
-    i = final.index_of(A)
+    try:
+        i, missing = final.index_of(A), None
+    except ValueError as err:  # no A: a live photon is a stray, named before this error
+        i, missing = -1, err
+    for j, alive in enumerate(final.alive):
+        if alive and j != i:
+            raise ValueError(f"protocol incomplete: photon {final.photons[j]} still live")
+    if missing is not None:
+        raise missing
     if not final.alive[i]:
         raise ValueError("photon A must be live in the final state")
     if final.definite_bit(i, "polar") != VERTICAL:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -503,11 +503,11 @@ class BranchResult:
     """One protocol branch: its outcome bits, probability, final (or halt)
     state and any stage-check mismatch records.
 
-    Neither its state nor its transcript is stored.  The state is built when
-    first asked for, by setting the retired bits ``_frozen`` in every ket of
-    ``_live``.  Each bit is broadcast once and each correction is a function of the
-    bits, so the transcript is read off ``_word`` and the first ``_passed``
-    nodes of ``_protocol``."""
+    Neither its state nor its transcript is made until first asked for, then
+    kept.  The state is built by setting the retired bits ``_frozen`` in every
+    ket of ``_live``.  Each bit is broadcast once and each correction is a
+    function of the bits, so the transcript is read off ``_word`` and the first
+    ``_passed`` nodes of ``_protocol``."""
 
     bits: dict[str, int]
     probability: float
@@ -520,29 +520,44 @@ class BranchResult:
     _word: int = field(repr=False, compare=False)
     _live: HybridState = field(repr=False, compare=False)
     _frozen: int = field(repr=False, compare=False)
+    # Plain properties fill these: on Python 3.10 and 3.11 a cached_property
+    # takes a lock on every read.
+    _state: HybridState | None = field(default=None, repr=False, compare=False)
+    _transcript: Transcript | None = field(default=None, repr=False, compare=False)
 
     @property
     def blocked(self) -> bool:
         return self.blocked_at is not None
 
-    @cached_property
+    @property
     def state(self) -> HybridState:
-        return self._live.with_frozen(self._frozen)
+        if self._state is None:
+            self._state = self._live.with_frozen(self._frozen)
+        return self._state
 
-    @cached_property
+    @property
+    def live(self) -> HybridState:
+        """``state`` with some of its retired bits cleared, the same object
+        for the branches that end in one canonical live state: a key for work
+        that reads live photons only."""
+        return self._live
+
+    @property
     def transcript(self) -> Transcript:
-        bits = self.bits
-        passed = self._protocol.nodes[:self._passed]
-        plan = self._protocol.plan
-        return Transcript(
-            outcomes=[OutcomeRecord(node.name, node.party,
-                                    {lbl: bits[lbl] for lbl in node.bit_labels})
-                      for node in passed if node.bit_labels],
-            corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(self._word))
-                         for spec in (plan.get(node.name) for node in passed) if spec],
-            classical_bits=len(bits),
-            seed=self.seed,
-        )
+        if self._transcript is None:
+            bits = self.bits
+            passed = self._protocol.nodes[:self._passed]
+            plan = self._protocol.plan
+            self._transcript = Transcript(
+                outcomes=[OutcomeRecord(node.name, node.party,
+                                        {lbl: bits[lbl] for lbl in node.bit_labels})
+                          for node in passed if node.bit_labels],
+                corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(self._word))
+                             for spec in (plan.get(node.name) for node in passed) if spec],
+                classical_bits=len(bits),
+                seed=self.seed,
+            )
+        return self._transcript
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 Each checkpoint rebuilds, from nothing but the branch's broadcast bits and
 the configured operators, the closed-form state the derivation predicts at
 that point of the protocol, and compares it with the simulator state up to
-global phase at 1e-12.  A disagreement is never absorbed: it becomes a
-structured mismatch record carrying both coefficient lists, and the report
-path surfaces it so it can be held against the repository's documented
-errata list.
+global phase at 1e-12.  A form's builder takes the bits it reads as its
+parameters, so one checker builds each form once per value of those bits.
+A disagreement is never absorbed: it becomes a structured mismatch record
+carrying both coefficient lists, and the report path surfaces it so it can
+be held against the repository's documented errata list.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -105,8 +107,7 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
     all_alive = (True,) * 5
     x_dead = (False, True, True, True, True)
 
-    def f_entangle(b):
-        k = b["k"]
+    def f_entangle(k):
         # X still live and in superposition: branch weight rides on X's path.
         terms: dict[int, complex] = {}
         for weight, xs, ch in ((alpha, 0, k), (beta, 1, k ^ 1)):
@@ -115,8 +116,7 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
                 terms[ket] = weight * SQRT_HALF
         return _state(reg, all_alive, terms)
 
-    def f_transfer(b):
-        k, m, n = b["k"], b["m"], b["n"]
+    def f_transfer(k, m, n):
         sgn = -1.0 if (k ^ m ^ n) else 1.0
         return ghz_state(
             x_dead, n ^ 1,
@@ -124,18 +124,16 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
              (sgn * beta, (k ^ m ^ 1, k ^ 1, k ^ 1, k ^ 1))],
         )
 
-    def f_consent(b):
-        k, m, n, s = b["k"], b["m"], b["n"], b["s"]
+    def f_consent(k, m, n, s):
         sgn = -1.0 if ((m ^ n ^ s) == 0) else 1.0  # minus (-1)^(m^n^s)
         c = k ^ s ^ 1
         return ghz_state(
-            x_dead, b["n"] ^ 1,
+            x_dead, n ^ 1,
             [(alpha, (k ^ m ^ 1, k, k, c)),
              (sgn * beta, (k ^ m ^ 1, k ^ 1, k ^ 1, c))],
         )
 
-    def f_concentrate(b):
-        k, m, n, s, l = b["k"], b["m"], b["n"], b["s"], b["l"]
+    def f_concentrate(k, m, n, s, l):
         sgn = -1.0 if (k ^ m ^ n ^ s ^ l) else 1.0
         return ghz_state(
             x_dead, n ^ 1,
@@ -143,16 +141,14 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
              (sgn * beta, (k ^ m ^ 1, k ^ l ^ 1, k ^ 1, k ^ s ^ 1))],
         )
 
-    def f_first_op(b):
-        k, m, n, s, l = b["k"], b["m"], b["n"], b["s"], b["l"]
+    def f_first_op(k, m, n, s, l):
         return ghz_state(
             x_dead, n ^ 1,
             [(pair_2[0], (k ^ m ^ 1, k ^ l ^ 1, 0, k ^ s ^ 1)),
              (pair_2[1], (k ^ m ^ 1, k ^ l ^ 1, 1, k ^ s ^ 1))],
         )
 
-    def f_hop_link(b):
-        k, m, n, s, l, r = b["k"], b["m"], b["n"], b["s"], b["l"], b["r"]
+    def f_hop_link(k, m, n, s, l, r):
         sgn = -1.0 if (k ^ l ^ 1) else 1.0
         return ghz_state(
             x_dead, n ^ 1,
@@ -160,17 +156,14 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
              (sgn * pair_2[1], (k ^ m ^ 1, k ^ l ^ r, 1, k ^ s ^ 1))],
         )
 
-    def f_hop_done(b):
-        k, m, n, s, g = b["k"], b["m"], b["n"], b["s"], b["g"]
+    def f_hop_done(k, m, n, s, g):
         return ghz_state(
             x_dead, n ^ 1,
             [(pair_12[0], (k ^ m ^ 1, 0, g, k ^ s ^ 1)),
              (pair_12[1], (k ^ m ^ 1, 1, g, k ^ s ^ 1))],
         )
 
-    def f_joint_measure(b):
-        k, m, n, s = b["k"], b["m"], b["n"], b["s"]
-        p, q, w, g = b["p"], b["q"], b["w"], b["g"]
+    def f_joint_measure(k, m, n, s, p, q, w, g):
         sgn = -1.0 if (q ^ w) else 1.0
         alive = (False, True, False, False, True)
         terms = {
@@ -181,9 +174,7 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
         }
         return _state(reg, alive, terms)
 
-    def f_control_measure(b):
-        k, m, n, s = b["k"], b["m"], b["n"], b["s"]
-        p, q, w, g, v = b["p"], b["q"], b["w"], b["g"], b["v"]
+    def f_control_measure(k, m, n, s, p, q, w, g, v):
         sgn = -1.0 if (q ^ w ^ v) else 1.0
         alive = (False, True, False, False, False)
         c_path = (k ^ s ^ 1) ^ v  # the splitter moved the V component over
@@ -195,16 +186,14 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
         }
         return _state(reg, alive, terms)
 
-    def f_polar_fixed(b):
-        k, m, n, s = b["k"], b["m"], b["n"], b["s"]
-        q, w, g, v = b["q"], b["w"], b["g"], b["v"]
+    def f_polar_fixed(k, m, n, s, p, q, w, g, v):
         alive = (False, True, False, False, False)
         c_path = (k ^ s ^ 1) ^ v
         terms = {
             BasisKet((n ^ 1, k ^ m ^ 1, q, g, c_path),
-                     (VERTICAL, 0, b["p"], w, v)): pair_12[0],
+                     (VERTICAL, 0, p, w, v)): pair_12[0],
             BasisKet((n ^ 1, k ^ m ^ 1, q, g, c_path),
-                     (VERTICAL, 1, b["p"], w, v)): pair_12[1],
+                     (VERTICAL, 1, p, w, v)): pair_12[1],
         }
         return _state(reg, alive, terms)
 
@@ -221,8 +210,18 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
         "polar-fixed": f_polar_fixed,
     }
 
+    # A builder reads exactly the bits its parameters name, so its form is a
+    # function of their values: each is built once per value tuple, in a memo
+    # the checker owns.
+    readers = {check_id: (build, tuple(inspect.signature(build).parameters), {})
+               for check_id, build in builders.items()}
+
     def check(check_id: str, bits: Mapping[str, int], sim: HybridState) -> StageMismatch | None:
-        ref = builders[check_id](bits)
+        build, params, memo = readers[check_id]
+        key = tuple([bits[p] for p in params])
+        ref = memo.get(key)
+        if ref is None:
+            ref = memo[key] = build(*key)
         if equal_up_to_global_phase(sim, ref, STAGE_TOL):
             return None
         return StageMismatch(

@@ -206,7 +206,6 @@ def test_stats_builds_one_protocol_for_every_sample(capsys, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "build_protocol", counted)
-    monkeypatch.setattr(cli, "build_protocol", counted)
     per_run = []
     for samples in (100, 300):
         builds.clear()
@@ -216,6 +215,30 @@ def test_stats_builds_one_protocol_for_every_sample(capsys, monkeypatch):
         assert json.loads(out)["samples"] == samples
         per_run.append(len(builds))
     assert per_run == [1, 1]
+
+
+def test_enumerate_builds_one_protocol_and_scores_each_final_state_once(capsys, monkeypatch):
+    build, fidelity = protocol.build_protocol, cli.target_fidelity
+    builds, scored = [], []
+
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    def counted_fidelity(*args):
+        scored.append(1)
+        return fidelity(*args)
+
+    monkeypatch.setattr(protocol, "build_protocol", counted_build)
+    monkeypatch.setattr(cli, "target_fidelity", counted_fidelity)
+    code, out, _ = run_cli(capsys, "enumerate", "--m", "2", "--n", "2", "--alpha=0.6",
+                           "--beta=0.8j", "--u1=0.6+0.48j,0.64j", "--u2", "preset:hadamard-like")
+    assert code == EXIT_OK
+    assert json.loads(out)["aggregate"]["branch_count"] == 2 ** 13
+    assert builds == [1]
+    # The 8,192 branches end in 4 canonical live states, plus the first
+    # branch's own, which the walk builds before any table holds it.
+    assert len(scored) <= 5
 
 
 def test_stats_rejects_tiny_sample(capsys):
@@ -275,7 +298,7 @@ def _reference_enumerate_report(argv: list[str]) -> str:
     args = cli.make_parser().parse_args(argv)
     config = cli.build_config(args)
     target = cli.direct_apply(config.unitaries, config.alpha, config.beta)
-    labels = list(cli.build_protocol(config).labels)
+    labels = list(protocol.build_protocol(config).labels)
     branches, errata = [], []
     prob_sum, min_fid, blocked_count, classical_bits, max_terms = 0.0, None, 0, None, 0
     for res in cli.iter_branches(config, check_stages=args.check_paper_eqs):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cjrio.hilbert import (A, PHASE_TOL, BasisKet, HybridState, VERTICAL, bob,
-                           registry)
+from cjrio.hilbert import (A, PHASE_TOL, X, BasisKet, HybridState, PhotonRegister,
+                           VERTICAL, bob, registry)
 from cjrio.optics import PauliPower, SU2Operator, apply_pauli_spatial
 from cjrio.oracle import (CorrectionSearchError, TargetState,
                           brute_force_correction, direct_apply, extract_qubit,
@@ -70,6 +70,29 @@ def test_assert_equiv_and_rejections(rng):
     assert not target_fidelity(_final_state(a, -b), TargetState(a, b)) >= 1.0 - PHASE_TOL
     with pytest.raises(ValueError):
         target_fidelity(_final_state(a, b, extra_live=True), TargetState(a, b))
+
+
+def test_target_fidelity_rejections_name_the_first_fault():
+    target = TargetState(0.6, 0.8)
+
+    def final(register, alive, polar=VERTICAL):
+        size = len(register)
+        return HybridState(register, alive, {BasisKet((0,) * size, (polar,) * size): 1})
+
+    reg = registry(1, 1)  # X, A, B1, C1
+    no_a = PhotonRegister([X, bob(1), bob(2)])
+    cases = [
+        (final(reg, (False, True, True, True)), "photon B1 still live"),
+        (final(reg, (True, False, False, True)), "photon X still live"),
+        (final(no_a, (False, False, True)), "photon B2 still live"),
+        (final(no_a, (False, False, False)), "photon A not in register"),
+        (final(reg, (False, False, False, False)), "photon A must be live"),
+        (final(reg, (False, True, False, False), polar=0), "must be V polarized"),
+    ]
+    for state, message in cases:
+        with pytest.raises(ValueError, match=message):
+            target_fidelity(state, target)
+    assert target_fidelity(final(reg, (False, True, False, False)), target) == pytest.approx(0.6)
 
 
 def test_extract_qubit_factorizable(rng):

@@ -668,6 +668,18 @@ def test_transcript_ledger_m2_n1(rng):
     assert parties == [("B2", "spatial"), ("B1", "spatial"), ("A", "polar"), ("A", "spatial")]
 
 
+def test_branch_state_and_transcript_are_made_once(rng):
+    us, (alpha, beta) = (random_su2(rng), random_su2(rng)), random_pair(rng)
+    target = direct_apply(us, alpha, beta)
+    for res in iter_branches(cfg(us=us, alpha=alpha, beta=beta)):
+        assert res.state is res.state
+        assert res.transcript is res.transcript
+        # the live part scores as the full state does, bit for bit
+        assert target_fidelity(res.live, target) == target_fidelity(res.state, target)
+        assert res.live.alive == res.state.alive
+        assert len(res.live.terms) == len(res.state.terms)
+
+
 def test_transcript_seed_reproducibility():
     r1 = run_full(cfg(), seed=37)
     r2 = run_full(cfg(), seed=37)

@@ -3,8 +3,10 @@ import pathlib
 
 import pytest
 
+from cjrio import stages
+from cjrio.hilbert import registry
 from cjrio.optics import SU2Operator
-from cjrio.protocol import ProtocolConfig, iter_branches, run_full
+from cjrio.protocol import ProtocolConfig, build_protocol, iter_branches, run_full
 from cjrio.stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 from conftest import bit, random_pair, random_su2
@@ -28,8 +30,6 @@ def test_every_checkpoint_fires_on_a_sampled_run(rng):
     run = run_full(cfg, seed=2, check_stages=True)
     assert run.errata == []
     # the node list must carry all ten checkpoints
-    from cjrio.protocol import build_protocol
-
     ids = {node.check_id for node in build_protocol(cfg).nodes if node.check_id}
     assert ids == set(CHECK_IDS)
 
@@ -80,3 +80,68 @@ def test_documented_errata_file_exists_and_is_empty():
     assert data["schema_version"] == 1
     assert sorted(data["stages"]) == sorted(CHECK_IDS)
     assert data["known_mismatches"] == []
+
+
+def test_memoized_references_hide_no_mismatch(rng, monkeypatch, flipped_x):
+    # A wrong fix at first_op puts every checkpoint from there on out of step
+    # with its closed form, on every branch.
+    flipped_x("first_op")
+    cfg = config_for(rng)
+    memoized = [res.errata for res in iter_branches(cfg, check_stages=True)]
+
+    def unmemoized(config):
+        # A new checker, so a new reference, for every call.
+        return lambda stage, bits, sim: make_stage_checker(config)(stage, bits, sim)
+
+    monkeypatch.setattr(stages, "make_stage_checker", unmemoized)
+    fresh = [res.errata for res in iter_branches(cfg, check_stages=True)]
+    assert len(memoized) == len(fresh) == 2048
+    assert {e.stage for errata in memoized for e in errata} == set(CHECK_IDS[4:])
+    for got, want in zip(memoized, fresh):
+        assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+
+def test_checked_walk_builds_each_reference_once_per_bits_read(rng, monkeypatch):
+    # Ten checkpoints see 5,402 edges of a (2,1) walk; the forms read 1,466
+    # distinct (checkpoint, bits read) values.  Every builder makes its state
+    # through stages._state once.
+    builds, checks = [], []
+    state = stages._state
+    make = stages.make_stage_checker
+
+    def counted_state(*args):
+        builds.append(1)
+        return state(*args)
+
+    def counted_checker(config):
+        check = make(config)
+
+        def counted(*args):
+            checks.append(1)
+            return check(*args)
+        return counted
+
+    monkeypatch.setattr(stages, "_state", counted_state)
+    monkeypatch.setattr(stages, "make_stage_checker", counted_checker)
+    assert all(res.errata == [] for res in iter_branches(config_for(rng), check_stages=True))
+    assert len(checks) == 5_402
+    assert len(builds) <= 1_466
+
+
+def test_references_share_the_protocol_register(rng, monkeypatch):
+    assert registry(2, 1) is registry(2, 1)
+    registers = []
+    state = stages._state
+
+    def recorded(reg, *args):
+        registers.append(reg)
+        return state(reg, *args)
+
+    monkeypatch.setattr(stages, "_state", recorded)
+    cfg = config_for(rng)
+    res = run_full(cfg, seed=3, check_stages=True)
+    assert res.errata == [] and registers
+    reg = build_protocol(cfg).initial_state.register
+    assert reg is registry(2, 1)
+    assert res.state.register is reg
+    assert all(r is reg for r in registers)
