@@ -3,7 +3,9 @@
 Runs a fixed list of ``simulate``, ``enumerate`` and ``stats`` command lines
 once against each tree, each in a fresh ``python -m cjrio.cli`` process with
 that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
-sha256 of stdout.  Prints one line per command line and exits 1 if any
+sha256 of stdout and of stderr (every summary and error line is
+deterministic).  A run that takes more than TIMEOUT_S seconds is killed and
+counts as a difference.  Prints one line per command line and exits 1 if any
 differs, so a change that claims the same behaviour can show it.
 
     python scripts/compare_reports.py BASE [HEAD]
@@ -21,6 +23,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+TIMEOUT_S = 300  # per CLI run; the slowest command line takes a few seconds
 
 # A (2,1) operator with complex entries, a random complex (2,1) input, and two
 # generic (2,2) inputs written the way the benchmark writes them (shortest
@@ -101,13 +105,18 @@ def imported_from(tree: Path) -> Path:
     return Path(proc.stdout.strip()).resolve().parent
 
 
-def run(tree: Path, argv: list[str]) -> tuple[int, str, float]:
-    """Exit code, sha256 of stdout and wall seconds of one CLI run on ``tree``."""
+def run(tree: Path, argv: list[str]) -> tuple[str, str, float]:
+    """The exit code (or "timeout"), the sha256 of stdout and of stderr
+    together, and the wall seconds of one CLI run on ``tree``."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "cjrio.cli", *argv], env=_env(tree),
-                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, check=False)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), time.perf_counter() - t0
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cjrio.cli", *argv], env=_env(tree),
+                              stdin=subprocess.DEVNULL, capture_output=True, check=False,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", "", time.perf_counter() - t0
+    digest = hashlib.sha256(proc.stdout).hexdigest() + hashlib.sha256(proc.stderr).hexdigest()
+    return str(proc.returncode), digest, time.perf_counter() - t0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     differ = 0
     for cmd in ARGVS:
         (code_a, sha_a, t_a), (code_b, sha_b, t_b) = run(args.base, cmd), run(args.head, cmd)
-        same = code_a == code_b and sha_a == sha_b
+        same = code_a == code_b != "timeout" and sha_a == sha_b
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  exit {code_a}/{code_b}  "
               f"{sha_b[:12]}  {t_a:5.1f}s/{t_b:5.1f}s  {' '.join(cmd)}", flush=True)

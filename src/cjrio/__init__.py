@@ -14,17 +14,17 @@ from .optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
 from .oracle import (CorrectionSearchError, TargetState,
                      brute_force_correction, direct_apply, target_fidelity)
 from .protocol import (BLOCKED, BranchResult, CorrectionSpec,
-                       FrameInconsistencyError, PauliFrame, ProtocolConfig,
-                       ProtocolRun, Transcript, branch_fidelity,
-                       build_protocol, iter_branches, run_full)
+                       FrameInconsistencyError, ProtocolConfig, ProtocolRun,
+                       Transcript, branch_fidelity, build_protocol,
+                       iter_branches, run_full)
 from .stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 __all__ = [
     "A", "BLOCKED", "BasisKet", "BranchResult", "CHECK_IDS", "CoherentProbe",
     "CorrectionSearchError", "CorrectionSpec", "FrameInconsistencyError",
-    "HybridState", "PauliFrame", "PauliPower", "PhotonId", "ProtocolConfig",
-    "ProtocolRun", "SU2Operator", "StageMismatch", "TargetState", "Transcript",
-    "X", "apply_bbs", "apply_hwp", "apply_pauli_polar",
+    "HybridState", "PauliPower", "PhotonId", "ProtocolConfig", "ProtocolRun",
+    "SU2Operator", "StageMismatch", "TargetState", "Transcript", "X",
+    "apply_bbs", "apply_hwp", "apply_pauli_polar",
     "apply_pauli_spatial", "apply_pbs", "apply_qwp", "apply_su2_spatial",
     "bob", "branch_fidelity", "brute_force_correction",
     "build_initial_state", "build_protocol", "charlie", "direct_apply",

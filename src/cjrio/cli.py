@@ -4,7 +4,8 @@ against the oracle, and emit JSON reports.
 One JSON document goes to stdout (or --output); a short human summary goes to
 stderr.  Identical seeds and flags produce byte-identical reports.  Exit
 codes: 0 all checks pass, 1 fidelity failure, 2 blocked by a controller,
-3 configuration error, 141 stdout closed before the report was written.
+3 configuration error or a failed report write, 141 stdout closed before the
+report was written.
 """
 
 from __future__ import annotations
@@ -99,6 +100,17 @@ def parse_consent(text: str | None, n: int) -> tuple[bool, ...]:
     return tuple(c == "1" for c in bits)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: numpy seeds only non-negative ints."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=2, help="number of joint parties (default 2)")
     p.add_argument("--n", type=int, default=1, help="number of controllers (default 1)")
@@ -112,10 +124,10 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
                    help="per-controller consent bits, e.g. 1 or 101 (default: all consent)")
     p.add_argument("--consent2", default=None, metavar="MASK",
                    help="per-controller consent bits for the release stage (default: same as --consent)")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled runs")
+    p.add_argument("--seed", type=_seed, default=None, help="seed for sampled runs (>= 0)")
     p.add_argument("--check-paper-eqs", action="store_true",
                    help="cross-check simulator states against the per-stage closed forms (m=2, n=1 only)")
-    p.add_argument("--variant", choices=("cjrio", "jrio", "crio", "rio"), default="cjrio")
+    p.add_argument("--variant", choices=protocol.VARIANTS, default="cjrio")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the JSON report here instead of stdout")
 
@@ -212,7 +224,9 @@ def _open_output(args) -> contextlib.AbstractContextManager[TextIO]:
 
 
 def _emit(report: dict, out: TextIO) -> None:
+    """Write ``report`` out whole, before a summary line can claim it was."""
     out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    out.flush()
 
 
 # The scalars of a branch entry go through the C encoder, which writes the
@@ -338,6 +352,7 @@ def cmd_enumerate(args) -> int:
         spool.seek(0)
         shutil.copyfileobj(spool, out)
         out.write("\n  ]" + tail + "\n")
+        out.flush()
     _summary(
         f"{count} branches, probability sum {prob_sum:.12f}, "
         f"min fidelity {min_fid if min_fid is not None else 'n/a'}, "
@@ -433,19 +448,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except ConfigError as exc:
         print(f"cjrio: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so the interpreter's
-        # last flush of what is still buffered stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # The report was not written whole.  If it went to stdout, point that
+        # at devnull so the interpreter's last flush of what is still buffered
+        # stays quiet.
+        if not args.output:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout
+            return EXIT_BROKEN_PIPE
+        print(f"cjrio: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ into a path qubit.
 Every measurement node exposes its full outcome fan-out, so a run can either
 sample one branch or enumerate all of them with exact probabilities.  The
 classical Pauli fixes between measurements are never hard-coded per branch:
-they are derived once, symbolically, as XOR-linear functions of the broadcast
-bits (see :class:`PauliFrame`) and can be cross-checked on every branch
-against exhaustive Pauli search.
+``build_protocol`` derives them once, symbolically, as affine GF(2) forms over
+the broadcast bits, held as ints and added with ``^`` as each readout joins
+the node list, and they can be cross-checked on every branch against
+exhaustive Pauli search.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def _namer(labels: Sequence[str]) -> Callable[[int, int], dict[str, int]]:
 # A branch's outcome bits are one int, its word: the j-th broadcast bit at
 # bit j.  An affine GF(2) form over them is an int too: bit 0 its constant,
 # bit j + 1 the coefficient of the j-th broadcast bit.  Forms add with ``^``.
+#
+# The Pauli frame is two such forms, kept as ``build_protocol`` adds each
+# readout: the relative sign between the two amplitude branches on a path
+# (``sign``) and on the polarization (``polar_sign``).  Two parity rules
+# generate every path correction.  A photon whose branch paths are
+# complementary that is re-mixed, tapped on path T and read out with bit o
+# lands on path T ^ o ^ 1 and flips the sign by that landing.  A photon on a
+# definite path d that is re-mixed into superposition flips it by d.  Both
+# rules are checked per branch against exhaustive Pauli search in the tests.
 
 
 @dataclass(frozen=True)
@@ -112,35 +122,6 @@ class CorrectionSpec:
         live = word << 1 | 1  # the constant's bit is always on
         x, z = (self.x & live).bit_count() & 1, (self.z & live).bit_count() & 1
         return ALL_PAULI_POWERS[x | z << 1]
-
-
-class PauliFrame:
-    """Tracks, symbolically, the relative sign between the two amplitude
-    branches and where each photon's path lands.
-
-    Two parity rules generate every correction.  A photon whose branch paths
-    are complementary that is re-mixed, tapped on path T and read out with
-    bit o lands on path T^o^1 and flips the relative branch sign exactly when
-    that landing path is 1.  A photon sitting on a single definite path d that
-    is re-mixed into superposition flips the sign exactly when d is 1.  Both
-    rules are validated per branch against exhaustive Pauli search in the
-    test suite.
-    """
-
-    def __init__(self) -> None:
-        self.sign = 0
-
-    def collapse_complementary(self, tap: int, outcome: int) -> int:
-        landing = tap ^ outcome ^ 1
-        self.sign ^= landing
-        return landing
-
-    def resplit_single(self, path: int) -> None:
-        self.sign ^= path
-
-    def take_sign(self) -> int:
-        out, self.sign = self.sign, 0
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +143,10 @@ class ProtocolConfig:
     consent_phase2: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("m", "n"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"{name} must be an int, got {val!r}")
         if self.m < 1:
             raise ValueError("at least one joint party is required")
         if self.n < 0:
@@ -285,7 +270,7 @@ def build_protocol(
     at_x, at_a = initial.index_of(X), initial.index_of(A)
     at_b = [initial.index_of(bob(i)) for i in range(1, m + 1)]
     at_c = [initial.index_of(charlie(j)) for j in range(1, n + 1)]
-    frame = PauliFrame()
+    sign = 0  # the path half of the Pauli frame, a form
     nodes: list[Node] = []
     labels: list[str] = []
     plan: dict[str, CorrectionSpec] = {}
@@ -325,55 +310,52 @@ def build_protocol(
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
         return applier(state, i, power)
 
+    def kerr_read(st: HybridState, *taps: tuple[int, int, int]) -> tuple[list[Outcome], int]:
+        """Tap a fresh probe on each (position, path, multiplier) of ``st``
+        and read it out: every outcome, and ``st``'s term count."""
+        probe = fresh_probe(st)
+        for i, path, mult in taps:
+            probe = kerr(probe, st, i, path, mult)
+        return enumerate_homodyne(probe, st), len(st.terms)
+
     def run_entangle(state, bits):
-        probe = fresh_probe(state)
-        probe = kerr(probe, state, at_x, 0, +1)
-        probe = kerr(probe, state, at_a, 0, -1)
-        return enumerate_homodyne(probe, state), len(state.terms)
+        return kerr_read(state, (at_x, 0, +1), (at_a, 0, -1))
 
     (k,) = add(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
 
     def run_transfer(state, bits):
         st = apply_bbs(state, at_x)
         st = apply_bbs(st, at_a)
-        peak = len(st.terms)
-        probe = fresh_probe(st)
-        probe = kerr(probe, st, at_x, 0, +1)
-        probe = kerr(probe, st, at_a, bits & 1, +2)
+        outcomes, peak = kerr_read(st, (at_x, 0, +1), (at_a, bits & 1, +2))
         # Class c reads m = c >> 1 and n = c & 1.
         return [Outcome(o.bits >> 1 | (o.bits & 1) << 1, o.p,
                         lambda build=o.build: build().mark_dead(at_x))
-                for o in enumerate_homodyne(probe, st)], peak
+                for o in outcomes], peak
 
     bit_m, bit_n = add(Node("transfer", 2, "A", ("m", "n"), run_transfer, "transfer", 1))
     # X was tapped on path 0 (bit n fires it), A on path k (bit m fires it);
-    # both collapse together.
-    frame.collapse_complementary(0, bit_n)
-    a_path = frame.collapse_complementary(k, bit_m)
+    # both collapse together, X landing on n ^ 1.
+    a_path = k ^ bit_m ^ 1
+    sign ^= bit_n ^ 1 ^ a_path
 
     for j, s_lbl in enumerate(_family("s", n), start=1):
         def run_consent(state, bits, _j=j, _c=at_c[j - 1]):
             if not config.consent[_j - 1]:
                 return [], len(state.terms)
-            st = apply_bbs(state, _c)
-            peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, _c, bits & 1, +1)
-            return enumerate_homodyne(probe, st), peak
+            return kerr_read(apply_bbs(state, _c), (_c, bits & 1, +1))
 
         (s,) = add(Node(f"consent[{j}]", 3, f"C{j}", (s_lbl,), run_consent, "consent", 1))
-        frame.collapse_complementary(k, s)
+        sign ^= k ^ s ^ 1  # tapped on path k
 
     landing: list[int] = []  # path each of B1..B(m-1) lands on
     for i, l_lbl in enumerate(_family("l", m - 1), start=1):
         def run_concentrate(state, bits, _b=at_b[i - 1]):
-            st = apply_bbs(state, _b)
-            peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, _b, bits & 1, +1)
-            return enumerate_homodyne(probe, st), peak
+            return kerr_read(apply_bbs(state, _b), (_b, bits & 1, +1))
 
         (l,) = add(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
                         "concentrate", 1))
-        landing.append(frame.collapse_complementary(k, l))
+        landing.append(k ^ l ^ 1)
+        sign ^= landing[-1]
 
     def run_first_op(state, bits):
         st = correct(state, bits, "first_op")
@@ -381,39 +363,35 @@ def build_protocol(
         return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
     add(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
-    fix("first_op", bob(m), "spatial", k, frame.take_sign(), (config.alpha, config.beta))
+    fix("first_op", bob(m), "spatial", k, sign, (config.alpha, config.beta))
+    sign = 0
 
     r_lbls, g_lbls = _family("r", m - 1), _family("g", m - 1)
     for i in range(m - 1, 0, -1):
         def run_hop_link(state, bits, _b=at_b[i - 1], _next=at_b[i]):
             d = state.definite_bit(_b, "spatial")
-            st = apply_bbs(state, _b)
-            peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, _b, d, +1)
-            probe = kerr(probe, st, _next, 0, -1)
-            return enumerate_homodyne(probe, st), peak
+            return kerr_read(apply_bbs(state, _b), (_b, d, +1), (_next, 0, -1))
 
         (r,) = add(Node(f"hop_link[{i}]", 5, f"B{i + 1}", (r_lbls[i - 1],), run_hop_link,
                         "hop-link"))
-        frame.resplit_single(landing[i - 1])
+        sign ^= landing[i - 1]  # B_i leaves its definite path, re-split
 
         # _g: bit g's position in the word, the next one, which add gives it below.
         def run_hop_close(state, bits, _i=i, _g=len(labels), _b=at_b[i - 1], _next=at_b[i]):
-            st = apply_bbs(state, _next)
-            peak = len(st.terms)
-            probe = kerr(fresh_probe(st), st, _next, 1, +1)
+            outcomes, peak = kerr_read(apply_bbs(state, _next), (_next, 1, +1))
 
             def close(build, c):  # the correction and the operator, on demand
                 s3 = correct(build(), bits | c << _g, f"hop_close[{_i}]")
                 return apply_su2_spatial(s3, _b, config.unitaries[_i - 1])
             return [Outcome(o.bits, o.p, partial(close, o.build, o.bits))
-                    for o in enumerate_homodyne(probe, st)], peak
+                    for o in outcomes], peak
 
         (g,) = add(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbls[i - 1],), run_hop_close,
                         "hop-done"))
-        frame.collapse_complementary(1, g)
-        fix(f"hop_close[{i}]", bob(i), "spatial", landing[i - 1] ^ r, frame.take_sign(),
+        sign ^= g  # tapped on path 1, so it lands on g
+        fix(f"hop_close[{i}]", bob(i), "spatial", landing[i - 1] ^ r, sign,
             target(config.unitaries[i:]))
+        sign = 0
 
     def run_joint_b1(state, bits):
         st = apply_hwp(state, at_b[0], 1)

@@ -402,16 +402,53 @@ def test_enumerate_memory_flat_in_branch_count(tmp_path):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("command", ["simulate", "enumerate", "stats"])
+def test_negative_seed_is_config_error(capsys, command):
+    # numpy takes only non-negative seeds; enumerate, which only echoes the
+    # seed, refuses one too
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "Traceback" not in captured.err
+
+
+def _cli_env() -> dict[str, str]:
+    """The environment of a CLI subprocess that imports this checkout."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_closed_stdout_exits_quietly():
     # The (2,1) report is about 500 kB, more than a pipe buffer holds, so the
     # report cannot be written out once the reader has gone.
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "cjrio.cli", "enumerate", "--m", "2", "--n", "1"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_cli_env())
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == EXIT_BROKEN_PIPE == 141
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    (["simulate", "--seed", "1"], True),
+    (["simulate", "--seed", "1", "--output", "/dev/full"], False),
+    (["enumerate", "--output", "/dev/full"], False),
+], ids=["simulate-stdout", "simulate-output", "enumerate-output"])
+def test_failed_report_write_is_config_error(argv, to_stdout):
+    # /dev/full takes every open and fails every write: the report is lost,
+    # and the run says so in one line instead of a traceback
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "cjrio.cli", *argv],
+                              stdout=full if to_stdout else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, env=_cli_env(), timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    err = proc.stderr.decode()
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("cjrio: cannot write report:") and "No space left" in err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -36,6 +36,10 @@ def test_config_validation():
             cfg(alpha=alpha, beta=beta)
     with pytest.raises(ValueError):
         cfg(consent=(True, True))
+    # m and n are ints: not floats, and not bools, which a report would echo
+    for m, n, field in ((2.0, 1, "m"), (2, 1.0, "n"), (True, 0, "m")):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            ProtocolConfig(m, n, (I2,) * int(m), 0.6, 0.8)
 
 
 def test_variant_constraints():
