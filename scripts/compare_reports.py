@@ -89,6 +89,14 @@ ARGVS: list[list[str]] = [
      "--seed", "2", "--samples", "1000"],
     ["stats", "--m", "1", "--n", "1", "--variant", "crio", "--samples", "300"],
     ["stats", "--m", "2", "--n", "2", *_RANDOM_22[0], "--samples", "2000", "--seed", "7"],
+    # configuration errors (exit 3) and vetoes (exit 2) of all three subcommands
+    ["simulate", "--m", "2", "--n", "1", "--u1", "2,0", "--seed", "1"],  # not unitary: exit 3
+    ["stats", "--samples", "50"],  # too few samples: exit 3
+    ["stats", "--check-paper-eqs"],  # no stage checks in stats: exit 3
+    ["enumerate", "--consent", "2"],  # not a 0/1 mask: exit 3
+    ["simulate", "--consent", "0", "--seed", "1"],  # a veto at consent[1]: exit 2
+    # a checked walk whose 8 branches are all blocked: exit 2
+    ["enumerate", "--m", "2", "--n", "1", "--check-paper-eqs", "--consent", "0"],
 ]
 
 

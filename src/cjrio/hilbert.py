@@ -146,9 +146,9 @@ def registry(m: int, n: int) -> PhotonRegister:
 class HybridState:
     """Normalized pure state with value semantics.
 
-    ``terms`` maps an int ket (see :func:`BasisKet`) to a complex amplitude.
-    Instances are treated as immutable; every operation returns a new state.
-    States may share one ``terms`` dict, so it must never be mutated.
+    ``terms`` maps an int ket (see :func:`BasisKet`) to a complex amplitude;
+    the constructor copies it, :meth:`adopt` does not.  Every operation returns
+    a new state, and states may share one ``terms`` dict: it is never mutated.
     """
 
     __slots__ = ("register", "alive", "terms")
@@ -202,9 +202,6 @@ class HybridState:
         s.alive = self.alive
         s.terms = terms
         return s
-
-    def replace_terms(self, terms: Mapping[int, complex]) -> "HybridState":
-        return self.adopt(dict(terms))
 
     def mark_dead(self, i: int) -> "HybridState":
         """Freeze the photon at position ``i`` out of the live registry.
@@ -319,49 +316,6 @@ def equal_up_to_global_phase(a: HybridState, b: HybridState, tol: float = PHASE_
     return abs(overlap(a, b)) >= 1.0 - tol
 
 
-def reduced_purity(
-    state: HybridState,
-    keep: Iterable[PhotonId],
-    dof: str = "both",
-) -> float:
-    """Tr(rho^2) of the subsystem spanned by ``keep``.
-
-    ``dof`` selects which degrees of freedom of the kept photons form the
-    subsystem ("both", "spatial" or "polar"); everything else, including the
-    other DOF of the kept photons, is traced out.
-    """
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep set must be non-empty")
-    if dof not in ("both", "spatial", "polar"):
-        raise ValueError(f"unknown dof selector {dof!r}")
-    keep_mask = 0
-    for p in keep_set:
-        i = state.index_of(p)
-        if not state.alive[i]:
-            raise ValueError(f"photon {p} is not alive")
-        for d in ("spatial", "polar"):
-            if dof in ("both", d):
-                keep_mask |= state.register.mask(i, d)
-
-    groups: dict[int, dict[int, complex]] = {}
-    for ket, amp in state.terms.items():
-        groups.setdefault(ket & ~keep_mask, {})[ket & keep_mask] = amp
-
-    norm_sq = sum(abs(a) ** 2 for vec in groups.values() for a in vec.values())
-    vectors = list(groups.values())
-    total = 0.0
-    for ve in vectors:
-        for vf in vectors:
-            ip = 0j
-            for sub, amp in ve.items():
-                other = vf.get(sub)
-                if other is not None:
-                    ip += amp * other.conjugate()
-            total += ip.real * ip.real + ip.imag * ip.imag
-    return total / (norm_sq * norm_sq)
-
-
 class Outcome:
     """One readout outcome: its bits as a word (or homodyne class), its
     probability and ``build``, which makes its state each time it is called,
@@ -373,20 +327,15 @@ class Outcome:
         self.bits, self.p, self.build = bits, p, build
 
 
-def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None,
-              unmeasured: Sequence[str]) -> HybridState:
+def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None) -> HybridState:
     """``state`` projected onto ``terms``, pruned, normalized, photon ``dead`` (if any) retired."""
     s = state.adopt(prune(terms)).normalized()
-    if dead is not None:
-        for dof in unmeasured:
-            s.definite_bit(dead, dof)
-        s.alive = s.alive[:dead] + (False,) + s.alive[dead + 1:]
-    return s
+    return s if dead is None else s.mark_dead(dead)
 
 
 def collapse_outcomes(state: HybridState, buckets: Mapping[Hashable, dict[int, complex]],
-                      order: Iterable[tuple[object, Hashable]], dead: int | None = None,
-                      unmeasured: Sequence[str] = ()) -> list[Outcome]:
+                      order: Iterable[tuple[object, Hashable]],
+                      dead: int | None = None) -> list[Outcome]:
     """The outcomes of a readout that splits ``state``'s kets into ``buckets``, one
     per (bits, key) in ``order``, skipping a bucket of p <= ``PRUNE_TOL ** 2``."""
     out = []
@@ -395,7 +344,7 @@ def collapse_outcomes(state: HybridState, buckets: Mapping[Hashable, dict[int, c
         p = sum(abs(a) ** 2 for a in terms.values())
         if p <= PRUNE_TOL ** 2:
             continue
-        out.append(Outcome(bits, p, partial(_collapse, state, terms, dead, unmeasured)))
+        out.append(Outcome(bits, p, partial(_collapse, state, terms, dead)))
     return out
 
 
@@ -416,5 +365,4 @@ def enumerate_measurement(state: HybridState, i: int,
     readouts = [(0, 0)]
     for j in reversed(range(len(masks))):
         readouts += [(word | 1 << j, key | masks[j]) for word, key in readouts]
-    return collapse_outcomes(state, buckets, [r for r in readouts if r[1] in buckets], i,
-                             [d for d in ("spatial", "polar") if d not in dofs])
+    return collapse_outcomes(state, buckets, [r for r in readouts if r[1] in buckets], i)

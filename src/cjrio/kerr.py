@@ -6,36 +6,29 @@ conditioned on the photon actually occupying the tapped path in a given basis
 ket.  X-quadrature homodyne detection then resolves only the magnitude of the
 accumulated phase, so kets with multipliers +n and -n fall in the same
 outcome class.  The photon-side amplitudes are untouched by the interaction;
-only the measurement collapses them.
+only the measurement collapses them.  A probe is held as its tags: a dict from
+each ket to the multiplier it has picked up.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .hilbert import HybridState, Outcome, collapse_outcomes
 
 ALLOWED_MULTIPLIERS = (-1, 1, 2)
 
 
-@dataclass
-class CoherentProbe:
-    """Phase-multiplier tags per basis ket."""
-
-    tags: dict[int, int]
-
-
-def fresh_probe(state: HybridState) -> CoherentProbe:
-    return CoherentProbe(tags={ket: 0 for ket in state.terms})
+def fresh_probe(state: HybridState) -> dict[int, int]:
+    """An untapped probe: its phase-multiplier tag per ket of ``state``, all 0."""
+    return {ket: 0 for ket in state.terms}
 
 
 def kerr(
-    probe: CoherentProbe,
+    probe: dict[int, int],
     state: HybridState,
     i: int,
     path: int,
     mult: int,
-) -> CoherentProbe:
+) -> dict[int, int]:
     """Tap one path of the photon at position ``i``: every ket with the
     photon on ``path`` adds ``mult`` to its probe multiplier.  Returns the
     updated probe; state amplitudes are unchanged."""
@@ -43,21 +36,20 @@ def kerr(
         raise ValueError(f"interaction multiplier must be one of {ALLOWED_MULTIPLIERS}")
     sm, _ = state.require_alive(i)
     on_path = sm if path else 0
-    tags = {
-        ket: probe.tags.get(ket, 0) + (mult if (ket & sm) == on_path else 0)
+    return {
+        ket: probe.get(ket, 0) + (mult if (ket & sm) == on_path else 0)
         for ket in state.terms
     }
-    return CoherentProbe(tags=tags)
 
 
-def enumerate_homodyne(probe: CoherentProbe, state: HybridState) -> list[Outcome]:
+def enumerate_homodyne(probe: dict[int, int], state: HybridState) -> list[Outcome]:
     """Every homodyne outcome with its probability and collapsed, renormalized
     state, deterministically ordered by phase class.  Pure: the same probe can
     be enumerated repeatedly."""
     classes: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
         try:
-            c = abs(probe.tags[ket])
+            c = abs(probe[ket])
         except KeyError:
             raise ValueError("probe tags do not cover the state; re-tap after state changes") from None
         classes.setdefault(c, {})[ket] = amp

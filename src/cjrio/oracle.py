@@ -20,6 +20,8 @@ from .hilbert import A, HybridState, PHASE_TOL, VERTICAL
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator,
                      apply_pauli_polar, apply_pauli_spatial)
 
+FACTOR_TOL = 1e-9  # largest amplitude residue a factored-out qubit may leave
+
 
 class CorrectionSearchError(ValueError):
     """Exhaustive Pauli search found no working correction."""
@@ -77,9 +79,7 @@ def target_fidelity(final: HybridState, target: TargetState) -> float:
     return abs(target.a0.conjugate() * c[0] + target.a1.conjugate() * c[1])
 
 
-def extract_qubit(
-    state: HybridState, i: int, dof: str, tol: float = 1e-9
-) -> tuple[complex, complex]:
+def extract_qubit(state: HybridState, i: int, dof: str) -> tuple[complex, complex]:
     """Factor out the qubit of the photon at position ``i`` on one DOF.
 
     Requires the state to split as (c0|0> + c1|1>) on that bit tensor an
@@ -101,19 +101,14 @@ def extract_qubit(
     anchor = max(v0, key=lambda k: abs(v0[k]))
     lam = v1[anchor] / v0[anchor]
     for k, a in v0.items():
-        if abs(v1[k] - lam * a) > tol:
+        if abs(v1[k] - lam * a) > FACTOR_TOL:
             raise ValueError(f"photon {state.photons[i]} {dof} bit is entangled with the rest")
     scale = 1.0 / math.sqrt(1.0 + abs(lam) ** 2)
     return (scale + 0j, lam * scale)
 
 
-def brute_force_correction(
-    state: HybridState,
-    i: int,
-    dof: str,
-    want: tuple[complex, complex],
-    tol: float = PHASE_TOL,
-) -> tuple[PauliPower, ...]:
+def brute_force_correction(state: HybridState, i: int, dof: str,
+                           want: tuple[complex, complex]) -> tuple[PauliPower, ...]:
     """Search the four Pauli powers for every one that brings the qubit of
     the photon at position ``i`` to the wanted amplitude pair (up to global
     phase), in ``ALL_PAULI_POWERS`` order.  A generic pair has exactly one,
@@ -129,7 +124,7 @@ def brute_force_correction(
             c0, c1 = extract_qubit(candidate, i, dof)
         except ValueError:
             continue
-        if abs(w0.conjugate() * c0 + w1.conjugate() * c1) >= 1.0 - tol:
+        if abs(w0.conjugate() * c0 + w1.conjugate() * c1) >= 1.0 - PHASE_TOL:
             matches.append(power)
     if not matches:
         raise CorrectionSearchError(f"no working correction on {state.photons[i]} {dof}")

@@ -22,6 +22,7 @@ exhaustive Pauli search.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -151,18 +152,28 @@ class ProtocolConfig:
             raise ValueError("at least one joint party is required")
         if self.n < 0:
             raise ValueError("controller count must be >= 0")
+        object.__setattr__(self, "unitaries", tuple(self.unitaries))
         if len(self.unitaries) != self.m:
             raise ValueError(f"expected {self.m} operators, got {len(self.unitaries)}")
+        for j, op in enumerate(self.unitaries):
+            if not isinstance(op, SU2Operator):
+                raise ValueError(f"unitaries[{j}] must be an SU2Operator, got {op!r}")
+        for name in ("alpha", "beta"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Number):
+                raise ValueError(f"{name} must be a number, got {val!r}")
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
             raise ValueError("input amplitudes must be finite")
         if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-9:
             raise ValueError("input amplitudes are not normalized")
         for name in ("consent", "consent_phase2"):
             val = getattr(self, name)
-            if val is None:
-                object.__setattr__(self, name, (True,) * self.n)
-            elif len(val) != self.n:
+            val = (True,) * self.n if val is None else tuple(val)
+            if len(val) != self.n:
                 raise ValueError(f"{name} must list one flag per controller")
+            if not all(isinstance(flag, bool) for flag in val):
+                raise ValueError(f"{name} flags must be bools, got {val!r}")
+            object.__setattr__(self, name, val)
 
 
 def check_variant(variant: str, m: int, n: int) -> None:
@@ -712,6 +723,7 @@ class ProtocolRun:
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self._shown = self._state = None
+        self._stage = 0  # the last stage stepped
 
     @property
     def state(self) -> HybridState:
@@ -750,15 +762,27 @@ class ProtocolRun:
     def step(self, stage: int):
         """Run the nodes of ``stage`` and return the bits they broadcast, in
         order, or BLOCKED once a controller has withheld consent.  Stages
-        are numbered as in the node list: 1 to 9, the shift chain being 5."""
-        (self._branch,) = self._walk(self._branch, self._draw, stage)
+        are numbered as in the node list: 1 to 9, the shift chain being 5.
+        Each step must name a later stage than the last, and skip no stage
+        with nodes still to run; a stage without nodes in this shape gives
+        ``()``."""
+        branch, nodes = self._branch, self._proto.nodes
+        lo = self._stage + 1
+        hi = 9 if branch.blocked_at or branch.idx == len(nodes) else nodes[branch.idx].stage
+        if stage not in range(lo, hi + 1):
+            expected = (f"stage {lo}" if lo == hi else f"a stage from {lo} to {hi}"
+                        if lo < hi else "none: the run is over")
+            raise ValueError(f"cannot step stage {stage!r} now: expected {expected}")
+        self._stage = stage
+        (self._branch,) = self._walk(branch, self._draw, stage)
         if self.blocked:
             return BLOCKED
         bits = self.bits
-        return tuple(bits[lbl] for node in self._proto.nodes if node.stage == stage
+        return tuple(bits[lbl] for node in nodes if node.stage == stage
                      for lbl in node.bit_labels)
 
     def finish(self) -> BranchResult:
+        self._stage = 9
         (self._branch,) = self._walk(self._branch, self._draw)
         return self._branch.result(self._proto, self._names, seed=self._seed)
 

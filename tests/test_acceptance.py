@@ -12,14 +12,13 @@ import time
 import numpy as np
 
 from cjrio.hilbert import (BasisKet, HybridState, VERTICAL, bob,
-                           build_initial_state, equal_up_to_global_phase,
-                           reduced_purity, registry)
+                           build_initial_state, equal_up_to_global_phase, registry)
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
 from cjrio.protocol import (ProtocolConfig, build_protocol, check_variant,
                             iter_branches, run_full)
 
-from conftest import random_pair, random_su2
+from conftest import dense_reduced_purity, random_pair, random_su2
 
 ERRATA_FILE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "errata.json"
 FID_TOL = 1e-10
@@ -192,7 +191,8 @@ def test_criterion_6_controller_power(fixed_polar_fix):
         res = run_full(config, rng=rng)
         assert res.blocked and res.blocked_at == "consent[1]"
         want = abs(alpha) ** 4 + abs(beta) ** 4
-        got = reduced_purity(res.state, [bob(1), bob(2)], dof="spatial")
+        st = res.state
+        got = dense_reduced_purity(st, [st.index_of(bob(1)), st.index_of(bob(2))], "spatial")
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-12
 

@@ -6,10 +6,10 @@ import pytest
 from cjrio.hilbert import (A, BasisKet, HybridState, PhotonId, VERTICAL, X,
                            bob, build_initial_state, charlie,
                            enumerate_measurement, equal_up_to_global_phase,
-                           overlap, reduced_purity, registry)
+                           overlap, registry)
 from cjrio.optics import apply_pbs
 
-from conftest import bit, dense_reduced_purity, random_pair
+from conftest import bit, random_pair
 
 
 def test_photon_ids():
@@ -85,7 +85,7 @@ def test_overlap_self_is_one(rng):
 def test_overlap_sign_flip_on_half_weight_branch():
     s = build_initial_state(1 / math.sqrt(2), 1 / math.sqrt(2), 1, 0)
     flipped = {k: (-a if bit(s, k, X) == 1 else a) for k, a in s.terms.items()}
-    s2 = s.replace_terms(flipped)
+    s2 = HybridState(s.register, s.alive, flipped)
     assert abs(overlap(s, s2)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_overlap_conjugate_symmetry(rng):
 def _with_dead(s):
     # freeze X by projecting onto its x0 component first
     terms = {k: a for k, a in s.terms.items() if bit(s, k, X) == 0}
-    return s.replace_terms(terms).normalized().mark_dead(s.index_of(X))
+    return HybridState(s.register, s.alive, terms).normalized().mark_dead(s.index_of(X))
 
 
 def test_overlap_registry_mismatch():
@@ -128,73 +128,14 @@ def test_overlap_registry_mismatch():
 def test_equal_up_to_global_phase(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
-    phased = s.replace_terms({k: cmath.exp(1j * math.pi / 7) * amp
-                              for k, amp in s.terms.items()})
+    phased = HybridState(s.register, s.alive, {k: cmath.exp(1j * math.pi / 7) * amp
+                                               for k, amp in s.terms.items()})
     assert equal_up_to_global_phase(s, phased, 1e-10)
 
     # flipping the relative phase of the beta branch is a different state
-    rotated = s.replace_terms({k: (-amp if bit(s, k, X) else amp)
-                               for k, amp in s.terms.items()})
+    rotated = HybridState(s.register, s.alive, {k: (-amp if bit(s, k, X) else amp)
+                                                for k, amp in s.terms.items()})
     assert not equal_up_to_global_phase(s, rotated, 1e-10)
-
-
-def test_reduced_purity_product_state():
-    s = build_initial_state(1.0, 0.0, 2, 1)
-    # X is in a product with everything else
-    assert reduced_purity(s, [X]) == pytest.approx(1.0, abs=1e-12)
-
-
-def _two_branch_state(alpha, beta, k, sign, c_split=True):
-    """|a1>(alpha|b_k b_k c_k> + sign*beta|b_k1 b_k1 c_k1>) with product polar."""
-    reg = registry(2, 1)
-    kets = {}
-    for w, path in ((alpha, k), (sign * beta, k ^ 1)):
-        c_path = path if c_split else 1
-        kets[BasisKet((0, 1, path, path, c_path), (VERTICAL,) * 5)] = w
-    return HybridState(reg, (True,) * 5, kets).normalized()
-
-
-def test_reduced_purity_entangled_branch_pair(rng):
-    alpha, beta = random_pair(rng)
-    s = _two_branch_state(alpha, beta, 0, 1.0)
-    want = abs(alpha) ** 4 + abs(beta) ** 4
-    got = reduced_purity(s, [bob(1), bob(2)])
-    assert got == pytest.approx(want, abs=1e-12)
-    # cross-check against the dense density-matrix computation
-    dense = dense_reduced_purity(s, [2, 3])
-    assert got == pytest.approx(dense, abs=1e-12)
-
-
-def test_reduced_purity_controller_separated(rng):
-    alpha, beta = random_pair(rng)
-    s = _two_branch_state(alpha, beta, 0, -1.0, c_split=False)
-    assert reduced_purity(s, [bob(1), bob(2)]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_reduced_purity_relabel_invariance(rng):
-    alpha, beta = random_pair(rng)
-    s = _two_branch_state(alpha, beta, 1, 1.0)
-    p1 = reduced_purity(s, [bob(1), bob(2)])
-    p2 = reduced_purity(s, [bob(2), bob(1)])
-    assert p1 == pytest.approx(p2, abs=0.0)
-
-
-def test_reduced_purity_spatial_selector(rng):
-    alpha, beta = random_pair(rng)
-    s = build_initial_state(alpha, beta, 2, 1)
-    # full-DOF purity of one channel photon differs from path-only purity
-    both = reduced_purity(s, [bob(1)])
-    spatial = reduced_purity(s, [bob(1)], dof="spatial")
-    assert spatial == pytest.approx(dense_reduced_purity(s, [2], "spatial"), abs=1e-12)
-    assert both == pytest.approx(dense_reduced_purity(s, [2], "both"), abs=1e-12)
-
-
-def test_reduced_purity_rejections():
-    s = build_initial_state(0.6, 0.8, 2, 1)
-    with pytest.raises(ValueError):
-        reduced_purity(s, [])
-    with pytest.raises(ValueError):
-        reduced_purity(s, [X], dof="weird")
 
 
 def test_enumerate_measurement_probabilities(rng):
@@ -219,7 +160,7 @@ def test_mark_dead_requires_definite_bits():
 
 def _first_term_only(s):
     ket = next(iter(s.terms))
-    return s.replace_terms({ket: 1.0})
+    return HybridState(s.register, s.alive, {ket: 1.0})
 
 
 @pytest.mark.parametrize("reach, message", [
@@ -247,10 +188,11 @@ def test_basis_ket_rejects_non_binary_bits(spatial, polar):
 
 
 def test_replace_terms_copies_its_argument():
+    # the public constructor copies the caller's mapping; only adopt() does not
     s = build_initial_state(0.6, 0.8, 1, 0)
     terms = dict(s.terms)
     before = dict(terms)
-    copy = s.replace_terms(terms)
+    copy = HybridState(s.register, s.alive, terms)
     terms.clear()
     terms[0] = 1.0
     assert copy.terms == before

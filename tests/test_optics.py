@@ -227,8 +227,8 @@ def test_every_element_preserves_norm(rng):
         apply_su2_spatial(s, at(bob(2)), random_su2(rng)),
     ]
     # the splitter needs a single-path input
-    collapsed = s.replace_terms({k: amp for k, amp in s.terms.items()
-                                 if bit(s, k, A) == 0}).normalized()
+    collapsed = HybridState(s.register, s.alive, {k: amp for k, amp in s.terms.items()
+                                                  if bit(s, k, A) == 0}).normalized()
     candidates.append(apply_pbs(collapsed, at(A), 0))
     for out in candidates:
         assert abs(out.norm() - 1.0) < 1e-12
@@ -237,8 +237,8 @@ def test_every_element_preserves_norm(rng):
 def test_dead_photon_rejected():
     s = build_initial_state(1.0, 0.0, 2, 1)
     x = s.index_of(X)
-    dead = s.replace_terms({k: a for k, a in s.terms.items()
-                            if bit(s, k, X) == 0}).normalized().mark_dead(x)
+    dead = HybridState(s.register, s.alive, {k: a for k, a in s.terms.items()
+                                             if bit(s, k, X) == 0}).normalized().mark_dead(x)
     for fn in (lambda st: apply_bbs(st, x),
                lambda st: apply_hwp(st, x, 0),
                lambda st: apply_qwp(st, x, 0),

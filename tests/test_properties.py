@@ -191,7 +191,7 @@ def test_outcomes_equal_the_prune_normalize_retire_composition(case):
         for j, path, mult in arg:
             probe = kerr(probe, state, j, path, mult)
         got = enumerate_homodyne(probe, state)
-        labels = {ket: abs(probe.tags[ket]) for ket in state.terms}
+        labels = {ket: abs(probe[ket]) for ket in state.terms}
     else:
         got = enumerate_measurement(state, i, arg)
         labels = {ket: tuple(1 if ket & reg.mask(i, d) else 0 for d in arg)
@@ -212,7 +212,7 @@ def test_outcomes_equal_the_prune_normalize_retire_composition(case):
             continue
 
         def build(terms=terms):
-            collapsed = state.replace_terms(prune(terms)).normalized()
+            collapsed = HybridState(state.register, state.alive, prune(terms)).normalized()
             return collapsed if kind == "homodyne" else collapsed.mark_dead(i)
 
         word = bits if kind == "homodyne" else sum(b << j for j, b in enumerate(bits))

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cjrio.hilbert import (A, VERTICAL, X, bob, charlie, reduced_purity)
+from cjrio.hilbert import A, VERTICAL, X, bob, charlie
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
 from cjrio.protocol import (BLOCKED, FIDELITY_THRESHOLD, FrameInconsistencyError,
@@ -12,7 +12,7 @@ from cjrio.protocol import (BLOCKED, FIDELITY_THRESHOLD, FrameInconsistencyError
                             branch_fidelity, build_protocol, check_variant,
                             iter_branches, run_full)
 
-from conftest import bit, random_pair, random_su2
+from conftest import bit, dense_reduced_purity, random_pair, random_su2
 
 I2 = SU2Operator(1, 0)
 
@@ -40,6 +40,21 @@ def test_config_validation():
     for m, n, field in ((2.0, 1, "m"), (2, 1.0, "n"), (True, 0, "m")):
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             ProtocolConfig(m, n, (I2,) * int(m), 0.6, 0.8)
+    # a malformed field is named, not misread: "0" is truthy, so "00" would
+    # run as full consent; a None operator would fail deep inside the walk
+    for kw, message in (
+        (dict(n=2, consent="00"), r"consent flags must be bools"),
+        (dict(consent_phase2=(1,)), r"consent_phase2 flags must be bools"),
+        (dict(us=(None, None)), r"unitaries\[0\] must be an SU2Operator"),
+        (dict(us=(I2, "pauli-x")), r"unitaries\[1\] must be an SU2Operator"),
+        (dict(alpha="x"), r"alpha must be a number"),
+        (dict(beta=None), r"beta must be a number"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            cfg(**kw)
+    config = ProtocolConfig(2, 2, [I2, I2], 0.6, 0.8, [True, False], [False, True])
+    assert config.unitaries == (I2, I2)
+    assert config.consent == (True, False) and config.consent_phase2 == (False, True)
 
 
 def test_variant_constraints():
@@ -275,7 +290,9 @@ def test_step3_consent_disentangles_controller(rng):
     (s_bit,) = run.step(3)
     k = run.bits["k"]
     assert run.state.definite_bit(run.state.index_of(charlie(1)), "spatial") == k ^ s_bit ^ 1
-    assert reduced_purity(run.state, [bob(1), bob(2)], dof="spatial") == pytest.approx(1.0, abs=1e-12)
+    st = run.state
+    joint = [st.index_of(bob(1)), st.index_of(bob(2))]
+    assert dense_reduced_purity(st, joint, "spatial") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step3_no_consent_blocks_and_purity_stays_mixed(rng):
@@ -287,7 +304,8 @@ def test_step3_no_consent_blocks_and_purity_stays_mixed(rng):
     assert run.step(3) == BLOCKED
     assert run.blocked and run.blocked_at == "consent[1]"
     want = abs(alpha) ** 4 + abs(beta) ** 4
-    got = reduced_purity(run.state, [bob(1), bob(2)], dof="spatial")
+    st = run.state
+    got = dense_reduced_purity(st, [st.index_of(bob(1)), st.index_of(bob(2))], "spatial")
     assert got == pytest.approx(want, abs=1e-12)
     # every later stage reports the veto and leaves the branch as it was
     state, bits = run.state, dict(run.bits)
@@ -295,6 +313,31 @@ def test_step3_no_consent_blocks_and_purity_stays_mixed(rng):
         assert run.step(stage) == BLOCKED
         assert run.state is state and run.bits == bits
     assert run.blocked_at == "consent[1]"
+
+
+@pytest.mark.parametrize("kw, done, stage, expected", [
+    ({}, (), 3, "stage 1"),                   # skips stages 1 and 2
+    ({}, (1,), 4, "stage 2"),                 # skips stage 2
+    ({}, (1,), 1, "stage 2"),                 # repeats a stage
+    ({}, (), 10, "stage 1"),                  # past the last stage
+    ({}, (), 0, "stage 1"),                   # before the first
+    ({}, (), None, "stage 1"),                # not a stage: would run to the end
+    ({"n": 0}, (1, 2), 5, "a stage from 3 to 4"),  # stage 3 has no nodes, 4 has
+    ({"consent": (False,)}, (1, 2, 3), 3, "a stage from 4 to 9"),  # blocked, then repeated
+    ({}, "finish", 9, "none: the run is over"),
+], ids=["first-skipped", "second-skipped", "repeated", "past-9", "zero", "none", "range",
+        "blocked-repeated", "after-finish"])
+def test_step_rejects_stages_out_of_order(kw, done, stage, expected):
+    run = ProtocolRun(cfg(**kw), seed=1)
+    if done == "finish":
+        run.finish()
+    else:
+        for earlier in done:
+            run.step(earlier)
+    before = run.bits
+    with pytest.raises(ValueError, match=f"^cannot step stage {stage} now: expected {expected}$"):
+        run.step(stage)
+    assert run.bits == before  # nothing ran
 
 
 def test_phase2_consent_withheld_blocks_at_release(rng):

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from cjrio import stages
-from cjrio.hilbert import registry
+from cjrio.hilbert import HybridState, registry
 from cjrio.optics import SU2Operator
 from cjrio.protocol import ProtocolConfig, build_protocol, iter_branches, run_full
 from cjrio.stages import CHECK_IDS, StageMismatch, make_stage_checker
@@ -60,7 +60,7 @@ def test_mismatch_record_structure(rng):
     r.step(2)
     state = r.state
     k = r.bits["k"]
-    corrupted = state.replace_terms({
+    corrupted = HybridState(state.register, state.alive, {
         ket: (-a if bit(state, ket, bob(1)) == (k ^ 1) else a)
         for ket, a in state.terms.items()
     })
