@@ -97,6 +97,9 @@ ARGVS: list[list[str]] = [
     ["simulate", "--consent", "0", "--seed", "1"],  # a veto at consent[1]: exit 2
     # a checked walk whose 8 branches are all blocked: exit 2
     ["enumerate", "--m", "2", "--n", "1", "--check-paper-eqs", "--consent", "0"],
+    # a checked walk whose 1,024 branches are all blocked at the release stage: exit 2
+    ["enumerate", "--m", "2", "--n", "1", "--check-paper-eqs", "--consent2", "0",
+     "--alpha", "0.6", "--beta", "0.8j"],
 ]
 
 

@@ -23,7 +23,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
 INPUT_NORM_TOL = 1e-9
@@ -333,14 +333,12 @@ def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None) -
     return s if dead is None else s.mark_dead(dead)
 
 
-def collapse_outcomes(state: HybridState, buckets: Mapping[Hashable, dict[int, complex]],
-                      order: Iterable[tuple[object, Hashable]],
+def collapse_outcomes(state: HybridState, parts: Iterable[tuple[object, dict[int, complex]]],
                       dead: int | None = None) -> list[Outcome]:
-    """The outcomes of a readout that splits ``state``'s kets into ``buckets``, one
-    per (bits, key) in ``order``, skipping a bucket of p <= ``PRUNE_TOL ** 2``."""
+    """The outcomes of a readout that splits ``state``'s kets into ``parts``, one
+    per (bits, terms) in outcome order, skipping a part of p <= ``PRUNE_TOL ** 2``."""
     out = []
-    for bits, key in order:
-        terms = buckets[key]
+    for bits, terms in parts:
         p = sum(abs(a) ** 2 for a in terms.values())
         if p <= PRUNE_TOL ** 2:
             continue
@@ -356,8 +354,11 @@ def enumerate_measurement(state: HybridState, i: int,
     are a word, the j-th listed DOF's bit at bit j; outcomes come in
     lexicographic order of the bits in DOF order, not in numeric word order."""
     state.require_alive(i)
+    for j, d in enumerate(dofs):
+        if d in dofs[:j]:
+            raise ValueError(f"dof {d!r} is listed twice")
     masks = [state.register.mask(i, d) for d in dofs]
-    measured = sum(set(masks))  # one-bit masks: the sum of distinct ones is their union
+    measured = sum(masks)  # distinct one-bit masks: their sum is their union
     buckets: dict[int, dict[int, complex]] = {}
     for ket, amp in state.terms.items():
         buckets.setdefault(ket & measured, {})[ket] = amp
@@ -365,4 +366,5 @@ def enumerate_measurement(state: HybridState, i: int,
     readouts = [(0, 0)]
     for j in reversed(range(len(masks))):
         readouts += [(word | 1 << j, key | masks[j]) for word, key in readouts]
-    return collapse_outcomes(state, buckets, [r for r in readouts if r[1] in buckets], i)
+    return collapse_outcomes(state, [(word, buckets[key]) for word, key in readouts
+                                     if key in buckets], i)

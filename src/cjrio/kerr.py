@@ -53,4 +53,4 @@ def enumerate_homodyne(probe: dict[int, int], state: HybridState) -> list[Outcom
         except KeyError:
             raise ValueError("probe tags do not cover the state; re-tap after state changes") from None
         classes.setdefault(c, {})[ket] = amp
-    return collapse_outcomes(state, classes, [(c, c) for c in sorted(classes)])
+    return collapse_outcomes(state, [(c, classes[c]) for c in sorted(classes)])

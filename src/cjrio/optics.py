@@ -62,49 +62,51 @@ class PauliPower:
 ALL_PAULI_POWERS = (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliPower(1, 1))
 
 
+def _hadamard(state: HybridState, bit: int, if_mask: int = 0, if_value: int = 0) -> HybridState:
+    # Rotates ``bit`` in the kets whose ``if_mask`` bits read ``if_value``
+    # (every ket by default); the others pass through.
+    off = ~bit
+    out: dict[int, complex] = {}
+    for ket, amp in state.terms.items():
+        if (ket & if_mask) != if_value:
+            out[ket] = out.get(ket, 0j) + amp
+            continue
+        half = amp * SQRT_HALF
+        k0 = ket & off
+        k1 = ket | bit
+        out[k0] = out.get(k0, 0j) + half
+        out[k1] = out.get(k1, 0j) + (-half if ket & bit else half)
+    return state.adopt(prune(out))
+
+
+def _flip(state: HybridState, bit: int, if_mask: int, if_value: int) -> HybridState:
+    # Flips ``bit`` in the kets whose ``if_mask`` bits read ``if_value``.
+    out: dict[int, complex] = {}
+    for ket, amp in state.terms.items():
+        if (ket & if_mask) == if_value:
+            ket ^= bit
+        out[ket] = out.get(ket, 0j) + amp
+    return state.adopt(out)
+
+
 def apply_bbs(state: HybridState, i: int) -> HybridState:
     """Balanced beam splitter mixing the paths of the photon at position
     ``i``: |0> -> (|0> + |1>)/sqrt2, |1> -> (|0> - |1>)/sqrt2.  Self-inverse."""
-    on, _ = state.require_alive(i)
-    off = ~on
-    out: dict[int, complex] = {}
-    for ket, amp in state.terms.items():
-        half = amp * SQRT_HALF
-        k0 = ket & off
-        k1 = ket | on
-        out[k0] = out.get(k0, 0j) + half
-        out[k1] = out.get(k1, 0j) + (-half if ket & on else half)
-    return state.adopt(prune(out))
+    sm, _ = state.require_alive(i)
+    return _hadamard(state, sm)
 
 
 def apply_hwp(state: HybridState, i: int, path: int) -> HybridState:
     """Half-wave plate on one path: swaps H and V there, other path untouched."""
     sm, pm = state.require_alive(i)
-    on_path = sm if path else 0
-    out: dict[int, complex] = {}
-    for ket, amp in state.terms.items():
-        if (ket & sm) == on_path:
-            ket ^= pm
-        out[ket] = out.get(ket, 0j) + amp
-    return state.adopt(out)
+    return _flip(state, pm, sm, sm if path else 0)
 
 
 def apply_qwp(state: HybridState, i: int, path: int) -> HybridState:
     """Quarter-wave plate on one path: polarization Hadamard,
     H -> (H + V)/sqrt2, V -> (H - V)/sqrt2."""
     sm, pm = state.require_alive(i)
-    on_path = sm if path else 0
-    out: dict[int, complex] = {}
-    for ket, amp in state.terms.items():
-        if (ket & sm) != on_path:
-            out[ket] = out.get(ket, 0j) + amp
-            continue
-        half = amp * SQRT_HALF
-        kh = ket & ~pm
-        kv = ket | pm
-        out[kh] = out.get(kh, 0j) + half
-        out[kv] = out.get(kv, 0j) + (-half if ket & pm else half)
-    return state.adopt(prune(out))
+    return _hadamard(state, pm, sm, sm if path else 0)
 
 
 def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
@@ -119,16 +121,12 @@ def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
                 f"photon {state.photons[i]} has amplitude off path {in_path}; "
                 "single-input use only"
             )
-    out: dict[int, complex] = {}
-    for ket, amp in state.terms.items():
-        if ket & pm:
-            ket ^= sm
-        out[ket] = out.get(ket, 0j) + amp
-    return state.adopt(out)
+    return _flip(state, sm, pm, pm)
 
 
 def _apply_pauli(state: HybridState, i: int, power: PauliPower, dof: str) -> HybridState:
     # Z^z X^x as an operator product: X flips first, Z phases the flipped bit.
+    # Not _flip: its 0j + amp would turn a -0.0 part into +0.0.
     sm, pm = state.require_alive(i)
     bit = sm if dof == "spatial" else pm
     flip = bit if power.x_pow else 0

@@ -152,7 +152,7 @@ class ProtocolConfig:
             raise ValueError("at least one joint party is required")
         if self.n < 0:
             raise ValueError("controller count must be >= 0")
-        object.__setattr__(self, "unitaries", tuple(self.unitaries))
+        object.__setattr__(self, "unitaries", _listed("unitaries", self.unitaries))
         if len(self.unitaries) != self.m:
             raise ValueError(f"expected {self.m} operators, got {len(self.unitaries)}")
         for j, op in enumerate(self.unitaries):
@@ -168,12 +168,20 @@ class ProtocolConfig:
             raise ValueError("input amplitudes are not normalized")
         for name in ("consent", "consent_phase2"):
             val = getattr(self, name)
-            val = (True,) * self.n if val is None else tuple(val)
+            val = (True,) * self.n if val is None else _listed(name, val)
             if len(val) != self.n:
                 raise ValueError(f"{name} must list one flag per controller")
             if not all(isinstance(flag, bool) for flag in val):
                 raise ValueError(f"{name} flags must be bools, got {val!r}")
             object.__setattr__(self, name, val)
+
+
+def _listed(name: str, val) -> tuple:
+    """``val`` as a tuple; it must be iterable."""
+    try:
+        return tuple(val)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {val!r}") from None
 
 
 def check_variant(variant: str, m: int, n: int) -> None:
@@ -627,11 +635,10 @@ def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: boo
 
 
 def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
-          stage: int | None = None) -> Iterator[_Branch]:
+          stop: int | None = None) -> Iterator[_Branch]:
     """Depth-first from ``branch``: run each node and enter the outcomes
     ``choose`` keeps of its outcome list, first to last.  Yields each branch
-    that is finished or blocked or, for a ``stage``, has reached a node of
-    another stage.
+    that is blocked or has reached node index ``stop`` (the end by default).
 
     A node's outcomes depend only on the live part of its input state and on
     the word's bits it reads (primitives touch live photons only, and a
@@ -644,13 +651,12 @@ def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
     ``choose`` keeps, so a sampled run, which enters each node once, pays for
     no table."""
     nodes, results, intern = proto.nodes, proto.results, proto.intern
-    end = len(nodes)
+    end = len(nodes) if stop is None else stop
     stack = [branch]
     while stack:
         branch = stack.pop()
         idx = branch.idx
-        if (branch.blocked_at is not None or idx == end
-                or stage is not None and nodes[idx].stage != stage):
+        if branch.blocked_at is not None or idx == end:
             yield branch
             continue
         node = nodes[idx]
@@ -767,19 +773,22 @@ class ProtocolRun:
         with nodes still to run; a stage without nodes in this shape gives
         ``()``."""
         branch, nodes = self._branch, self._proto.nodes
+        start = branch.idx
         lo = self._stage + 1
-        hi = 9 if branch.blocked_at or branch.idx == len(nodes) else nodes[branch.idx].stage
-        if stage not in range(lo, hi + 1):
+        hi = 9 if branch.blocked_at or start == len(nodes) else nodes[start].stage
+        if isinstance(stage, bool) or not isinstance(stage, int) or not lo <= stage <= hi:
             expected = (f"stage {lo}" if lo == hi else f"a stage from {lo} to {hi}"
                         if lo < hi else "none: the run is over")
             raise ValueError(f"cannot step stage {stage!r} now: expected {expected}")
         self._stage = stage
-        (self._branch,) = self._walk(branch, self._draw, stage)
+        # Nodes come in stage order, so the stage's nodes are those up to the
+        # first of a later stage.
+        stop = next((j for j in range(start, len(nodes)) if nodes[j].stage > stage), len(nodes))
+        (self._branch,) = self._walk(branch, self._draw, stop)
         if self.blocked:
             return BLOCKED
         bits = self.bits
-        return tuple(bits[lbl] for node in nodes if node.stage == stage
-                     for lbl in node.bit_labels)
+        return tuple(bits[lbl] for node in nodes[start:stop] for lbl in node.bit_labels)
 
     def finish(self) -> BranchResult:
         self._stage = 9
@@ -787,22 +796,11 @@ class ProtocolRun:
         return self._branch.result(self._proto, self._names, seed=self._seed)
 
 
-def run_full(
-    config: ProtocolConfig,
-    seed: int | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-    check_stages: bool = False,
-    validate_corrections: bool = False,
-) -> BranchResult:
-    """Sample one branch end to end and return it with its transcript."""
-    return ProtocolRun(
-        config,
-        seed=seed,
-        rng=rng,
-        check_stages=check_stages,
-        validate_corrections=validate_corrections,
-    ).finish()
+def run_full(config: ProtocolConfig, seed: int | None = None, *,
+             check_stages: bool = False) -> BranchResult:
+    """Sample one branch end to end and return it with its transcript.  A
+    shared ``rng`` or ``validate_corrections`` goes through :class:`ProtocolRun`."""
+    return ProtocolRun(config, seed=seed, check_stages=check_stages).finish()
 
 
 def branch_fidelity(config: ProtocolConfig, result: BranchResult) -> float | None:

@@ -15,7 +15,7 @@ from cjrio.hilbert import (BasisKet, HybridState, VERTICAL, bob,
                            build_initial_state, equal_up_to_global_phase, registry)
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
-from cjrio.protocol import (ProtocolConfig, build_protocol, check_variant,
+from cjrio.protocol import (ProtocolConfig, ProtocolRun, build_protocol, check_variant,
                             iter_branches, run_full)
 
 from conftest import dense_reduced_purity, random_pair, random_su2
@@ -165,7 +165,7 @@ def test_criterion_5_secrecy_uniformity():
     gen = np.random.default_rng(55)
     counts = dict.fromkeys(labels, 0)
     for _ in range(samples):
-        res = run_full(config, rng=gen)
+        res = ProtocolRun(config, rng=gen).finish()
         for lbl in labels:
             counts[lbl] += res.bits[lbl]
     sigma = math.sqrt(0.25 / samples)
@@ -188,7 +188,7 @@ def test_criterion_6_controller_power(fixed_polar_fix):
         alpha, beta = random_pair(rng)
         config = ProtocolConfig(2, 1, (random_su2(rng), random_su2(rng)),
                                 alpha, beta, consent=(False,))
-        res = run_full(config, rng=rng)
+        res = ProtocolRun(config, rng=rng).finish()
         assert res.blocked and res.blocked_at == "consent[1]"
         want = abs(alpha) ** 4 + abs(beta) ** 4
         st = res.state

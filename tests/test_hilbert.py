@@ -152,6 +152,15 @@ def test_enumerate_measurement_probabilities(rng):
         assert not st.alive[x]
 
 
+@pytest.mark.parametrize("dofs", [("polar", "polar"), ("spatial", "polar", "spatial")],
+                         ids=["polar-twice", "spatial-twice"])
+def test_enumerate_measurement_rejects_a_repeated_dof(dofs):
+    # read twice, a bit's outcomes would be counted twice: probabilities summing to 2
+    s = build_initial_state(0.6, 0.8, 1, 0)
+    with pytest.raises(ValueError, match=f"^dof {dofs[0]!r} is listed twice$"):
+        enumerate_measurement(s, s.index_of(X), dofs)
+
+
 def test_mark_dead_requires_definite_bits():
     s = build_initial_state(0.6, 0.8, 2, 1)
     with pytest.raises(ValueError):

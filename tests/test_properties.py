@@ -19,7 +19,7 @@ from cjrio.optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                           apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                           apply_qwp, apply_su2_spatial)
 from cjrio.oracle import direct_apply, target_fidelity
-from cjrio.protocol import ProtocolConfig, run_full
+from cjrio.protocol import ProtocolConfig, ProtocolRun
 
 from conftest import dense_vector
 
@@ -244,6 +244,6 @@ def test_sampled_runs_check_their_frame_and_reach_the_target(case):
     # the search aims at is a basis state).
     config, seed = case
     ops, alpha, beta = config.unitaries, config.alpha, config.beta
-    res = run_full(config, seed=seed, validate_corrections=True)
+    res = ProtocolRun(config, seed=seed, validate_corrections=True).finish()
     assert not res.blocked
     assert target_fidelity(res.state, direct_apply(ops, alpha, beta)) >= 1.0 - 1e-10

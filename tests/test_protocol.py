@@ -49,9 +49,13 @@ def test_config_validation():
         (dict(us=(I2, "pauli-x")), r"unitaries\[1\] must be an SU2Operator"),
         (dict(alpha="x"), r"alpha must be a number"),
         (dict(beta=None), r"beta must be a number"),
+        (dict(consent=True), r"consent must be a sequence"),  # a bare flag
     ):
         with pytest.raises(ValueError, match=f"^{message}"):
             cfg(**kw)
+    for us in (None, I2):  # no operator list, or a bare operator
+        with pytest.raises(ValueError, match=r"^unitaries must be a sequence"):
+            ProtocolConfig(1, 1, us, 0.6, 0.8)
     config = ProtocolConfig(2, 2, [I2, I2], 0.6, 0.8, [True, False], [False, True])
     assert config.unitaries == (I2, I2)
     assert config.consent == (True, False) and config.consent_phase2 == (False, True)
@@ -169,26 +173,26 @@ def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
     config = ProtocolConfig(3, 2, tuple(random_su2(rng) for _ in range(3)),
                             *random_pair(rng))
     for seed in range(64):
-        run_full(config, seed=seed, validate_corrections=True)
+        ProtocolRun(config, seed=seed, validate_corrections=True).finish()
 
 
 def test_basis_state_pairs_validate():
     # On a basis state Z is a global phase, so two powers work; the frame's
     # is among them.  Identity operators on the CLI's default input (1, 0):
     config = cfg(alpha=1, beta=0)
-    res = run_full(config, seed=1, validate_corrections=True)
+    res = ProtocolRun(config, seed=1, validate_corrections=True).finish()
     assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
     # and the (1,0) input (0, 1j), where every seed used to be rejected.
     config = cfg(m=1, n=0, alpha=0, beta=1j)
     for seed in range(8):
-        res = run_full(config, seed=seed, validate_corrections=True)
+        res = ProtocolRun(config, seed=seed, validate_corrections=True).finish()
         assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
 
 
 def test_flipped_plan_entry_raises_at_its_node(flipped_x):
     flipped_x("hop_close[1]")
     with pytest.raises(FrameInconsistencyError, match=r"Z\^0X\^1 at hop_close\[1\]") as info:
-        run_full(cfg(), seed=3, validate_corrections=True)
+        ProtocolRun(cfg(), seed=3, validate_corrections=True).finish()
     err = info.value
     assert err.node == "hop_close[1]"
     assert list(err.bits.items()) == [("k", 0), ("m", 0), ("n", 0), ("s", 1), ("l", 1),
@@ -196,7 +200,7 @@ def test_flipped_plan_entry_raises_at_its_node(flipped_x):
     assert err.derived == PauliPower(1, 0) and err.found == (PauliPower(0, 0),)
     # on a basis state both Z powers of the right X work, and neither is the frame's
     with pytest.raises(FrameInconsistencyError) as info:
-        run_full(cfg(alpha=1, beta=0), seed=3, validate_corrections=True)
+        ProtocolRun(cfg(alpha=1, beta=0), seed=3, validate_corrections=True).finish()
     assert info.value.found == (PauliPower(0, 0), PauliPower(0, 1))
 
 
@@ -211,7 +215,7 @@ def test_flipped_plan_entry_raises_at_its_node_m8_n4(rng, flipped_x):
     flipped_x(node)
     for seed, res in enumerate(runs):
         with pytest.raises(FrameInconsistencyError) as info:
-            run_full(config, seed=seed, validate_corrections=True)
+            ProtocolRun(config, seed=seed, validate_corrections=True).finish()
         err = info.value
         assert err.node == node
         assert list(err.bits.items()) == [(lbl, res.bits[lbl]) for lbl in heard]
@@ -325,8 +329,10 @@ def test_step3_no_consent_blocks_and_purity_stays_mixed(rng):
     ({"n": 0}, (1, 2), 5, "a stage from 3 to 4"),  # stage 3 has no nodes, 4 has
     ({"consent": (False,)}, (1, 2, 3), 3, "a stage from 4 to 9"),  # blocked, then repeated
     ({}, "finish", 9, "none: the run is over"),
+    ({}, (), True, "stage 1"),                # a bool is not a stage number
+    ({}, (1,), 2.0, "stage 2"),               # nor is a float, even a whole one
 ], ids=["first-skipped", "second-skipped", "repeated", "past-9", "zero", "none", "range",
-        "blocked-repeated", "after-finish"])
+        "blocked-repeated", "after-finish", "bool", "float"])
 def test_step_rejects_stages_out_of_order(kw, done, stage, expected):
     run = ProtocolRun(cfg(**kw), seed=1)
     if done == "finish":
@@ -647,7 +653,7 @@ def test_sampled_bits_are_pinned(shape):
     gen = np.random.default_rng(0)
     got = []
     for _ in range(20):
-        res = run_full(config, rng=gen)
+        res = ProtocolRun(config, rng=gen).finish()
         got.append(int("".join(str(bit) for bit in res.bits.values()), 2))
     assert got == SAMPLED_BITS[shape]
 
