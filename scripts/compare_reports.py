@@ -1,12 +1,18 @@
-"""Check that two source trees print byte-identical cjrio reports.
+"""Check that two source trees print byte-identical cjrio reports and
+derive the same scheme and seeded runs.
 
 Runs a fixed list of ``simulate``, ``enumerate`` and ``stats`` command lines
 once against each tree, each in a fresh ``python -m cjrio.cli`` process with
 that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout and of stderr (every summary and error line is
-deterministic).  A run that takes more than TIMEOUT_S seconds is killed and
-counts as a difference.  Prints one line per command line and exits 1 if any
-differs, so a change that claims the same behaviour can show it.
+deterministic).  Then, in one such process per tree, it computes two
+digests (see :func:`digests`): the scheme (bit names, node metadata and
+Pauli-fix forms for m 1-9 and n 0-4) and a fixed list of seeded sampled
+runs (bits, probability, halt node, term peak, fidelity and final
+amplitudes, floats as hex).  A run that takes more than TIMEOUT_S seconds is
+killed and counts as a difference.  Prints one line per command line and per
+digest and exits 1 if any differs, so a change that claims the same
+behaviour can show it.
 
     python scripts/compare_reports.py BASE [HEAD]
 
@@ -130,6 +136,81 @@ def run(tree: Path, argv: list[str]) -> tuple[str, str, float]:
     return str(proc.returncode), digest, time.perf_counter() - t0
 
 
+# The seeded runs: configs cycle through these shapes, and every VETO_EVERY-th
+# cycle has one controller withhold consent, at one of the two gates.
+RUN_SHAPES = ((1, 0), (2, 1), (3, 2), (4, 3), (8, 4))
+RUN_COUNT = 500
+VETO_EVERY = 4
+RUN_SEED = 20240313
+
+
+def _run_configs():
+    """RUN_COUNT configs, with random operators, inputs and run seeds drawn
+    from RUN_SEED, cycling through RUN_SHAPES."""
+    import numpy as np
+
+    from cjrio import ProtocolConfig, SU2Operator
+
+    rng = np.random.default_rng(RUN_SEED)
+
+    def pair():
+        x = rng.normal(size=4)
+        x /= np.linalg.norm(x)
+        return complex(x[0], x[1]), complex(x[2], x[3])
+
+    for i in range(RUN_COUNT):
+        m, n = RUN_SHAPES[i % len(RUN_SHAPES)]
+        ops = tuple(SU2Operator(*pair()) for _ in range(m))
+        consent = [[True] * n, [True] * n]
+        if n and i // len(RUN_SHAPES) % VETO_EVERY == VETO_EVERY - 1:
+            consent[int(rng.integers(2))][int(rng.integers(n))] = False
+        yield (ProtocolConfig(m, n, ops, *pair(), consent=tuple(consent[0]),
+                              consent_phase2=tuple(consent[1])),
+               int(rng.integers(2 ** 32)))
+
+
+def digests() -> dict[str, str]:
+    """The scheme digest and the seeded-run digest of the cjrio this process
+    imports, each a sha256 over the repr of what it covers."""
+    from cjrio import ProtocolConfig, SU2Operator
+    from cjrio.protocol import branch_fidelity, build_protocol, run_full
+
+    scheme = hashlib.sha256()
+    for m in range(1, 10):
+        for n in range(5):
+            proto = build_protocol(ProtocolConfig(m, n, (SU2Operator(1, 0),) * m, 1, 0))
+            scheme.update(repr(proto.labels).encode())
+            for node in proto.nodes:
+                scheme.update(repr((node.name, node.stage, node.party, node.bit_labels,
+                                    node.check_id, node.reads)).encode())
+            for name, spec in proto.plan.items():
+                scheme.update(repr((name, str(spec.party), spec.dof, spec.x, spec.z)).encode())
+    runs = hashlib.sha256()
+    for config, seed in _run_configs():
+        res = run_full(config, seed=seed)
+        fid = branch_fidelity(config, res)
+        runs.update(repr((list(res.bits.items()), res.probability.hex(), res.blocked_at,
+                          res.max_terms, None if fid is None else fid.hex(),
+                          [(ket, a.real.hex(), a.imag.hex())
+                           for ket, a in res.state.terms.items()])).encode())
+    return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest()}
+
+
+def run_digests(tree: Path) -> tuple[dict[str, str], float]:
+    """:func:`digests` computed in one process on ``tree`` (empty if it
+    fails or times out), and its wall seconds."""
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--digests"],
+                              env=_env(tree), stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, check=False, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {}, time.perf_counter() - t0
+    found = {} if proc.returncode else dict(
+        line.rsplit(" ", 1) for line in proc.stdout.splitlines())
+    return found, time.perf_counter() - t0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout to compare against")
@@ -151,8 +232,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'same' if same else 'DIFFERS'}  exit {code_a}/{code_b}  "
               f"{sha_b[:12]}  {t_a:5.1f}s/{t_b:5.1f}s  {' '.join(cmd)}", flush=True)
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} command lines byte-identical")
+    (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
+    for name in ("scheme digest", "seeded-run digest"):
+        same = name in base and base.get(name) == head.get(name)
+        differ += not same
+        print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "
+              f"{t_a:5.1f}s/{t_b:5.1f}s  {name}", flush=True)
     return 1 if differ else 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--digests"]:  # the child process of run_digests
+        for name, digest in digests().items():
+            print(name, digest)
+        sys.exit(0)
     sys.exit(main())

@@ -19,6 +19,7 @@ stable photon identities for the whole run.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -277,24 +278,16 @@ def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> Hybrid
         raise ValueError("controller count must be >= 0")
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > INPUT_NORM_TOL:
         raise ValueError("input amplitudes are not normalized")
-    for w in (alpha, beta):
-        w = complex(w)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ValueError("input amplitudes must be finite")
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError("input amplitudes must be finite")
 
     reg = registry(m, n)
-    n_channel = len(reg) - 1
-    terms: dict[int, complex] = {}
-    for xbit, w in ((0, complex(alpha)), (1, complex(beta))):
-        for branch in (0, 1):
-            for pol in (0, 1):
-                ket = BasisKet(
-                    (xbit,) + (branch,) * n_channel,
-                    (VERTICAL,) + (pol,) * n_channel,
-                )
-                terms[ket] = w / 2.0
-    state = HybridState(reg, (True,) * len(reg), prune(terms))
-    return state.normalized()
+    size = len(reg)
+    chan = (1 << size) - 2  # the channel photons' path bits; shifted by size, their polarizations
+    a, b = complex(alpha) / 2.0, complex(beta) / 2.0
+    terms = {xbit | branch * chan | (VERTICAL << size) | (pol * chan) << size: w
+             for xbit, w in ((0, a), (1, b)) for branch in (0, 1) for pol in (0, 1)}
+    return HybridState(reg, (True,) * size, prune(terms)).normalized()
 
 
 def overlap(a: HybridState, b: HybridState) -> complex:
@@ -354,6 +347,8 @@ def enumerate_measurement(state: HybridState, i: int,
     are a word, the j-th listed DOF's bit at bit j; outcomes come in
     lexicographic order of the bits in DOF order, not in numeric word order."""
     state.require_alive(i)
+    if not dofs:
+        raise ValueError("the dof list is empty: a measurement reads at least one dof")
     for j, d in enumerate(dofs):
         if d in dofs[:j]:
             raise ValueError(f"dof {d!r} is listed twice")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ class SU2Operator:
     v: complex
 
     def __post_init__(self) -> None:
+        for name in ("u", "v"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Number):
+                raise ValueError(f"operator entry {name} must be a number, got {val!r}")
         u, v = complex(self.u), complex(self.v)
         if not (cmath.isfinite(u) and cmath.isfinite(v)):
             raise ValueError("operator entries u and v must be finite")

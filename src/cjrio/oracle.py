@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,10 @@ class TargetState:
     a1: complex
 
     def __post_init__(self) -> None:
+        for name in ("a0", "a1"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Number):
+                raise ValueError(f"target amplitude {name} must be a number, got {val!r}")
         if not (cmath.isfinite(self.a0) and cmath.isfinite(self.a1)):
             raise ValueError("target amplitudes must be finite")
         if abs(abs(self.a0) ** 2 + abs(self.a1) ** 2 - 1.0) > 1e-9:

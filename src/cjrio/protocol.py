@@ -13,10 +13,10 @@ into a path qubit.
 Every measurement node exposes its full outcome fan-out, so a run can either
 sample one branch or enumerate all of them with exact probabilities.  The
 classical Pauli fixes between measurements are never hard-coded per branch:
-``build_protocol`` derives them once, symbolically, as affine GF(2) forms over
-the broadcast bits, held as ints and added with ``^`` as each readout joins
-the node list, and they can be cross-checked on every branch against
-exhaustive Pauli search.
+they are derived once per (m, n) shape, symbolically, as affine GF(2) forms
+over the broadcast bits, held as ints and added with ``^`` as each readout
+joins the node list, and they can be cross-checked on every branch against
+exhaustive Pauli search.  ``build_protocol`` binds one config into its shape.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import oracle
 from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, build_initial_state,
-                      charlie, enumerate_measurement)
+                      charlie, enumerate_measurement, registry)
 from .kerr import enumerate_homodyne, fresh_probe, kerr
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator, apply_bbs,
                      apply_hwp, apply_pauli_polar, apply_pauli_spatial, apply_pbs,
@@ -98,7 +99,7 @@ def _namer(labels: Sequence[str]) -> Callable[[int, int], dict[str, int]]:
 # bit j.  An affine GF(2) form over them is an int too: bit 0 its constant,
 # bit j + 1 the coefficient of the j-th broadcast bit.  Forms add with ``^``.
 #
-# The Pauli frame is two such forms, kept as ``build_protocol`` adds each
+# The Pauli frame is two such forms, kept as ``_skeleton`` adds each
 # readout: the relative sign between the two amplitude branches on a path
 # (``sign``) and on the polarization (``polar_sign``).  Two parity rules
 # generate every path correction.  A photon whose branch paths are
@@ -275,27 +276,33 @@ class Protocol:
         return self.interned.setdefault(live.exact_key(), live), frozen
 
 
-def build_protocol(
-    config: ProtocolConfig,
-    *,
-    validate_corrections: bool = False,
-) -> Protocol:
-    """The node list of ``config``, in broadcast order.  Each measuring node
-    names its bits (k is bit 0) and advances the Pauli frame; each correcting
-    node takes its fix from the frame as it stands there."""
-    m, n = config.m, config.n
-    initial = build_initial_state(config.alpha, config.beta, m, n)
+class _Bound(NamedTuple):
+    """What one protocol's node runs read: its config, its own plan and, if
+    validated, ``targets[s]``, the oracle pair after the operators from s on."""
+
+    config: ProtocolConfig
+    plan: dict[str, CorrectionSpec]
+    targets: list[tuple[complex, complex]] | None
+
+
+@cache
+def _skeleton(m: int, n: int) -> tuple:
+    """What (m, n) alone fixes, derived once: the bit names in broadcast order,
+    each node's fields with ``run`` a function of (``_Bound``, state, bits), and
+    the plan.  Each measuring node names its bits (k is bit 0) and advances the
+    Pauli frame; each correcting node takes its fix from the frame there."""
+    reg = registry(m, n)
     # Register positions, resolved once: the nodes address photons by these.
-    at_x, at_a = initial.index_of(X), initial.index_of(A)
-    at_b = [initial.index_of(bob(i)) for i in range(1, m + 1)]
-    at_c = [initial.index_of(charlie(j)) for j in range(1, n + 1)]
+    at_x, at_a = reg.index(X), reg.index(A)
+    at_b = [reg.index(bob(i)) for i in range(1, m + 1)]
+    at_c = [reg.index(charlie(j)) for j in range(1, n + 1)]
     sign = 0  # the path half of the Pauli frame, a form
     nodes: list[Node] = []
     labels: list[str] = []
     plan: dict[str, CorrectionSpec] = {}
-    # Per plan entry: its party's register position, the oracle pair validation
-    # compares it with (None unless validated) and how many bits are out by then.
-    sites: dict[str, tuple[int, tuple[complex, complex] | None, int]] = {}
+    # Per plan entry: its party's register position, how many bits are out by
+    # then and the index of the oracle pair validation compares it with.
+    sites: dict[str, tuple[int, int, int]] = {}
 
     def add(node: Node) -> list[int]:
         """Append ``node``, naming its bits at the next word positions;
@@ -304,26 +311,18 @@ def build_protocol(
         labels.extend(node.bit_labels)
         return [2 << j for j in range(len(labels) - len(node.bit_labels), len(labels))]
 
-    def fix(node: str, party: PhotonId, dof: str, x: int, z: int,
-            want: tuple[complex, complex] | None) -> None:
+    def fix(node: str, party: PhotonId, dof: str, x: int, z: int, target: int) -> None:
         """Give ``node``, the one just added, its correction."""
         plan[node] = CorrectionSpec(party, dof, x, z)
-        sites[node] = (initial.index_of(party), want, len(labels))
+        sites[node] = (reg.index(party), len(labels), target)
         nodes[-1].reads |= (x | z) >> 1  # the forms' bit j + 1 is word bit j
 
-    def target(ops) -> tuple[complex, complex] | None:
-        """The input pair after ``ops``, if corrections are validated."""
-        if not validate_corrections:
-            return None
-        t = oracle.direct_apply(ops, config.alpha, config.beta)
-        return t.a0, t.a1
-
-    def correct(state: HybridState, bits: int, node: str) -> HybridState:
-        spec = plan[node]
-        i, want, heard = sites[node]
+    def correct(bound: _Bound, state: HybridState, bits: int, node: str) -> HybridState:
+        spec = bound.plan[node]
+        i, heard, target = sites[node]
         power = spec.power(bits)
-        if validate_corrections:
-            found = oracle.brute_force_correction(state, i, spec.dof, want)
+        if bound.targets is not None:
+            found = oracle.brute_force_correction(state, i, spec.dof, bound.targets[target])
             if power not in found:
                 raise _FrameMismatch(bits, heard, power, found)
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
@@ -337,12 +336,12 @@ def build_protocol(
             probe = kerr(probe, st, i, path, mult)
         return enumerate_homodyne(probe, st), len(st.terms)
 
-    def run_entangle(state, bits):
+    def run_entangle(bound, state, bits):
         return kerr_read(state, (at_x, 0, +1), (at_a, 0, -1))
 
     (k,) = add(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
 
-    def run_transfer(state, bits):
+    def run_transfer(bound, state, bits):
         st = apply_bbs(state, at_x)
         st = apply_bbs(st, at_a)
         outcomes, peak = kerr_read(st, (at_x, 0, +1), (at_a, bits & 1, +2))
@@ -358,8 +357,8 @@ def build_protocol(
     sign ^= bit_n ^ 1 ^ a_path
 
     for j, s_lbl in enumerate(_family("s", n), start=1):
-        def run_consent(state, bits, _j=j, _c=at_c[j - 1]):
-            if not config.consent[_j - 1]:
+        def run_consent(bound, state, bits, _j=j, _c=at_c[j - 1]):
+            if not bound.config.consent[_j - 1]:
                 return [], len(state.terms)
             return kerr_read(apply_bbs(state, _c), (_c, bits & 1, +1))
 
@@ -368,7 +367,7 @@ def build_protocol(
 
     landing: list[int] = []  # path each of B1..B(m-1) lands on
     for i, l_lbl in enumerate(_family("l", m - 1), start=1):
-        def run_concentrate(state, bits, _b=at_b[i - 1]):
+        def run_concentrate(bound, state, bits, _b=at_b[i - 1]):
             return kerr_read(apply_bbs(state, _b), (_b, bits & 1, +1))
 
         (l,) = add(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
@@ -376,18 +375,18 @@ def build_protocol(
         landing.append(k ^ l ^ 1)
         sign ^= landing[-1]
 
-    def run_first_op(state, bits):
-        st = correct(state, bits, "first_op")
-        st = apply_su2_spatial(st, at_b[m - 1], config.unitaries[m - 1])
+    def run_first_op(bound, state, bits):
+        st = correct(bound, state, bits, "first_op")
+        st = apply_su2_spatial(st, at_b[m - 1], bound.config.unitaries[m - 1])
         return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
     add(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
-    fix("first_op", bob(m), "spatial", k, sign, (config.alpha, config.beta))
+    fix("first_op", bob(m), "spatial", k, sign, m)  # targets[m]: the input pair
     sign = 0
 
     r_lbls, g_lbls = _family("r", m - 1), _family("g", m - 1)
     for i in range(m - 1, 0, -1):
-        def run_hop_link(state, bits, _b=at_b[i - 1], _next=at_b[i]):
+        def run_hop_link(bound, state, bits, _b=at_b[i - 1], _next=at_b[i]):
             d = state.definite_bit(_b, "spatial")
             return kerr_read(apply_bbs(state, _b), (_b, d, +1), (_next, 0, -1))
 
@@ -396,23 +395,22 @@ def build_protocol(
         sign ^= landing[i - 1]  # B_i leaves its definite path, re-split
 
         # _g: bit g's position in the word, the next one, which add gives it below.
-        def run_hop_close(state, bits, _i=i, _g=len(labels), _b=at_b[i - 1], _next=at_b[i]):
+        def run_hop_close(bound, state, bits, _i=i, _g=len(labels), _b=at_b[i - 1], _next=at_b[i]):
             outcomes, peak = kerr_read(apply_bbs(state, _next), (_next, 1, +1))
 
             def close(build, c):  # the correction and the operator, on demand
-                s3 = correct(build(), bits | c << _g, f"hop_close[{_i}]")
-                return apply_su2_spatial(s3, _b, config.unitaries[_i - 1])
+                s3 = correct(bound, build(), bits | c << _g, f"hop_close[{_i}]")
+                return apply_su2_spatial(s3, _b, bound.config.unitaries[_i - 1])
             return [Outcome(o.bits, o.p, partial(close, o.build, o.bits))
                     for o in outcomes], peak
 
         (g,) = add(Node(f"hop_close[{i}]", 5, f"B{i + 1}", (g_lbls[i - 1],), run_hop_close,
                         "hop-done"))
         sign ^= g  # tapped on path 1, so it lands on g
-        fix(f"hop_close[{i}]", bob(i), "spatial", landing[i - 1] ^ r, sign,
-            target(config.unitaries[i:]))
+        fix(f"hop_close[{i}]", bob(i), "spatial", landing[i - 1] ^ r, sign, i)
         sign = 0
 
-    def run_joint_b1(state, bits):
+    def run_joint_b1(bound, state, bits):
         st = apply_hwp(state, at_b[0], 1)
         st = apply_bbs(st, at_b[0])
         return enumerate_measurement(st, at_b[0], ("polar", "spatial")), len(st.terms)
@@ -422,7 +420,7 @@ def build_protocol(
     polar_sign = q
 
     for i, w_lbl in enumerate(_family("w", m - 1, start=2), start=2):
-        def run_joint_w(state, bits, _b=at_b[i - 1]):
+        def run_joint_w(bound, state, bits, _b=at_b[i - 1]):
             path = state.definite_bit(_b, "spatial")
             st = apply_qwp(state, _b, path)
             return enumerate_measurement(st, _b, ("polar",)), len(st.terms)
@@ -432,8 +430,8 @@ def build_protocol(
         polar_sign ^= w
 
     for j, v_lbl in enumerate(_family("v", n), start=1):
-        def run_control(state, bits, _j=j, _c=at_c[j - 1]):
-            if not config.consent_phase2[_j - 1]:
+        def run_control(bound, state, bits, _j=j, _c=at_c[j - 1]):
+            if not bound.config.consent_phase2[_j - 1]:
                 return [], len(state.terms)
             path = state.definite_bit(_c, "spatial")
             st = apply_qwp(state, _c, path)
@@ -444,25 +442,44 @@ def build_protocol(
                         "control-measure"))
         polar_sign ^= v
 
-    def run_polar_fix(state, bits):
-        st = correct(state, bits, "polar_fix")
+    def run_polar_fix(bound, state, bits):
+        st = correct(bound, state, bits, "polar_fix")
         return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
     add(Node("polar_fix", 8, "A", (), run_polar_fix, "polar-fixed"))
-    fix("polar_fix", A, "polar", p, polar_sign, target(config.unitaries))
+    fix("polar_fix", A, "polar", p, polar_sign, 0)
 
-    def run_to_spatial(state, bits):
+    def run_to_spatial(bound, state, bits):
         in_path = state.definite_bit(at_a, "spatial")
         st = apply_pbs(state, at_a, in_path)
         st = apply_hwp(st, at_a, in_path)
         peak = len(st.terms)
-        st = correct(st, bits, "to_spatial")
+        st = correct(bound, st, bits, "to_spatial")
         return [Outcome(0, 1.0, lambda: st)], peak
 
     add(Node("to_spatial", 9, "A", (), run_to_spatial))
-    fix("to_spatial", A, "spatial", a_path, 0, sites["polar_fix"][1])
+    fix("to_spatial", A, "spatial", a_path, 0, 0)
 
-    return Protocol(config, plan, nodes, initial, tuple(labels))
+    steps = tuple((nd.name, nd.stage, nd.party, nd.bit_labels, nd.run, nd.check_id, nd.reads)
+                  for nd in nodes)
+    return tuple(labels), steps, MappingProxyType(plan)
+
+
+def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False) -> Protocol:
+    """The node list of ``config``, in broadcast order: its shape's skeleton,
+    with fresh nodes whose runs read ``config`` and the protocol's own plan."""
+    m, n = config.m, config.n
+    labels, steps, plan = _skeleton(m, n)
+    targets = None
+    if validate_corrections:
+        us, alpha, beta = config.unitaries, config.alpha, config.beta
+        targets = [(t.a0, t.a1) for t in (oracle.direct_apply(us[s:], alpha, beta)
+                                          for s in range(m))] + [(alpha, beta)]
+    bound = _Bound(config, dict(plan), targets)
+    nodes = [Node(name, stage, party, bit_labels, partial(run, bound), check_id, reads)
+             for name, stage, party, bit_labels, run, check_id, reads in steps]
+    initial = build_initial_state(config.alpha, config.beta, m, n)
+    return Protocol(config, bound.plan, nodes, initial, labels)
 
 
 # ---------------------------------------------------------------------------

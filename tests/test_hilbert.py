@@ -161,6 +161,14 @@ def test_enumerate_measurement_rejects_a_repeated_dof(dofs):
         enumerate_measurement(s, s.index_of(X), dofs)
 
 
+def test_enumerate_measurement_rejects_an_empty_dof_list():
+    # with nothing read there would be one outcome of probability 1, whose
+    # state retires a photon whose bits were never made definite
+    s = build_initial_state(0.6, 0.8, 1, 0)
+    with pytest.raises(ValueError, match="dof list is empty"):
+        enumerate_measurement(s, s.index_of(X), ())
+
+
 def test_mark_dead_requires_definite_bits():
     s = build_initial_state(0.6, 0.8, 2, 1)
     with pytest.raises(ValueError):

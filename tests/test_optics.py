@@ -203,6 +203,23 @@ def test_su2_rejects_non_unitary():
             SU2Operator(u, v)
 
 
+@pytest.mark.parametrize("u, v, field", [(None, 0, "u"), ("a", 0, "u"), (True, False, "u"),
+                                         ("1", "0", "u"), (1, None, "v"), (0, [1], "v"),
+                                         (1, np.bool_(False), "v")],
+                         ids=["none", "str", "bools", "numeric-strs", "v-none", "v-list",
+                              "numpy-bool"])
+def test_su2_rejects_entries_that_are_not_numbers(u, v, field):
+    with pytest.raises(ValueError, match=f"^operator entry {field} must be a number, got "):
+        SU2Operator(u, v)
+
+
+def test_su2_accepts_numpy_scalars():
+    op = SU2Operator(np.complex128(0.6 + 0.48j), np.complex128(0.64j))
+    assert op.matrix[1, 0] == 0.64j  # -v*
+    assert SU2Operator(np.complex64(0), np.complex64(1j)).v == 1j
+    assert SU2Operator(np.float64(1.0), np.int64(0)).u == 1.0
+
+
 def test_ops_on_distinct_photons_commute(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)

@@ -53,6 +53,19 @@ def test_target_state_rejects_non_finite():
             TargetState(a0, a1)
 
 
+@pytest.mark.parametrize("a0, a1, field", [(None, 0, "a0"), ("a", 0, "a0"), (True, False, "a0"),
+                                           ("1", "0", "a0"), (1, None, "a1")],
+                         ids=["none", "str", "bools", "numeric-strs", "a1-none"])
+def test_target_state_rejects_entries_that_are_not_numbers(a0, a1, field):
+    with pytest.raises(ValueError, match=f"^target amplitude {field} must be a number, got "):
+        TargetState(a0, a1)
+
+
+def test_target_state_accepts_numpy_scalars():
+    t = TargetState(np.complex128(0.6j), np.float64(0.8))
+    assert (t.a0, t.a1) == (0.6j, 0.8)
+
+
 def _final_state(c0, c1, extra_live=False):
     reg = registry(1, 0)
     alive = (False, True, True if extra_live else False)

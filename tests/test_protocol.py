@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -167,6 +168,72 @@ def test_runs_share_one_built_protocol(rng):
         ProtocolRun(cfg(n=0), protocol=proto)
     with pytest.raises(ValueError):
         next(iter_branches(config, validate_corrections=True, protocol=proto))
+
+
+# -- one skeleton per shape, one binding per config ------------------------
+
+def _metadata(proto):
+    return [(node.name, node.stage, node.party, node.bit_labels, node.check_id, node.reads)
+            for node in proto.nodes]
+
+
+def test_builds_of_one_shape_share_labels_but_no_node_or_plan(rng):
+    config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=0.8j, beta=0.6)
+    a = build_protocol(config)
+    b = build_protocol(cfg(alpha=0, beta=1j, consent_phase2=(False,)),
+                       validate_corrections=True)
+    assert a.labels is b.labels
+    assert a.plan == b.plan and a.plan is not b.plan
+    assert _metadata(a) == _metadata(b)
+    assert not {id(node) for node in a.nodes} & {id(node) for node in b.nodes}
+    assert a.initial_state.register is b.initial_state.register
+    # A run reassigned on one protocol, as a tracer or a counting test does,
+    # stays on that protocol: neither the other nor the next build sees it.
+    runs = [node.run for node in b.nodes]
+
+    def broken(state, bits):
+        raise AssertionError("a run reassigned on another protocol was called")
+
+    for node in a.nodes:
+        node.run = broken
+    assert [node.run for node in b.nodes] == runs
+    res = ProtocolRun(config, seed=5, protocol=build_protocol(config)).finish()
+    assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
+    with pytest.raises(AssertionError, match="reassigned"):
+        ProtocolRun(config, seed=5, protocol=a).finish()
+
+
+def test_a_replaced_plan_entry_stays_with_its_protocol(rng):
+    # As the flipped_x and fixed_polar_fix fixtures do: the entry replaced
+    # after a build is the one that protocol's correcting node applies.
+    alpha, beta = random_pair(rng)
+    config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=alpha, beta=beta)
+    proto = build_protocol(config, validate_corrections=True)
+    spec = proto.plan["hop_close[1]"]
+    proto.plan["hop_close[1]"] = dataclasses.replace(spec, x=spec.x ^ 1)
+    with pytest.raises(FrameInconsistencyError, match=r"at hop_close\[1\]"):
+        for _ in iter_branches(config, protocol=proto):
+            pass
+    fresh = build_protocol(config, validate_corrections=True)
+    assert fresh.plan["hop_close[1]"] == spec
+    fids = [branch_fidelity(config, res) for res in iter_branches(config, protocol=fresh)]
+    assert len(fids) == 2 ** 11 and min(fids) >= FIDELITY_THRESHOLD
+
+
+def test_configs_of_one_shape_built_back_to_back_reach_their_own_targets(rng):
+    # All four are built before any runs, each with its own operators, input
+    # pair and consent: a binding that leaked into the skeleton, or into
+    # another build, would send a config to another's target or veto.
+    cases = [({}, None), ({"consent": (False,)}, "consent[1]"),
+             ({"consent_phase2": (False,)}, "control_measure[1]"), ({}, None)]
+    configs = [cfg(us=(random_su2(rng), random_su2(rng)), alpha=a, beta=b, **kw)
+               for (kw, _), (a, b) in zip(cases, (random_pair(rng) for _ in cases))]
+    protos = [build_protocol(config) for config in configs]
+    for config, proto, (_, blocked_at) in zip(configs, protos, cases):
+        for res in iter_branches(config, protocol=proto):
+            assert res.blocked_at == blocked_at
+            if blocked_at is None:
+                assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
 
 
 def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
