@@ -4,9 +4,10 @@ derive the same scheme and seeded runs.
 Runs a fixed list of ``simulate``, ``enumerate`` and ``stats`` command lines
 once against each tree, each in a fresh ``python -m cjrio.cli`` process with
 that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
-sha256 of stdout and of stderr (every summary and error line is
-deterministic).  Then, in one such process per tree, it computes two
-digests (see :func:`digests`): the scheme (bit names, node metadata and
+sha256 of stdout, of stderr (every summary and error line is deterministic)
+and of the report a command line writes with ``--output`` (to a temporary
+file of its own per run).  Then, in one such process per tree, it computes
+two digests (see :func:`digests`): the scheme (bit names, node metadata and
 Pauli-fix forms for m 1-9 and n 0-4) and a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
 amplitudes, floats as hex).  A run that takes more than TIMEOUT_S seconds is
@@ -27,10 +28,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 TIMEOUT_S = 300  # per CLI run; the slowest command line takes a few seconds
+# Stands for a report path in a command line: each run writes its own file.
+REPORT = "<report>"
 
 # A (2,1) operator with complex entries, a random complex (2,1) input, and two
 # generic (2,2) inputs written the way the benchmark writes them (shortest
@@ -65,6 +69,8 @@ ARGVS: list[list[str]] = [
     ["enumerate", "--m", "2", "--n", "1", *_RANDOM_21, "--check-paper-eqs"],
     ["enumerate", "--m", "2", "--n", "2", *_RANDOM_22[0]],
     ["enumerate", "--m", "2", "--n", "2", *_RANDOM_22[1]],
+    # the report written with --output, as the benchmark's enumerate workload does
+    ["enumerate", "--m", "2", "--n", "2", *_RANDOM_22[0], "--output", REPORT],
     ["enumerate", "--m", "3", "--n", "1", "--alpha=0.6", "--beta=0.8j", *_U3],
     ["enumerate", "--m", "3", "--n", "2", "--alpha=0.28-0.96j", "--beta=0", *_U3],
     ["enumerate", "--m", "2", "--n", "2", "--consent", "01"],
@@ -123,16 +129,22 @@ def imported_from(tree: Path) -> Path:
 
 
 def run(tree: Path, argv: list[str]) -> tuple[str, str, float]:
-    """The exit code (or "timeout"), the sha256 of stdout and of stderr
-    together, and the wall seconds of one CLI run on ``tree``."""
+    """The exit code (or "timeout"), the sha256 of stdout, of stderr and of
+    the file written in place of REPORT together, and the wall seconds of one
+    CLI run on ``tree``."""
     t0 = time.perf_counter()
-    try:
-        proc = subprocess.run([sys.executable, "-m", "cjrio.cli", *argv], env=_env(tree),
-                              stdin=subprocess.DEVNULL, capture_output=True, check=False,
-                              timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "timeout", "", time.perf_counter() - t0
-    digest = hashlib.sha256(proc.stdout).hexdigest() + hashlib.sha256(proc.stderr).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        argv = [str(report) if arg == REPORT else arg for arg in argv]
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cjrio.cli", *argv], env=_env(tree),
+                                  stdin=subprocess.DEVNULL, capture_output=True, check=False,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", "", time.perf_counter() - t0
+        written = report.read_bytes() if report.exists() else b""
+    digest = "".join(hashlib.sha256(data).hexdigest()
+                     for data in (proc.stdout, proc.stderr, written))
     return str(proc.returncode), digest, time.perf_counter() - t0
 
 

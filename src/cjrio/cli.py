@@ -18,7 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -229,24 +229,21 @@ def _emit(report: dict, out: TextIO) -> None:
     out.flush()
 
 
-# The scalars of a branch entry go through the C encoder, which writes the
-# same float repr, null and true/false as json.dumps; indent=2 would force
-# the pure-Python encoder.  Its default item separator is ", ", which no
-# float, int, bool or null contains.
-_encode_flat = json.JSONEncoder().encode
 # Stands in for the spooled "branches" list; no other report string holds a NUL.
 _BRANCHES_MARK = "\0branches"
 
 
-def _branch_text(bits: list[int], probability: float, fidelity: float | None,
+def _branch_text(bits: Iterable[int], probability: float, fidelity: float | None,
                  blocked: bool) -> str:
     """One entry of an enumerate report's "branches" list, byte for byte as
-    ``json.dumps(report, indent=2, sort_keys=True)`` writes it."""
-    blocked_t, fidelity_t, probability_t, *bits_t = (
-        _encode_flat([blocked, fidelity, probability, *bits])[1:-1].split(", "))
-    bits_text = ("[\n        " + ",\n        ".join(bits_t) + "\n      ]") if bits_t else "[]"
-    return (f'    {{\n      "bits": {bits_text},\n      "blocked": {blocked_t},\n'
-            f'      "fidelity": {fidelity_t},\n      "probability": {probability_t}\n    }}')
+    ``json.dumps(report, indent=2, sort_keys=True)`` writes it for finite
+    floats, which ``json`` writes with ``float.__repr__``."""
+    bits_text = ",\n        ".join(map(str, bits))
+    bits_text = f"[\n        {bits_text}\n      ]" if bits_text else "[]"
+    return (f'    {{\n      "bits": {bits_text},\n'
+            f'      "blocked": {"true" if blocked else "false"},\n'
+            f'      "fidelity": {"null" if fidelity is None else float.__repr__(fidelity)},\n'
+            f'      "probability": {float.__repr__(probability)}\n    }}')
 
 
 def _summary(line: str) -> None:
@@ -304,7 +301,6 @@ def cmd_enumerate(args) -> int:
     prob_sum = 0.0
     min_fid = None
     blocked_count = 0
-    classical_bits = None
     max_terms = 0
     count = 0
     # Each branch is written out as it is yielded, so memory stays flat in the
@@ -317,18 +313,16 @@ def cmd_enumerate(args) -> int:
             count += 1
             prob_sum += res.probability
             max_terms = max(max_terms, res.max_terms)
-            branch_bits = list(res.bits.values())
             if res.blocked:
                 blocked_count += 1
-                spool.write(_branch_text(branch_bits, res.probability, None, True))
+                spool.write(_branch_text(res.bits.values(), res.probability, None, True))
                 continue
             fid = fidelities.get(res.live)
             if fid is None:
                 fid = fidelities[res.live] = target_fidelity(res.live, target)
             min_fid = fid if min_fid is None else min(min_fid, fid)
-            classical_bits = len(res.bits)
             errata.extend(res.errata)
-            spool.write(_branch_text(branch_bits, res.probability, fid, False))
+            spool.write(_branch_text(res.bits.values(), res.probability, fid, False))
 
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -341,7 +335,7 @@ def cmd_enumerate(args) -> int:
                 "blocked_count": blocked_count,
                 "probability_sum": prob_sum,
                 "min_fidelity": min_fid,
-                "classical_bits": classical_bits,
+                "classical_bits": None if min_fid is None else len(proto.labels),
                 "max_terms": max_terms,
             },
             "errata": [e.to_json() for e in errata],

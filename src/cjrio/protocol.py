@@ -301,8 +301,9 @@ def _skeleton(m: int, n: int) -> tuple:
     labels: list[str] = []
     plan: dict[str, CorrectionSpec] = {}
     # Per plan entry: its party's register position, how many bits are out by
-    # then and the index of the oracle pair validation compares it with.
-    sites: dict[str, tuple[int, int, int]] = {}
+    # then, the index of the oracle pair validation compares it with and the
+    # bits its node reads.
+    sites: dict[str, tuple[int, int, int, int]] = {}
 
     def add(node: Node) -> list[int]:
         """Append ``node``, naming its bits at the next word positions;
@@ -314,12 +315,15 @@ def _skeleton(m: int, n: int) -> tuple:
     def fix(node: str, party: PhotonId, dof: str, x: int, z: int, target: int) -> None:
         """Give ``node``, the one just added, its correction."""
         plan[node] = CorrectionSpec(party, dof, x, z)
-        sites[node] = (reg.index(party), len(labels), target)
         nodes[-1].reads |= (x | z) >> 1  # the forms' bit j + 1 is word bit j
+        sites[node] = (reg.index(party), len(labels), target, nodes[-1].reads)
 
     def correct(bound: _Bound, state: HybridState, bits: int, node: str) -> HybridState:
         spec = bound.plan[node]
-        i, heard, target = sites[node]
+        i, heard, target, reads = sites[node]
+        if extra := (spec.x | spec.z) >> 1 & ~reads:  # the walk hands these in as 0
+            raise ValueError(f"the plan entry of {node} reads bits its node's reads leave out: "
+                             + ", ".join(lbl for j, lbl in enumerate(labels) if extra >> j & 1))
         power = spec.power(bits)
         if bound.targets is not None:
             found = oracle.brute_force_correction(state, i, spec.dof, bound.targets[target])

@@ -7,6 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cjrio import cli, protocol, stages
 from cjrio.cli import (EXIT_BLOCKED, EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_FIDELITY,
@@ -362,6 +364,27 @@ def test_streamed_report_matches_reference(tmp_path, capsys, name, to_file):
     code, out, _ = run_cli(capsys, *argv, *(["--output", str(path)] if to_file else []))
     assert code in (EXIT_OK, EXIT_BLOCKED)
     assert (path.read_text(encoding="utf-8") if to_file else out) == expected
+
+
+# Any finite float, and by name the signed zero, the least subnormal and the
+# exponent forms that the reference report tests never reach (every (2,2)
+# probability is at least 2^-13).  No report holds a non-finite float, since
+# ProtocolConfig rejects one, so the equality is claimed for finite floats.
+_FLOATS = st.sampled_from([-0.0, 5e-324, 2.0 ** -17, 1e16]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@given(bits=st.lists(st.integers(0, 1), max_size=17), probability=_FLOATS,
+       fidelity=st.none() | _FLOATS, blocked=st.booleans())
+@example(bits=[], probability=5e-324, fidelity=None, blocked=True)
+@example(bits=[1] * 17, probability=2.0 ** -17, fidelity=-0.0, blocked=False)
+@example(bits=[0, 1], probability=1e16, fidelity=1e16, blocked=True)
+def test_branch_text_is_its_slice_of_the_json_dump(bits, probability, fidelity, blocked):
+    entry = {"bits": bits, "probability": probability, "fidelity": fidelity, "blocked": blocked}
+    head, tail = '{\n  "branches": [\n', "\n  ]\n}"
+    dumped = json.dumps({"branches": [entry]}, indent=2, sort_keys=True)
+    assert dumped.startswith(head) and dumped.endswith(tail)
+    assert cli._branch_text(bits, probability, fidelity, blocked) == dumped[len(head):-len(tail)]
 
 
 def test_streamed_report_matches_reference_with_errata(capsys, monkeypatch):

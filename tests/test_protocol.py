@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -218,6 +219,34 @@ def test_a_replaced_plan_entry_stays_with_its_protocol(rng):
     assert fresh.plan["hop_close[1]"] == spec
     fids = [branch_fidelity(config, res) for res in iter_branches(config, protocol=fresh)]
     assert len(fids) == 2 ** 11 and min(fids) >= FIDELITY_THRESHOLD
+
+
+@pytest.mark.parametrize("shape, count", [((1, 0), 12), ((2, 1), 38)], ids=["m1-n0", "m2-n1"])
+def test_a_plan_entry_reading_bits_outside_its_node_raises(rng, shape, count):
+    # The walk hands a node only the word bits in its reads, which the derived
+    # forms fix.  A replaced entry that reads another bit heard by then would
+    # see it as 0 on every branch, so each such one-coefficient change raises.
+    m, n = shape
+    config = cfg(m, n, [random_su2(rng) for _ in range(m)], *random_pair(rng))
+    proto, mutants, heard = build_protocol(config), [], 0
+    for node in proto.nodes:
+        heard += len(node.bit_labels)  # hop_close's fix reads its own bit g
+        if node.name in proto.plan:
+            mutants += [(node.name, form, j) for form in ("x", "z") for j in range(heard)
+                        if not node.reads >> j & 1]
+    assert len(mutants) == count
+    for name, form, j in mutants:
+        for sampled in (False, True):
+            proto = build_protocol(config)
+            spec = proto.plan[name]
+            proto.plan[name] = dataclasses.replace(spec, **{form: getattr(spec, form) ^ 2 << j})
+            match = rf"plan entry of {re.escape(name)} .*: {proto.labels[j]}$"
+            with pytest.raises(ValueError, match=match):
+                if sampled:
+                    ProtocolRun(config, seed=j, protocol=proto).finish()
+                else:
+                    for _ in iter_branches(config, protocol=proto):
+                        pass
 
 
 def test_configs_of_one_shape_built_back_to_back_reach_their_own_targets(rng):
