@@ -7,10 +7,11 @@ that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout, of stderr (every summary and error line is deterministic)
 and of the report a command line writes with ``--output`` (to a temporary
 file of its own per run).  Then, in one such process per tree, it computes
-two digests (see :func:`digests`): the scheme (bit names, node metadata and
-Pauli-fix forms for m 1-9 and n 0-4) and a fixed list of seeded sampled
+three digests (see :func:`digests`): the scheme (bit names, node metadata
+and Pauli-fix forms for m 1-9 and n 0-4), a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
-amplitudes, floats as hex).  A run that takes more than TIMEOUT_S seconds is
+amplitudes, floats as hex), and the same of runs that share one build per
+config, so that they read its node tables.  A run that takes more than TIMEOUT_S seconds is
 killed and counts as a difference.  Prints one line per command line and per
 digest and exits 1 if any differs, so a change that claims the same
 behaviour can show it.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -154,6 +156,10 @@ RUN_SHAPES = ((1, 0), (2, 1), (3, 2), (4, 3), (8, 4))
 RUN_COUNT = 500
 VETO_EVERY = 4
 RUN_SEED = 20240313
+# The shared-protocol runs: this many draws from one rng on one build for
+# each of the first SHARED_CONFIGS configs.
+SHARED_CONFIGS = 40
+SHARED_RUNS = 25
 
 
 def _run_configs():
@@ -182,10 +188,12 @@ def _run_configs():
 
 
 def digests() -> dict[str, str]:
-    """The scheme digest and the seeded-run digest of the cjrio this process
-    imports, each a sha256 over the repr of what it covers."""
+    """The scheme, seeded-run and shared-protocol digests of the cjrio this
+    process imports, each a sha256 over the repr of what it covers."""
+    import numpy as np
+
     from cjrio import ProtocolConfig, SU2Operator
-    from cjrio.protocol import branch_fidelity, build_protocol, run_full
+    from cjrio.protocol import ProtocolRun, branch_fidelity, build_protocol, run_full
 
     scheme = hashlib.sha256()
     for m in range(1, 10):
@@ -197,15 +205,26 @@ def digests() -> dict[str, str]:
                                     node.check_id, node.reads)).encode())
             for name, spec in proto.plan.items():
                 scheme.update(repr((name, str(spec.party), spec.dof, spec.x, spec.z)).encode())
+
+    def update(digest, config, res):
+        fid = branch_fidelity(config, res)
+        digest.update(repr((list(res.bits.items()), res.probability.hex(), res.blocked_at,
+                            res.max_terms, None if fid is None else fid.hex(),
+                            [(ket, a.real.hex(), a.imag.hex())
+                             for ket, a in res.state.terms.items()])).encode())
+
     runs = hashlib.sha256()
     for config, seed in _run_configs():
-        res = run_full(config, seed=seed)
-        fid = branch_fidelity(config, res)
-        runs.update(repr((list(res.bits.items()), res.probability.hex(), res.blocked_at,
-                          res.max_terms, None if fid is None else fid.hex(),
-                          [(ket, a.real.hex(), a.imag.hex())
-                           for ket, a in res.state.terms.items()])).encode())
-    return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest()}
+        update(runs, config, run_full(config, seed=seed))
+    # As stats samples: one build and one rng per config, so every run after
+    # the first reads the node tables the earlier ones filled.
+    shared = hashlib.sha256()
+    for config, seed in itertools.islice(_run_configs(), SHARED_CONFIGS):
+        proto, rng = build_protocol(config), np.random.default_rng(seed)
+        for _ in range(SHARED_RUNS):
+            update(shared, config, ProtocolRun(config, rng=rng, protocol=proto).finish())
+    return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest(),
+            "shared-protocol digest": shared.hexdigest()}
 
 
 def run_digests(tree: Path) -> tuple[dict[str, str], float]:
@@ -245,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{sha_b[:12]}  {t_a:5.1f}s/{t_b:5.1f}s  {' '.join(cmd)}", flush=True)
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} command lines byte-identical")
     (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
-    for name in ("scheme digest", "seeded-run digest"):
+    for name in ("scheme digest", "seeded-run digest", "shared-protocol digest"):
         same = name in base and base.get(name) == head.get(name)
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "

@@ -307,22 +307,23 @@ def cmd_enumerate(args) -> int:
     # branch count.  sort_keys puts "aggregate", known only after the last
     # branch, ahead of "branches", hence the spool.
     with _open_output(args) as out, tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        sep = ""  # ahead of every entry but the first
         for res in iter_branches(config, check_stages=args.check_paper_eqs, protocol=proto):
-            if count:
-                spool.write(",\n")
             count += 1
             prob_sum += res.probability
             max_terms = max(max_terms, res.max_terms)
+            fid = None
             if res.blocked:
                 blocked_count += 1
-                spool.write(_branch_text(res.bits.values(), res.probability, None, True))
-                continue
-            fid = fidelities.get(res.live)
-            if fid is None:
-                fid = fidelities[res.live] = target_fidelity(res.live, target)
-            min_fid = fid if min_fid is None else min(min_fid, fid)
-            errata.extend(res.errata)
-            spool.write(_branch_text(res.bits.values(), res.probability, fid, False))
+            else:
+                fid = fidelities.get(res.live)
+                if fid is None:
+                    fid = fidelities[res.live] = target_fidelity(res.live, target)
+                min_fid = fid if min_fid is None else min(min_fid, fid)
+                errata.extend(res.errata)
+            # One write per entry: every write to a "w+" text file resets its decoder.
+            spool.write(sep + _branch_text(res.bits.values(), res.probability, fid, res.blocked))
+            sep = ",\n"
 
         report = {
             "schema_version": SCHEMA_VERSION,

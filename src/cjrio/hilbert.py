@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -264,6 +265,28 @@ def prune(terms: Mapping[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
 
 
+def check_shape(m: int, n: int) -> None:
+    """Reject party counts that are not ints, or m < 1, or n < 0."""
+    for name, val in (("m", m), ("n", n)):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ValueError(f"{name} must be an int, got {val!r}")
+    if m < 1:
+        raise ValueError("at least one joint party is required")
+    if n < 0:
+        raise ValueError("controller count must be >= 0")
+
+
+def check_amplitudes(alpha: complex, beta: complex) -> None:
+    """Reject an input pair that is not two finite numbers of unit norm."""
+    for name, val in (("alpha", alpha), ("beta", beta)):
+        if isinstance(val, bool) or not isinstance(val, numbers.Number):
+            raise ValueError(f"{name} must be a number, got {val!r}")
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError("input amplitudes must be finite")
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > INPUT_NORM_TOL:
+        raise ValueError("input amplitudes are not normalized")
+
+
 def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> HybridState:
     """Input qubit on photon X tensored with the (2+m+n)-photon channel.
 
@@ -272,15 +295,8 @@ def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> Hybrid
     bits and another in their polarization bits.  Eight terms for generic
     amplitudes, always normalized.
     """
-    if m < 1:
-        raise ValueError("at least one joint party is required (m >= 1)")
-    if n < 0:
-        raise ValueError("controller count must be >= 0")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > INPUT_NORM_TOL:
-        raise ValueError("input amplitudes are not normalized")
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError("input amplitudes must be finite")
-
+    check_shape(m, n)
+    check_amplitudes(alpha, beta)
     reg = registry(m, n)
     size = len(reg)
     chan = (1 << size) - 2  # the channel photons' path bits; shifted by size, their polarizations

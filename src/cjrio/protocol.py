@@ -21,18 +21,18 @@ exhaustive Pauli search.  ``build_protocol`` binds one config into its shape.
 
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass, field
 from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from weakref import proxy
 
 import numpy as np
 
 from . import oracle
 from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, build_initial_state,
-                      charlie, enumerate_measurement, registry)
+                      charlie, check_amplitudes, check_shape, enumerate_measurement,
+                      registry)
 from .kerr import enumerate_homodyne, fresh_probe, kerr
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator, apply_bbs,
                      apply_hwp, apply_pauli_polar, apply_pauli_spatial, apply_pbs,
@@ -145,28 +145,14 @@ class ProtocolConfig:
     consent_phase2: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("m", "n"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ValueError(f"{name} must be an int, got {val!r}")
-        if self.m < 1:
-            raise ValueError("at least one joint party is required")
-        if self.n < 0:
-            raise ValueError("controller count must be >= 0")
+        check_shape(self.m, self.n)
         object.__setattr__(self, "unitaries", _listed("unitaries", self.unitaries))
         if len(self.unitaries) != self.m:
             raise ValueError(f"expected {self.m} operators, got {len(self.unitaries)}")
         for j, op in enumerate(self.unitaries):
             if not isinstance(op, SU2Operator):
                 raise ValueError(f"unitaries[{j}] must be an SU2Operator, got {op!r}")
-        for name in ("alpha", "beta"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Number):
-                raise ValueError(f"{name} must be a number, got {val!r}")
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise ValueError("input amplitudes must be finite")
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-9:
-            raise ValueError("input amplitudes are not normalized")
+        check_amplitudes(self.alpha, self.beta)
         for name in ("consent", "consent_phase2"):
             val = getattr(self, name)
             val = (True,) * self.n if val is None else _listed(name, val)
@@ -225,7 +211,9 @@ class Node:
     in ``reads``: k for a node whose Kerr tap sits on path k, and the bits a
     correcting node's fix reads.  ``check_id`` names the stage checkpoint the
     state is compared with after the node, where a checker exists (m=2, n=1
-    only)."""
+    only).  ``table`` maps a canonical live state and the bits the node reads
+    to its run there: its peak term count and its outcome rows; it is None
+    until the node first runs."""
 
     name: str
     stage: int
@@ -234,6 +222,7 @@ class Node:
     run: Callable[[HybridState, int], tuple[list[Outcome], int]]
     check_id: str | None = None
     reads: int = 0
+    table: dict | None = field(default=None, repr=False, compare=False)
 
 
 class _Row(NamedTuple):
@@ -250,24 +239,23 @@ class _Row(NamedTuple):
 class Protocol:
     """The node list of one run, its bit names in broadcast order and, keyed
     by node name in node order, the Pauli fix each correcting node applies.
+    Its node runs read its config, its plan and, if validated, ``targets[s]``,
+    the oracle pair after the operators from s on.
 
-    It also keeps the walk's two tables.  ``interned`` maps the exact content
-    of a live-only state to its one canonical copy.  ``results[i]`` maps a
-    canonical state and the bits node ``i`` reads to that node's run there:
-    its peak term count and its outcome rows; it is None until node ``i``
-    first runs."""
+    ``names`` names the bits of a word for every walk on it (see
+    :func:`_namer`), and ``interned`` maps the exact content of a live-only
+    state to its one canonical copy, the key of every node's ``table``."""
 
     config: ProtocolConfig
     plan: dict[str, CorrectionSpec]
     nodes: list[Node]
     initial_state: HybridState
     labels: tuple[str, ...]
+    names: Callable[[int, int], dict[str, int]] = field(repr=False, compare=False)
+    targets: list[tuple[complex, complex]] | None = field(default=None, repr=False,
+                                                          compare=False)
     interned: dict[tuple, HybridState] = field(default_factory=dict, repr=False,
                                                compare=False)
-    results: list[dict | None] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.results = [None] * len(self.nodes)
 
     def intern(self, state: HybridState) -> tuple[HybridState, int]:
         """The canonical copy of ``state``'s live part, and the retired bits
@@ -276,19 +264,10 @@ class Protocol:
         return self.interned.setdefault(live.exact_key(), live), frozen
 
 
-class _Bound(NamedTuple):
-    """What one protocol's node runs read: its config, its own plan and, if
-    validated, ``targets[s]``, the oracle pair after the operators from s on."""
-
-    config: ProtocolConfig
-    plan: dict[str, CorrectionSpec]
-    targets: list[tuple[complex, complex]] | None
-
-
 @cache
 def _skeleton(m: int, n: int) -> tuple:
     """What (m, n) alone fixes, derived once: the bit names in broadcast order,
-    each node's fields with ``run`` a function of (``_Bound``, state, bits), and
+    the nodes with each ``run`` a function of (``Protocol``, state, bits), and
     the plan.  Each measuring node names its bits (k is bit 0) and advances the
     Pauli frame; each correcting node takes its fix from the frame there."""
     reg = registry(m, n)
@@ -318,15 +297,15 @@ def _skeleton(m: int, n: int) -> tuple:
         nodes[-1].reads |= (x | z) >> 1  # the forms' bit j + 1 is word bit j
         sites[node] = (reg.index(party), len(labels), target, nodes[-1].reads)
 
-    def correct(bound: _Bound, state: HybridState, bits: int, node: str) -> HybridState:
-        spec = bound.plan[node]
+    def correct(proto: Protocol, state: HybridState, bits: int, node: str) -> HybridState:
+        spec = proto.plan[node]
         i, heard, target, reads = sites[node]
         if extra := (spec.x | spec.z) >> 1 & ~reads:  # the walk hands these in as 0
             raise ValueError(f"the plan entry of {node} reads bits its node's reads leave out: "
                              + ", ".join(lbl for j, lbl in enumerate(labels) if extra >> j & 1))
         power = spec.power(bits)
-        if bound.targets is not None:
-            found = oracle.brute_force_correction(state, i, spec.dof, bound.targets[target])
+        if proto.targets is not None:
+            found = oracle.brute_force_correction(state, i, spec.dof, proto.targets[target])
             if power not in found:
                 raise _FrameMismatch(bits, heard, power, found)
         applier = apply_pauli_spatial if spec.dof == "spatial" else apply_pauli_polar
@@ -340,12 +319,12 @@ def _skeleton(m: int, n: int) -> tuple:
             probe = kerr(probe, st, i, path, mult)
         return enumerate_homodyne(probe, st), len(st.terms)
 
-    def run_entangle(bound, state, bits):
+    def run_entangle(proto, state, bits):
         return kerr_read(state, (at_x, 0, +1), (at_a, 0, -1))
 
     (k,) = add(Node("entangle", 1, "A", ("k",), run_entangle, "entangle"))
 
-    def run_transfer(bound, state, bits):
+    def run_transfer(proto, state, bits):
         st = apply_bbs(state, at_x)
         st = apply_bbs(st, at_a)
         outcomes, peak = kerr_read(st, (at_x, 0, +1), (at_a, bits & 1, +2))
@@ -361,8 +340,8 @@ def _skeleton(m: int, n: int) -> tuple:
     sign ^= bit_n ^ 1 ^ a_path
 
     for j, s_lbl in enumerate(_family("s", n), start=1):
-        def run_consent(bound, state, bits, _j=j, _c=at_c[j - 1]):
-            if not bound.config.consent[_j - 1]:
+        def run_consent(proto, state, bits, _j=j, _c=at_c[j - 1]):
+            if not proto.config.consent[_j - 1]:
                 return [], len(state.terms)
             return kerr_read(apply_bbs(state, _c), (_c, bits & 1, +1))
 
@@ -371,7 +350,7 @@ def _skeleton(m: int, n: int) -> tuple:
 
     landing: list[int] = []  # path each of B1..B(m-1) lands on
     for i, l_lbl in enumerate(_family("l", m - 1), start=1):
-        def run_concentrate(bound, state, bits, _b=at_b[i - 1]):
+        def run_concentrate(proto, state, bits, _b=at_b[i - 1]):
             return kerr_read(apply_bbs(state, _b), (_b, bits & 1, +1))
 
         (l,) = add(Node(f"concentrate[{i}]", 4, f"B{i}", (l_lbl,), run_concentrate,
@@ -379,9 +358,9 @@ def _skeleton(m: int, n: int) -> tuple:
         landing.append(k ^ l ^ 1)
         sign ^= landing[-1]
 
-    def run_first_op(bound, state, bits):
-        st = correct(bound, state, bits, "first_op")
-        st = apply_su2_spatial(st, at_b[m - 1], bound.config.unitaries[m - 1])
+    def run_first_op(proto, state, bits):
+        st = correct(proto, state, bits, "first_op")
+        st = apply_su2_spatial(st, at_b[m - 1], proto.config.unitaries[m - 1])
         return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
     add(Node("first_op", 4, f"B{m}", (), run_first_op, "first-op"))
@@ -390,7 +369,7 @@ def _skeleton(m: int, n: int) -> tuple:
 
     r_lbls, g_lbls = _family("r", m - 1), _family("g", m - 1)
     for i in range(m - 1, 0, -1):
-        def run_hop_link(bound, state, bits, _b=at_b[i - 1], _next=at_b[i]):
+        def run_hop_link(proto, state, bits, _b=at_b[i - 1], _next=at_b[i]):
             d = state.definite_bit(_b, "spatial")
             return kerr_read(apply_bbs(state, _b), (_b, d, +1), (_next, 0, -1))
 
@@ -399,12 +378,12 @@ def _skeleton(m: int, n: int) -> tuple:
         sign ^= landing[i - 1]  # B_i leaves its definite path, re-split
 
         # _g: bit g's position in the word, the next one, which add gives it below.
-        def run_hop_close(bound, state, bits, _i=i, _g=len(labels), _b=at_b[i - 1], _next=at_b[i]):
+        def run_hop_close(proto, state, bits, _i=i, _g=len(labels), _b=at_b[i - 1], _next=at_b[i]):
             outcomes, peak = kerr_read(apply_bbs(state, _next), (_next, 1, +1))
 
             def close(build, c):  # the correction and the operator, on demand
-                s3 = correct(bound, build(), bits | c << _g, f"hop_close[{_i}]")
-                return apply_su2_spatial(s3, _b, bound.config.unitaries[_i - 1])
+                s3 = correct(proto, build(), bits | c << _g, f"hop_close[{_i}]")
+                return apply_su2_spatial(s3, _b, proto.config.unitaries[_i - 1])
             return [Outcome(o.bits, o.p, partial(close, o.build, o.bits))
                     for o in outcomes], peak
 
@@ -414,7 +393,7 @@ def _skeleton(m: int, n: int) -> tuple:
         fix(f"hop_close[{i}]", bob(i), "spatial", landing[i - 1] ^ r, sign, i)
         sign = 0
 
-    def run_joint_b1(bound, state, bits):
+    def run_joint_b1(proto, state, bits):
         st = apply_hwp(state, at_b[0], 1)
         st = apply_bbs(st, at_b[0])
         return enumerate_measurement(st, at_b[0], ("polar", "spatial")), len(st.terms)
@@ -424,7 +403,7 @@ def _skeleton(m: int, n: int) -> tuple:
     polar_sign = q
 
     for i, w_lbl in enumerate(_family("w", m - 1, start=2), start=2):
-        def run_joint_w(bound, state, bits, _b=at_b[i - 1]):
+        def run_joint_w(proto, state, bits, _b=at_b[i - 1]):
             path = state.definite_bit(_b, "spatial")
             st = apply_qwp(state, _b, path)
             return enumerate_measurement(st, _b, ("polar",)), len(st.terms)
@@ -434,8 +413,8 @@ def _skeleton(m: int, n: int) -> tuple:
         polar_sign ^= w
 
     for j, v_lbl in enumerate(_family("v", n), start=1):
-        def run_control(bound, state, bits, _j=j, _c=at_c[j - 1]):
-            if not bound.config.consent_phase2[_j - 1]:
+        def run_control(proto, state, bits, _j=j, _c=at_c[j - 1]):
+            if not proto.config.consent_phase2[_j - 1]:
                 return [], len(state.terms)
             path = state.definite_bit(_c, "spatial")
             st = apply_qwp(state, _c, path)
@@ -446,44 +425,44 @@ def _skeleton(m: int, n: int) -> tuple:
                         "control-measure"))
         polar_sign ^= v
 
-    def run_polar_fix(bound, state, bits):
-        st = correct(bound, state, bits, "polar_fix")
+    def run_polar_fix(proto, state, bits):
+        st = correct(proto, state, bits, "polar_fix")
         return [Outcome(0, 1.0, lambda: st)], len(st.terms)
 
     add(Node("polar_fix", 8, "A", (), run_polar_fix, "polar-fixed"))
     fix("polar_fix", A, "polar", p, polar_sign, 0)
 
-    def run_to_spatial(bound, state, bits):
+    def run_to_spatial(proto, state, bits):
         in_path = state.definite_bit(at_a, "spatial")
         st = apply_pbs(state, at_a, in_path)
         st = apply_hwp(st, at_a, in_path)
         peak = len(st.terms)
-        st = correct(bound, st, bits, "to_spatial")
+        st = correct(proto, st, bits, "to_spatial")
         return [Outcome(0, 1.0, lambda: st)], peak
 
     add(Node("to_spatial", 9, "A", (), run_to_spatial))
     fix("to_spatial", A, "spatial", a_path, 0, 0)
 
-    steps = tuple((nd.name, nd.stage, nd.party, nd.bit_labels, nd.run, nd.check_id, nd.reads)
-                  for nd in nodes)
-    return tuple(labels), steps, MappingProxyType(plan)
+    return tuple(labels), tuple(nodes), MappingProxyType(plan)
 
 
 def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False) -> Protocol:
     """The node list of ``config``, in broadcast order: its shape's skeleton,
-    with fresh nodes whose runs read ``config`` and the protocol's own plan."""
+    with fresh nodes whose runs read the protocol, and its own plan."""
     m, n = config.m, config.n
-    labels, steps, plan = _skeleton(m, n)
+    labels, nodes, plan = _skeleton(m, n)
     targets = None
     if validate_corrections:
         us, alpha, beta = config.unitaries, config.alpha, config.beta
         targets = [(t.a0, t.a1) for t in (oracle.direct_apply(us[s:], alpha, beta)
                                           for s in range(m))] + [(alpha, beta)]
-    bound = _Bound(config, dict(plan), targets)
-    nodes = [Node(name, stage, party, bit_labels, partial(run, bound), check_id, reads)
-             for name, stage, party, bit_labels, run, check_id, reads in steps]
-    initial = build_initial_state(config.alpha, config.beta, m, n)
-    return Protocol(config, bound.plan, nodes, initial, labels)
+    proto = Protocol(config, dict(plan), [], build_initial_state(config.alpha, config.beta, m, n),
+                     labels, _namer(labels), targets)
+    # Bound to one weak proxy: a run holding its protocol would make a cycle, and
+    # a dropped protocol would keep its full tables until the cyclic collector ran.
+    proto.nodes = [Node(nd.name, nd.stage, nd.party, nd.bit_labels, partial(nd.run, proxy(proto)),
+                        nd.check_id, nd.reads) for nd in nodes]
+    return proto
 
 
 # ---------------------------------------------------------------------------
@@ -629,22 +608,21 @@ class _Branch(NamedTuple):
         return _tuple_new(_Branch, (idx + 1, state, frozen, word, width, probability * p,
                                     errata, max_terms, None))
 
-    def result(self, proto: Protocol, names, seed: int | None = None) -> BranchResult:
-        """The finished, or blocked, branch, its bits named by ``names``."""
+    def result(self, proto: Protocol, seed: int | None = None) -> BranchResult:
+        """The finished, or blocked, branch of a walk on ``proto``."""
         idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = self
-        return BranchResult(dict(names(word, width)), probability, blocked_at, list(errata),
+        return BranchResult(dict(proto.names(word, width)), probability, blocked_at, list(errata),
                             max_terms, seed, proto, idx, word, state, frozen)
 
 
 def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
            proto: Protocol | None):
     """The protocol (``proto`` if given, else one built from ``config``), its
-    word namer, its walk (running the stage checks if asked) and the root."""
+    walk (running the stage checks if asked) and the root."""
     if proto is None:
         proto = build_protocol(config, validate_corrections=validate_corrections)
     elif proto.config != config or validate_corrections:
         raise ValueError("a given protocol must come from this config, validated or not")
-    names = _namer(proto.labels)
     checker = None
     if check_stages:
         from .stages import make_stage_checker
@@ -652,10 +630,10 @@ def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: boo
         checker = make_stage_checker(config)
     state = proto.initial_state
     root = _Branch(0, state, 0, 0, 0, 1.0, (), len(state.terms), None)
-    return proto, names, partial(_walk, proto, names, checker), root
+    return proto, partial(_walk, proto, checker), root
 
 
-def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
+def _walk(proto: Protocol, checker, branch: _Branch, choose,
           stop: int | None = None) -> Iterator[_Branch]:
     """Depth-first from ``branch``: run each node and enter the outcomes
     ``choose`` keeps of its outcome list, first to last.  Yields each branch
@@ -664,14 +642,14 @@ def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
     A node's outcomes depend only on the live part of its input state and on
     the word's bits it reads (primitives touch live photons only, and a
     retired photon's bits are the same in every ket), so each node runs once
-    per (canonical live part, bits read) and ``proto.results`` keeps the
-    outcome rows for every later branch that arrives with the same key.  The
+    per (canonical live part, bits read) and its ``table`` keeps the outcome
+    rows for every later branch that arrives with the same key.  The
     correction check of ``validate_corrections`` runs inside the node, so it
     too runs once per key; its verdict is a function of that key alone.  A
     node's first run is stored nowhere and builds only the outcomes
     ``choose`` keeps, so a sampled run, which enters each node once, pays for
     no table."""
-    nodes, results, intern = proto.nodes, proto.results, proto.intern
+    nodes, names, intern = proto.nodes, proto.names, proto.intern
     end = len(nodes) if stop is None else stop
     stack = [branch]
     while stack:
@@ -683,10 +661,10 @@ def _walk(proto: Protocol, names, checker, branch: _Branch, choose,
         node = nodes[idx]
         state, frozen = branch.state, branch.frozen
         bits = branch.word & node.reads
-        table = results[idx]
+        table = node.table
         try:
             if table is None:
-                results[idx] = {}
+                node.table = {}
                 outcomes, peak = node.run(state, bits)
                 children = [branch.advance(node, out.bits, out.p, out.build(), frozen, peak,
                                            checker, names) for out in choose(outcomes)]
@@ -724,15 +702,17 @@ def iter_branches(
     """Depth-first enumeration of every outcome branch, in lexicographic
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability.  ``protocol`` is ``config``'s node list, if built."""
-    proto, names, walk, root = _start(config, check_stages, validate_corrections, protocol)
+    proto, walk, root = _start(config, check_stages, validate_corrections, protocol)
     for branch in walk(root, lambda outcomes: outcomes):
-        yield branch.result(proto, names)
+        yield branch.result(proto)
 
 
 class ProtocolRun:
     """One sampled execution with stepwise control, for interactive use and
-    stage-by-stage tests.  ``run_full`` drives it end to end.  ``protocol``
-    is ``config``'s node list, if built; many runs may share one build."""
+    stage-by-stage tests.  ``run_full`` drives it end to end.  It draws from
+    ``rng`` if given, else from a generator seeded with ``seed``, never both.
+    ``protocol`` is ``config``'s node list, if built; many runs may share one
+    build."""
 
     def __init__(
         self,
@@ -744,8 +724,10 @@ class ProtocolRun:
         validate_corrections: bool = False,
         protocol: Protocol | None = None,
     ):
+        if seed is not None and rng is not None:
+            raise ValueError("a run takes a seed or an rng, not both")
         self.config = config
-        self._proto, self._names, self._walk, self._branch = _start(
+        self._proto, self._walk, self._branch = _start(
             config, check_stages, validate_corrections, protocol)
         self._seed = seed
         self._rng = rng if rng is not None else np.random.default_rng(seed)
@@ -762,7 +744,7 @@ class ProtocolRun:
 
     @property
     def bits(self) -> dict[str, int]:
-        return dict(self._names(self._branch.word, self._branch.width))
+        return dict(self._proto.names(self._branch.word, self._branch.width))
 
     @property
     def blocked(self) -> bool:
@@ -814,7 +796,7 @@ class ProtocolRun:
     def finish(self) -> BranchResult:
         self._stage = 9
         (self._branch,) = self._walk(self._branch, self._draw)
-        return self._branch.result(self._proto, self._names, seed=self._seed)
+        return self._branch.result(self._proto, seed=self._seed)
 
 
 def run_full(config: ProtocolConfig, seed: int | None = None, *,

@@ -74,6 +74,15 @@ def test_initial_state_rejections():
         build_initial_state(1.0, 0.0, 0, 1)
     with pytest.raises(ValueError):
         build_initial_state(1.0, 0.0, 2, -1)
+    # Each with ProtocolConfig's message for it.
+    for args, message in [((True, 0.0, 2, 1), "alpha must be a number"),
+                          ((0.0, "x", 2, 1), "beta must be a number"),
+                          ((1.0, 0.0, True, 1), "m must be an int"),
+                          ((1.0, 0.0, 1.5, 1), "m must be an int"),
+                          ((1.0, 0.0, 2, 1.0), "n must be an int"),
+                          ((math.inf, 0.0, 2, 1), "input amplitudes must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            build_initial_state(*args)
 
 
 def test_overlap_self_is_one(rng):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import weakref
 from functools import partial
 
 import numpy as np
@@ -178,6 +180,42 @@ def _metadata(proto):
             for node in proto.nodes]
 
 
+def test_interleaved_walks_on_one_build_name_their_own_bits(rng):
+    # One build's namer serves every walk on it: two checked enumerations
+    # zipped, with a stepped sampled run between each pair, name each
+    # branch's bits as a walk on a build of its own does.
+    config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=0.8j, beta=0.6)
+    proto = build_protocol(config)
+    walks = [iter_branches(config, check_stages=True, protocol=proto) for _ in range(2)]
+    fresh = iter_branches(config, check_stages=True)
+    count = 0
+    for i, (first, second) in enumerate(zip(*walks)):
+        want = next(fresh)
+        for got in (first, second):
+            assert list(got.bits.items()) == list(want.bits.items())
+            assert got.probability == want.probability and got.errata == want.errata
+        run, alone = ProtocolRun(config, seed=i, protocol=proto), ProtocolRun(config, seed=i)
+        for stage in (1, 2):
+            assert run.step(stage) == alone.step(stage) and run.bits == alone.bits
+        count += 1
+    assert count == 2048 and next(fresh, None) is None
+
+
+def test_a_dropped_protocol_goes_without_the_cyclic_collector(rng):
+    # Its node runs reach it through a weak proxy, so its filled tables are
+    # freed as soon as the last reference goes.
+    config = cfg(us=(random_su2(rng), random_su2(rng)))
+    proto = build_protocol(config, validate_corrections=True)
+    assert len(list(iter_branches(config, protocol=proto))) == 2048
+    dropped = weakref.ref(proto)
+    gc.disable()
+    try:
+        del proto
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_builds_of_one_shape_share_labels_but_no_node_or_plan(rng):
     config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=0.8j, beta=0.6)
     a = build_protocol(config)
@@ -188,6 +226,9 @@ def test_builds_of_one_shape_share_labels_but_no_node_or_plan(rng):
     assert _metadata(a) == _metadata(b)
     assert not {id(node) for node in a.nodes} & {id(node) for node in b.nodes}
     assert a.initial_state.register is b.initial_state.register
+    ProtocolRun(config, seed=5, protocol=a).finish()
+    assert (all(node.table is not None for node in a.nodes)
+            and all(node.table is None for node in b.nodes))
     # A run reassigned on one protocol, as a tracer or a counting test does,
     # stays on that protocol: neither the other nor the next build sees it.
     runs = [node.run for node in b.nodes]
@@ -827,6 +868,11 @@ def test_branch_state_and_transcript_are_made_once(rng):
         assert target_fidelity(res.live, target) == target_fidelity(res.state, target)
         assert res.live.alive == res.state.alive
         assert len(res.live.terms) == len(res.state.terms)
+
+
+def test_a_run_takes_a_seed_or_an_rng_not_both():
+    with pytest.raises(ValueError, match="a seed or an rng, not both"):
+        ProtocolRun(cfg(), seed=5, rng=np.random.default_rng(7))
 
 
 def test_transcript_seed_reproducibility():
