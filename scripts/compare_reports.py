@@ -7,11 +7,12 @@ that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout, of stderr (every summary and error line is deterministic)
 and of the report a command line writes with ``--output`` (to a temporary
 file of its own per run).  Then, in one such process per tree, it computes
-three digests (see :func:`digests`): the scheme (bit names, node metadata
+four digests (see :func:`digests`): the scheme (bit names, node metadata
 and Pauli-fix forms for m 1-9 and n 0-4), a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
-amplitudes, floats as hex), and the same of runs that share one build per
-config, so that they read its node tables.  A run that takes more than TIMEOUT_S seconds is
+amplitudes, floats as hex), the same of runs that share one build per
+config, so that they read its node tables, and every branch of validated
+walks, as ``certify`` runs them.  A run that takes more than TIMEOUT_S seconds is
 killed and counts as a difference.  Prints one line per command line and per
 digest and exits 1 if any differs, so a change that claims the same
 behaviour can show it.
@@ -160,11 +161,15 @@ RUN_SEED = 20240313
 # each of the first SHARED_CONFIGS configs.
 SHARED_CONFIGS = 40
 SHARED_RUNS = 25
+# The validated walks: every branch of each of these configs, the (2,1) ones
+# with the stage checks too; the last cycle has its controllers veto.
+VALIDATED_SHAPES = ((1, 0), (2, 1), (2, 2))
+VALIDATED_COUNT = 12
 
 
-def _run_configs():
-    """RUN_COUNT configs, with random operators, inputs and run seeds drawn
-    from RUN_SEED, cycling through RUN_SHAPES."""
+def _run_configs(shapes=RUN_SHAPES, count=RUN_COUNT):
+    """``count`` configs, with random operators, inputs and run seeds drawn
+    from RUN_SEED, cycling through ``shapes``."""
     import numpy as np
 
     from cjrio import ProtocolConfig, SU2Operator
@@ -176,11 +181,11 @@ def _run_configs():
         x /= np.linalg.norm(x)
         return complex(x[0], x[1]), complex(x[2], x[3])
 
-    for i in range(RUN_COUNT):
-        m, n = RUN_SHAPES[i % len(RUN_SHAPES)]
+    for i in range(count):
+        m, n = shapes[i % len(shapes)]
         ops = tuple(SU2Operator(*pair()) for _ in range(m))
         consent = [[True] * n, [True] * n]
-        if n and i // len(RUN_SHAPES) % VETO_EVERY == VETO_EVERY - 1:
+        if n and i // len(shapes) % VETO_EVERY == VETO_EVERY - 1:
             consent[int(rng.integers(2))][int(rng.integers(n))] = False
         yield (ProtocolConfig(m, n, ops, *pair(), consent=tuple(consent[0]),
                               consent_phase2=tuple(consent[1])),
@@ -188,12 +193,14 @@ def _run_configs():
 
 
 def digests() -> dict[str, str]:
-    """The scheme, seeded-run and shared-protocol digests of the cjrio this
-    process imports, each a sha256 over the repr of what it covers."""
+    """The scheme, seeded-run, shared-protocol and validated-walk digests of
+    the cjrio this process imports, each a sha256 over the repr of what it
+    covers."""
     import numpy as np
 
     from cjrio import ProtocolConfig, SU2Operator
-    from cjrio.protocol import ProtocolRun, branch_fidelity, build_protocol, run_full
+    from cjrio.protocol import (ProtocolRun, branch_fidelity, build_protocol, iter_branches,
+                                run_full)
 
     scheme = hashlib.sha256()
     for m in range(1, 10):
@@ -223,8 +230,18 @@ def digests() -> dict[str, str]:
         proto, rng = build_protocol(config), np.random.default_rng(seed)
         for _ in range(SHARED_RUNS):
             update(shared, config, ProtocolRun(config, rng=rng, protocol=proto).finish())
+    # Each correction checked against Pauli search inside its node, as
+    # certify's walk does.
+    validated = hashlib.sha256()
+    for config, _ in _run_configs(VALIDATED_SHAPES, VALIDATED_COUNT):
+        for res in iter_branches(config, validate_corrections=True,
+                                 check_stages=(config.m, config.n) == (2, 1)):
+            fid = branch_fidelity(config, res)
+            validated.update(repr((list(res.bits.values()), res.probability.hex(), res.max_terms,
+                                   len(res.errata), None if fid is None else fid.hex())).encode())
     return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest(),
-            "shared-protocol digest": shared.hexdigest()}
+            "shared-protocol digest": shared.hexdigest(),
+            "validated-walk digest": validated.hexdigest()}
 
 
 def run_digests(tree: Path) -> tuple[dict[str, str], float]:
@@ -264,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{sha_b[:12]}  {t_a:5.1f}s/{t_b:5.1f}s  {' '.join(cmd)}", flush=True)
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} command lines byte-identical")
     (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
-    for name in ("scheme digest", "seeded-run digest", "shared-protocol digest"):
+    for name in ("scheme digest", "seeded-run digest", "shared-protocol digest",
+                 "validated-walk digest"):
         same = name in base and base.get(name) == head.get(name)
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "

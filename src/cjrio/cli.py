@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -306,7 +307,8 @@ def cmd_enumerate(args) -> int:
     # Each branch is written out as it is yielded, so memory stays flat in the
     # branch count.  sort_keys puts "aggregate", known only after the last
     # branch, ahead of "branches", hence the spool.
-    with _open_output(args) as out, tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+    # A binary spool: a text file open for reading resets its decoder per write.
+    with _open_output(args) as out, tempfile.TemporaryFile() as spool:
         sep = ""  # ahead of every entry but the first
         for res in iter_branches(config, check_stages=args.check_paper_eqs, protocol=proto):
             count += 1
@@ -321,8 +323,8 @@ def cmd_enumerate(args) -> int:
                     fid = fidelities[res.live] = target_fidelity(res.live, target)
                 min_fid = fid if min_fid is None else min(min_fid, fid)
                 errata.extend(res.errata)
-            # One write per entry: every write to a "w+" text file resets its decoder.
-            spool.write(sep + _branch_text(res.bits.values(), res.probability, fid, res.blocked))
+            spool.write((sep + _branch_text(res.bits.values(), res.probability, fid,
+                                            res.blocked)).encode())
             sep = ",\n"
 
         report = {
@@ -345,7 +347,8 @@ def cmd_enumerate(args) -> int:
             json.dumps(_BRANCHES_MARK))
         out.write(head + "[\n")
         spool.seek(0)
-        shutil.copyfileobj(spool, out)
+        with io.TextIOWrapper(spool, encoding="utf-8") as text:  # closes the spool
+            shutil.copyfileobj(text, out)
         out.write("\n  ]" + tail + "\n")
         out.flush()
     _summary(

@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
-INPUT_NORM_TOL = 1e-9
+NORM_TOL = 1e-9
 PHASE_TOL = 1e-10
 
 VERTICAL = 1
@@ -276,15 +276,30 @@ def check_shape(m: int, n: int) -> None:
         raise ValueError("controller count must be >= 0")
 
 
+def check_unit_pair(pair: Mapping[str, object], entry: str, finite: str, unnormed: str) -> None:
+    """Reject a named pair that is not two finite numbers whose squared
+    magnitudes sum to 1 within ``NORM_TOL``, with the caller's messages:
+    ``entry`` goes before the name of an entry that is not a number (bools
+    included), ``finite`` is the error of a non-finite pair and ``unnormed``
+    that of any other, a pair whose square leaves the float range included."""
+    for name, val in pair.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Number):
+            raise ValueError(f"{entry}{name} must be a number, got {val!r}")
+    try:
+        a, b = map(complex, pair.values())
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError(finite)
+        norm = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        raise ValueError(unnormed) from None
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(unnormed)
+
+
 def check_amplitudes(alpha: complex, beta: complex) -> None:
     """Reject an input pair that is not two finite numbers of unit norm."""
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if isinstance(val, bool) or not isinstance(val, numbers.Number):
-            raise ValueError(f"{name} must be a number, got {val!r}")
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError("input amplitudes must be finite")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > INPUT_NORM_TOL:
-        raise ValueError("input amplitudes are not normalized")
+    check_unit_pair({"alpha": alpha, "beta": beta}, "", "input amplitudes must be finite",
+                    "input amplitudes are not normalized")
 
 
 def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> HybridState:

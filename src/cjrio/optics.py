@@ -12,17 +12,14 @@ per-step closed form of the protocol reproduces, see the stage checker.
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HybridState, prune
+from .hilbert import HybridState, check_unit_pair, prune
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,15 +30,8 @@ class SU2Operator:
     v: complex
 
     def __post_init__(self) -> None:
-        for name in ("u", "v"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Number):
-                raise ValueError(f"operator entry {name} must be a number, got {val!r}")
-        u, v = complex(self.u), complex(self.v)
-        if not (cmath.isfinite(u) and cmath.isfinite(v)):
-            raise ValueError("operator entries u and v must be finite")
-        if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > UNITARY_TOL:
-            raise ValueError("|u|^2 + |v|^2 must equal 1")
+        check_unit_pair({"u": self.u, "v": self.v}, "operator entry ",
+                        "operator entries u and v must be finite", "|u|^2 + |v|^2 must equal 1")
 
     @property
     def matrix(self) -> np.ndarray:

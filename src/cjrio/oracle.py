@@ -9,15 +9,13 @@ the other way around.
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .hilbert import A, HybridState, PHASE_TOL, VERTICAL
+from .hilbert import A, HybridState, PHASE_TOL, VERTICAL, check_unit_pair
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator,
                      apply_pauli_polar, apply_pauli_spatial)
 
@@ -36,14 +34,8 @@ class TargetState:
     a1: complex
 
     def __post_init__(self) -> None:
-        for name in ("a0", "a1"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Number):
-                raise ValueError(f"target amplitude {name} must be a number, got {val!r}")
-        if not (cmath.isfinite(self.a0) and cmath.isfinite(self.a1)):
-            raise ValueError("target amplitudes must be finite")
-        if abs(abs(self.a0) ** 2 + abs(self.a1) ** 2 - 1.0) > 1e-9:
-            raise ValueError("target amplitudes are not normalized")
+        check_unit_pair({"a0": self.a0, "a1": self.a1}, "target amplitude ",
+                        "target amplitudes must be finite", "target amplitudes are not normalized")
 
 
 def direct_apply(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
-from weakref import proxy
 
 import numpy as np
 
@@ -204,22 +203,22 @@ def _family(base: str, count: int, start: int = 1) -> list[str]:
 
 @dataclass
 class Node:
-    """One step of the scheme.  ``run`` maps a state and a word to every
-    outcome of the node (its state built on demand, its bits a word) and its
-    largest intermediate term count; an empty outcome list means the node's
-    controller withheld consent.  The walk hands ``run`` only the word's bits
-    in ``reads``: k for a node whose Kerr tap sits on path k, and the bits a
-    correcting node's fix reads.  ``check_id`` names the stage checkpoint the
-    state is compared with after the node, where a checker exists (m=2, n=1
-    only).  ``table`` maps a canonical live state and the bits the node reads
-    to its run there: its peak term count and its outcome rows; it is None
-    until the node first runs."""
+    """One step of the scheme.  ``run`` maps the protocol, a state and a word
+    to every outcome of the node (its state built on demand, its bits a word)
+    and its largest intermediate term count; an empty outcome list means the
+    node's controller withheld consent.  The walk hands ``run`` only the
+    word's bits in ``reads``: k for a node whose Kerr tap sits on path k, and
+    the bits a correcting node's fix reads.  ``check_id`` names the stage
+    checkpoint the state is compared with after the node, where a checker
+    exists (m=2, n=1 only).  ``table`` maps a canonical live state and the
+    bits the node reads to its run there: its peak term count and its outcome
+    rows; it is None until the node first runs."""
 
     name: str
     stage: int
     party: str
     bit_labels: tuple[str, ...]
-    run: Callable[[HybridState, int], tuple[list[Outcome], int]]
+    run: Callable[[Protocol, HybridState, int], tuple[list[Outcome], int]]
     check_id: str | None = None
     reads: int = 0
     table: dict | None = field(default=None, repr=False, compare=False)
@@ -448,7 +447,7 @@ def _skeleton(m: int, n: int) -> tuple:
 
 def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False) -> Protocol:
     """The node list of ``config``, in broadcast order: its shape's skeleton,
-    with fresh nodes whose runs read the protocol, and its own plan."""
+    with fresh nodes, each with a table of its own, and its own plan."""
     m, n = config.m, config.n
     labels, nodes, plan = _skeleton(m, n)
     targets = None
@@ -456,13 +455,10 @@ def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False
         us, alpha, beta = config.unitaries, config.alpha, config.beta
         targets = [(t.a0, t.a1) for t in (oracle.direct_apply(us[s:], alpha, beta)
                                           for s in range(m))] + [(alpha, beta)]
-    proto = Protocol(config, dict(plan), [], build_initial_state(config.alpha, config.beta, m, n),
-                     labels, _namer(labels), targets)
-    # Bound to one weak proxy: a run holding its protocol would make a cycle, and
-    # a dropped protocol would keep its full tables until the cyclic collector ran.
-    proto.nodes = [Node(nd.name, nd.stage, nd.party, nd.bit_labels, partial(nd.run, proxy(proto)),
-                        nd.check_id, nd.reads) for nd in nodes]
-    return proto
+    return Protocol(config, dict(plan), [Node(nd.name, nd.stage, nd.party, nd.bit_labels, nd.run,
+                                              nd.check_id, nd.reads) for nd in nodes],
+                    build_initial_state(config.alpha, config.beta, m, n), labels,
+                    _namer(labels), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +661,7 @@ def _walk(proto: Protocol, checker, branch: _Branch, choose,
         try:
             if table is None:
                 node.table = {}
-                outcomes, peak = node.run(state, bits)
+                outcomes, peak = node.run(proto, state, bits)
                 children = [branch.advance(node, out.bits, out.p, out.build(), frozen, peak,
                                            checker, names) for out in choose(outcomes)]
             else:
@@ -675,7 +671,7 @@ def _walk(proto: Protocol, checker, branch: _Branch, choose,
                     frozen |= retired
                     entry = table.get((state, bits))
                     if entry is None:
-                        outcomes, peak = node.run(state, bits)
+                        outcomes, peak = node.run(proto, state, bits)
                         entry = table[state, bits] = peak, [
                             _Row(out.bits, out.p, *intern(out.build())) for out in outcomes]
                 peak, outcomes = entry

@@ -261,6 +261,20 @@ def test_non_finite_input_is_config_error(capsys, argv):
     assert err.startswith("cjrio: configuration error:") and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "2", "--n", "1", "--alpha", "1e308", "--beta", "0", "--seed", "1"],
+    ["enumerate", "--m", "1", "--n", "0", "--u1", "1e200,0"],
+], ids=["amplitude", "operator"])
+def test_overflowing_input_is_config_error(capsys, argv):
+    # A finite entry whose square overflows is off the unit norm, not a crash.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("cjrio: configuration error:")
+    assert "normalized" in err or "must equal 1" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "enumerate", "stats"])
 def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch, command):
     def no_compute(*args, **kwargs):

@@ -80,7 +80,9 @@ def test_initial_state_rejections():
                           ((1.0, 0.0, True, 1), "m must be an int"),
                           ((1.0, 0.0, 1.5, 1), "m must be an int"),
                           ((1.0, 0.0, 2, 1.0), "n must be an int"),
-                          ((math.inf, 0.0, 2, 1), "input amplitudes must be finite")]:
+                          ((math.inf, 0.0, 2, 1), "input amplitudes must be finite"),
+                          ((1e200, 0.0, 2, 1), "input amplitudes are not normalized"),
+                          ((0.0, 10 ** 400, 2, 1), "input amplitudes are not normalized")]:
         with pytest.raises(ValueError, match=message):
             build_initial_state(*args)
 

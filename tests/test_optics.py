@@ -201,6 +201,9 @@ def test_su2_rejects_non_unitary():
     for u, v in ((math.nan, 0), (1, complex(0, math.nan)), (math.inf, 0)):
         with pytest.raises(ValueError, match="finite"):
             SU2Operator(u, v)
+    for u, v in ((1e200, 0), (0, 1e200j), (10 ** 400, 0)):  # squares past the float range
+        with pytest.raises(ValueError, match=r"^\|u\|\^2 \+ \|v\|\^2 must equal 1$"):
+            SU2Operator(u, v)
 
 
 @pytest.mark.parametrize("u, v, field", [(None, 0, "u"), ("a", 0, "u"), (True, False, "u"),

@@ -51,6 +51,9 @@ def test_target_state_rejects_non_finite():
     for a0, a1 in ((math.nan, 0.0), (1.0, complex(0, math.nan)), (math.inf, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             TargetState(a0, a1)
+    for a0, a1 in ((1e200, 0.0), (0.0, -1e200j)):  # finite, but the square overflows
+        with pytest.raises(ValueError, match="^target amplitudes are not normalized$"):
+            TargetState(a0, a1)
 
 
 @pytest.mark.parametrize("a0, a1, field", [(None, 0, "a0"), ("a", 0, "a0"), (True, False, "a0"),

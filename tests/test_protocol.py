@@ -35,6 +35,10 @@ def test_config_validation():
         ProtocolConfig(2, 1, (I2,), 0.6, 0.8)
     with pytest.raises(ValueError):
         cfg(alpha=1.0, beta=1.0)
+    # a finite entry whose square leaves the float range, not an OverflowError
+    for alpha, beta in ((1e200, 0.0), (0.6, 1e200j), (complex(1e308, 1e308), 0.0)):
+        with pytest.raises(ValueError, match="^input amplitudes are not normalized$"):
+            cfg(alpha=alpha, beta=beta)
     for alpha, beta in ((math.nan, 0.0), (1.0, complex(math.nan, 0)), (math.inf, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             cfg(alpha=alpha, beta=beta)
@@ -202,8 +206,8 @@ def test_interleaved_walks_on_one_build_name_their_own_bits(rng):
 
 
 def test_a_dropped_protocol_goes_without_the_cyclic_collector(rng):
-    # Its node runs reach it through a weak proxy, so its filled tables are
-    # freed as soon as the last reference goes.
+    # No node refers to its protocol, so its filled tables are freed as soon
+    # as the last reference goes.
     config = cfg(us=(random_su2(rng), random_su2(rng)))
     proto = build_protocol(config, validate_corrections=True)
     assert len(list(iter_branches(config, protocol=proto))) == 2048
@@ -225,6 +229,7 @@ def test_builds_of_one_shape_share_labels_but_no_node_or_plan(rng):
     assert a.plan == b.plan and a.plan is not b.plan
     assert _metadata(a) == _metadata(b)
     assert not {id(node) for node in a.nodes} & {id(node) for node in b.nodes}
+    assert all(x.run is y.run for x, y in zip(a.nodes, b.nodes, strict=True))
     assert a.initial_state.register is b.initial_state.register
     ProtocolRun(config, seed=5, protocol=a).finish()
     assert (all(node.table is not None for node in a.nodes)
@@ -233,7 +238,7 @@ def test_builds_of_one_shape_share_labels_but_no_node_or_plan(rng):
     # stays on that protocol: neither the other nor the next build sees it.
     runs = [node.run for node in b.nodes]
 
-    def broken(state, bits):
+    def broken(proto, state, bits):
         raise AssertionError("a run reassigned on another protocol was called")
 
     for node in a.nodes:
@@ -288,6 +293,36 @@ def test_a_plan_entry_reading_bits_outside_its_node_raises(rng, shape, count):
                 else:
                     for _ in iter_branches(config, protocol=proto):
                         pass
+
+
+@pytest.mark.parametrize("shape, count", [((1, 0), 20), ((2, 1), 38)], ids=["m1-n0", "m2-n1"])
+def test_every_plan_mutant_inside_its_node_reads_is_killed_by_both_checks(rng, shape, count):
+    # Each one-coefficient change of a correcting node's x or z form, on the
+    # constant or on a bit the node reads, sends some branch off its target
+    # and fails the validated walk at that node.  The runs see each mutant
+    # only through the protocol the walk hands them.
+    m, n = shape
+    config = cfg(m, n, [random_su2(rng) for _ in range(m)], *random_pair(rng))
+    proto = build_protocol(config)
+    mutants = [(node.name, form, flip) for node in proto.nodes if node.name in proto.plan
+               for form in ("x", "z")
+               for flip in [1] + [2 << j for j in range(node.reads.bit_length())
+                                  if node.reads >> j & 1]]
+    assert len(mutants) == count
+
+    def mutated(name, form, flip, validate):
+        proto = build_protocol(config, validate_corrections=validate)
+        spec = proto.plan[name]
+        proto.plan[name] = dataclasses.replace(spec, **{form: getattr(spec, form) ^ flip})
+        return iter_branches(config, protocol=proto)
+
+    for name, form, flip in mutants:
+        assert any(not res.blocked and branch_fidelity(config, res) < FIDELITY_THRESHOLD
+                   for res in mutated(name, form, flip, False)), (name, form, flip)
+        with pytest.raises(FrameInconsistencyError) as info:
+            for _ in mutated(name, form, flip, True):
+                pass
+        assert info.value.node == name
 
 
 def test_configs_of_one_shape_built_back_to_back_reach_their_own_targets(rng):
@@ -649,9 +684,9 @@ def _reference_walk(proto):
             yield word, state, probability, max_terms
             continue
         node = nodes[idx]
-        outcomes, peak = node.run(state, word)
+        outcomes, peak = node.run(proto, state, word)
         live, frozen = state.live_part()
-        on_live, live_peak = node.run(live, word & node.reads)
+        on_live, live_peak = node.run(proto, live, word & node.reads)
         assert peak == live_peak, node.name
         assert [(o.bits, o.p) for o in outcomes] == [(o.bits, o.p) for o in on_live], node.name
         children = []
@@ -703,9 +738,9 @@ def test_enumeration_runs_each_node_once_per_table_key(rng, monkeypatch):
     runs = []
     build = protocol.build_protocol
 
-    def counted(run, state, bits):
+    def counted(run, proto, state, bits):
         runs.append(1)
-        return run(state, bits)
+        return run(proto, state, bits)
 
     def counted_build(*args, **kwargs):
         proto = build(*args, **kwargs)
