@@ -7,15 +7,16 @@ that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout, of stderr (every summary and error line is deterministic)
 and of the report a command line writes with ``--output`` (to a temporary
 file of its own per run).  Then, in one such process per tree, it computes
-four digests (see :func:`digests`): the scheme (bit names, node metadata
+five digests (see :func:`digests`): the scheme (bit names, node metadata
 and Pauli-fix forms for m 1-9 and n 0-4), a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
 amplitudes, floats as hex), the same of runs that share one build per
-config, so that they read its node tables, and every branch of validated
-walks, as ``certify`` runs them.  A run that takes more than TIMEOUT_S seconds is
-killed and counts as a difference.  Prints one line per command line and per
-digest and exits 1 if any differs, so a change that claims the same
-behaviour can show it.
+config, so that they read its node tables, every branch of validated
+walks, as ``certify`` runs them, and the two readout primitives on seeded
+random states (each outcome's bits, probability and state).  A run that
+takes more than TIMEOUT_S seconds is killed and counts as a difference.
+Prints one line per command line and per digest and exits 1 if any
+differs, so a change that claims the same behaviour can show it.
 
     python scripts/compare_reports.py BASE [HEAD]
 
@@ -192,10 +193,64 @@ def _run_configs(shapes=RUN_SHAPES, count=RUN_COUNT):
                int(rng.integers(2 ** 32)))
 
 
+# The readout states: this many seeded random normalized states per shape,
+# of up to READOUT_KETS kets, about one amplitude in TINY_EVERY scaled below
+# the pruning tolerance.
+READOUT_SHAPES = ((1, 0), (2, 1), (3, 2))
+READOUT_STATES = 300
+READOUT_KETS = 16
+TINY_EVERY = 8
+DOF_LISTS = (("polar", "spatial"), ("spatial", "polar"), ("polar",), ("spatial",))
+
+
+def readout_digest() -> str:
+    """A sha256 over every outcome of the homodyne readout (one or two random
+    taps on a fresh probe) and of the measurement of a random photon on each
+    DOF list, on seeded random states: its bits, its probability and its
+    state's kets and amplitudes, floats as hex, or the message of the
+    ValueError building the state raised."""
+    import numpy as np
+
+    from cjrio.hilbert import HybridState, enumerate_measurement, registry
+    from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
+
+    rng = np.random.default_rng(RUN_SEED)
+    digest = hashlib.sha256()
+
+    def update(outcomes):
+        for out in outcomes:
+            try:
+                built = [(ket, a.real.hex(), a.imag.hex()) for ket, a in out.build().terms.items()]
+            except ValueError as exc:
+                built = str(exc)
+            digest.update(repr((out.bits, out.p.hex(), built)).encode())
+
+    for m, n in READOUT_SHAPES:
+        reg = registry(m, n)
+        size = len(reg)
+        for _ in range(READOUT_STATES):
+            terms = {}  # the first ket drawn is never tiny, so the state normalizes
+            for _ in range(int(rng.integers(1, READOUT_KETS + 1))):
+                amp = complex(*rng.normal(size=2))
+                if terms and rng.integers(TINY_EVERY) == 0:
+                    amp *= 1e-16
+                terms.setdefault(int(rng.integers(1 << 2 * size)), amp)
+            state = HybridState(reg, (True,) * size, terms).normalized()
+            probe = fresh_probe(state)
+            for _ in range(int(rng.integers(1, 3))):
+                probe = kerr(probe, state, int(rng.integers(size)), int(rng.integers(2)),
+                             (-1, 1, 2)[int(rng.integers(3))])
+            update(enumerate_homodyne(probe, state))
+            i = int(rng.integers(size))
+            for dofs in DOF_LISTS:
+                update(enumerate_measurement(state, i, dofs))
+    return digest.hexdigest()
+
+
 def digests() -> dict[str, str]:
-    """The scheme, seeded-run, shared-protocol and validated-walk digests of
-    the cjrio this process imports, each a sha256 over the repr of what it
-    covers."""
+    """The scheme, seeded-run, shared-protocol, validated-walk and readout
+    digests of the cjrio this process imports, each a sha256 over the repr of
+    what it covers."""
     import numpy as np
 
     from cjrio import ProtocolConfig, SU2Operator
@@ -241,7 +296,7 @@ def digests() -> dict[str, str]:
                                    len(res.errata), None if fid is None else fid.hex())).encode())
     return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest(),
             "shared-protocol digest": shared.hexdigest(),
-            "validated-walk digest": validated.hexdigest()}
+            "validated-walk digest": validated.hexdigest(), "readout digest": readout_digest()}
 
 
 def run_digests(tree: Path) -> tuple[dict[str, str], float]:
@@ -282,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} command lines byte-identical")
     (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
     for name in ("scheme digest", "seeded-run digest", "shared-protocol digest",
-                 "validated-walk digest"):
+                 "validated-walk digest", "readout digest"):
         same = name in base and base.get(name) == head.get(name)
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "

@@ -200,9 +200,7 @@ class HybridState:
     def adopt(self, terms: dict[int, complex]) -> "HybridState":
         """A state on the same photons that takes over ``terms``, uncopied."""
         s = HybridState.__new__(HybridState)
-        s.register = self.register
-        s.alive = self.alive
-        s.terms = terms
+        s.register, s.alive, s.terms = self.register, self.alive, terms
         return s
 
     def mark_dead(self, i: int) -> "HybridState":
@@ -247,7 +245,10 @@ class HybridState:
     # -- numerics ----------------------------------------------------------
 
     def norm(self) -> float:
-        return math.sqrt(sum((a.real * a.real + a.imag * a.imag) for a in self.terms.values()))
+        total = 0  # a left fold, as the readouts sum p: from Python 3.12 sum() compensates
+        for a in self.terms.values():
+            total += a.real * a.real + a.imag * a.imag
+        return math.sqrt(total)
 
     def normalized(self) -> "HybridState":
         nrm = self.norm()
@@ -263,6 +264,13 @@ class HybridState:
 
 def prune(terms: Mapping[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_TOL}
+
+
+def on_path(mask: int, path: int) -> int:
+    """``mask``'s bits in a ket on ``path``, which must be 0 or 1 (not a bool)."""
+    if isinstance(path, bool) or path not in (0, 1):
+        raise ValueError(f"a path must be 0 or 1, got {path!r}")
+    return mask if path else 0
 
 
 def check_shape(m: int, n: int) -> None:
@@ -312,13 +320,19 @@ def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> Hybrid
     """
     check_shape(m, n)
     check_amplitudes(alpha, beta)
+    return initial_state(alpha, beta, m, n)
+
+
+def initial_state(alpha: complex, beta: complex, m: int, n: int) -> HybridState:
+    """:func:`build_initial_state` of a checked shape and pair: one terms copy."""
     reg = registry(m, n)
     size = len(reg)
     chan = (1 << size) - 2  # the channel photons' path bits; shifted by size, their polarizations
     a, b = complex(alpha) / 2.0, complex(beta) / 2.0
-    terms = {xbit | branch * chan | (VERTICAL << size) | (pol * chan) << size: w
-             for xbit, w in ((0, a), (1, b)) for branch in (0, 1) for pol in (0, 1)}
-    return HybridState(reg, (True,) * size, prune(terms)).normalized()
+    return HybridState(reg, (True,) * size, {}).adopt({
+        xbit | branch * chan | (VERTICAL << size) | (pol * chan) << size: w
+        for xbit, w in ((0, a), (1, b)) if abs(w) > PRUNE_TOL
+        for branch in (0, 1) for pol in (0, 1)}).normalized()
 
 
 def overlap(a: HybridState, b: HybridState) -> complex:
@@ -352,22 +366,18 @@ class Outcome:
 
 
 def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None) -> HybridState:
-    """``state`` projected onto ``terms``, pruned, normalized, photon ``dead`` (if any) retired."""
-    s = state.adopt(prune(terms)).normalized()
+    """``state`` projected onto the pruned ``terms``, normalized, ``dead`` (if any) retired."""
+    s = state.adopt(terms).normalized()
     return s if dead is None else s.mark_dead(dead)
 
 
-def collapse_outcomes(state: HybridState, parts: Iterable[tuple[object, dict[int, complex]]],
+def collapse_outcomes(state: HybridState, parts: Iterable[tuple[object, dict, float]],
                       dead: int | None = None) -> list[Outcome]:
-    """The outcomes of a readout that splits ``state``'s kets into ``parts``, one
-    per (bits, terms) in outcome order, skipping a part of p <= ``PRUNE_TOL ** 2``."""
-    out = []
-    for bits, terms in parts:
-        p = sum(abs(a) ** 2 for a in terms.values())
-        if p <= PRUNE_TOL ** 2:
-            continue
-        out.append(Outcome(bits, p, partial(_collapse, state, terms, dead)))
-    return out
+    """The outcomes of a readout that splits ``state``'s kets into ``parts``, one per
+    (bits, terms, p) in outcome order, skipping a part of p <= ``PRUNE_TOL ** 2``: the terms
+    pruned, p every term's ``abs(a) ** 2``, pruned or not, folded left to right from int 0."""
+    return [Outcome(bits, p, partial(_collapse, state, terms, dead))
+            for bits, terms, p in parts if p > PRUNE_TOL ** 2]
 
 
 def enumerate_measurement(state: HybridState, i: int,
@@ -386,11 +396,14 @@ def enumerate_measurement(state: HybridState, i: int,
     masks = [state.register.mask(i, d) for d in dofs]
     measured = sum(masks)  # distinct one-bit masks: their sum is their union
     buckets: dict[int, dict[int, complex]] = {}
+    ps: dict[int, float] = {}  # each bucket's probability
     for ket, amp in state.terms.items():
-        buckets.setdefault(ket & measured, {})[ket] = amp
+        if (a := abs(amp)) > PRUNE_TOL:  # pruned here: a collapse only normalizes
+            buckets.setdefault(ket & measured, {})[ket] = amp
+        ps[ket & measured] = ps.get(ket & measured, 0) + a ** 2
     # Every readout as (word, bucket key), lexicographic in the bits in DOF order.
     readouts = [(0, 0)]
     for j in reversed(range(len(masks))):
         readouts += [(word | 1 << j, key | masks[j]) for word, key in readouts]
-    return collapse_outcomes(state, [(word, buckets[key]) for word, key in readouts
-                                     if key in buckets], i)
+    return collapse_outcomes(state, [(word, buckets.get(key, {}), ps[key]) for word, key in readouts
+                                     if key in ps], i)

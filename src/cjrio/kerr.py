@@ -6,51 +6,75 @@ conditioned on the photon actually occupying the tapped path in a given basis
 ket.  X-quadrature homodyne detection then resolves only the magnitude of the
 accumulated phase, so kets with multipliers +n and -n fall in the same
 outcome class.  The photon-side amplitudes are untouched by the interaction;
-only the measurement collapses them.  A probe is held as its tags: a dict from
-each ket to the multiplier it has picked up.
+only the measurement collapses them.  A probe is its taps on one state, read
+as a mapping from each ket to its multiplier; one pass classes the kets.
 """
 
 from __future__ import annotations
 
-from .hilbert import HybridState, Outcome, collapse_outcomes
+from collections.abc import Mapping
+
+from .hilbert import PRUNE_TOL, HybridState, Outcome, collapse_outcomes, on_path
 
 ALLOWED_MULTIPLIERS = (-1, 1, 2)
+_RETAP = "the probe was tapped on another state; re-tap after state changes"
 
 
-def fresh_probe(state: HybridState) -> dict[int, int]:
-    """An untapped probe: its phase-multiplier tag per ket of ``state``, all 0."""
-    return {ket: 0 for ket in state.terms}
+class Probe(Mapping):
+    """The (path mask, on-path value, multiplier) taps on ``state``; ``tapped`` ORs the masks."""
+
+    __slots__ = ("state", "taps", "tapped")
+
+    def __init__(self, state: HybridState, taps: tuple = (), tapped: int = 0):
+        self.state, self.taps, self.tapped = state, taps, tapped
+
+    def __getitem__(self, ket: int) -> int:
+        if ket not in self.state.terms:
+            raise KeyError(ket)
+        return sum(mult for mask, on, mult in self.taps if ket & mask == on)
+
+    def __iter__(self):
+        return iter(self.state.terms)
+
+    def __len__(self) -> int:
+        return len(self.state.terms)
 
 
-def kerr(
-    probe: dict[int, int],
-    state: HybridState,
-    i: int,
-    path: int,
-    mult: int,
-) -> dict[int, int]:
+def fresh_probe(state: HybridState) -> Probe:
+    """An untapped probe on ``state``: every ket's multiplier is 0."""
+    return Probe(state)
+
+
+def kerr(probe: Probe, state: HybridState, i: int, path: int, mult: int) -> Probe:
     """Tap one path of the photon at position ``i``: every ket with the
     photon on ``path`` adds ``mult`` to its probe multiplier.  Returns the
-    updated probe; state amplitudes are unchanged."""
-    if mult not in ALLOWED_MULTIPLIERS:
+    tapped probe; ``probe`` and the state amplitudes are unchanged."""
+    if isinstance(mult, bool) or mult not in ALLOWED_MULTIPLIERS:
         raise ValueError(f"interaction multiplier must be one of {ALLOWED_MULTIPLIERS}")
     sm, _ = state.require_alive(i)
-    on_path = sm if path else 0
-    return {
-        ket: probe.get(ket, 0) + (mult if (ket & sm) == on_path else 0)
-        for ket in state.terms
-    }
+    if probe.state is not state:
+        raise ValueError(_RETAP)
+    return Probe(state, (*probe.taps, (sm, on_path(sm, path), mult)), probe.tapped | sm)
 
 
-def enumerate_homodyne(probe: dict[int, int], state: HybridState) -> list[Outcome]:
+def enumerate_homodyne(probe: Probe, state: HybridState) -> list[Outcome]:
     """Every homodyne outcome with its probability and collapsed, renormalized
     state, deterministically ordered by phase class.  Pure: the same probe can
     be enumerated repeatedly."""
-    classes: dict[int, dict[int, complex]] = {}
+    if probe.state is not state:
+        raise ValueError(_RETAP)
+    taps, tapped = probe.taps, probe.tapped
+    classes: dict[int, list] = {}  # class -> [its terms, its probability]
+    read: dict[int, list] = {}  # the tapped bits of a ket -> its class's entry
     for ket, amp in state.terms.items():
-        try:
-            c = abs(probe[ket])
-        except KeyError:
-            raise ValueError("probe tags do not cover the state; re-tap after state changes") from None
-        classes.setdefault(c, {})[ket] = amp
-    return collapse_outcomes(state, [(c, classes[c]) for c in sorted(classes)])
+        part = read.get(ket & tapped)
+        if part is None:
+            c = 0
+            for mask, on, mult in taps:
+                if ket & mask == on:
+                    c += mult
+            part = read[ket & tapped] = classes.setdefault(abs(c), [{}, 0])
+        if (a := abs(amp)) > PRUNE_TOL:  # pruned here: a collapse only normalizes
+            part[0][ket] = amp
+        part[1] += a ** 2
+    return collapse_outcomes(state, [(c, *classes[c]) for c in sorted(classes)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HybridState, check_unit_pair, prune
+from .hilbert import HybridState, check_unit_pair, on_path, prune
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -94,14 +94,14 @@ def apply_bbs(state: HybridState, i: int) -> HybridState:
 def apply_hwp(state: HybridState, i: int, path: int) -> HybridState:
     """Half-wave plate on one path: swaps H and V there, other path untouched."""
     sm, pm = state.require_alive(i)
-    return _flip(state, pm, sm, sm if path else 0)
+    return _flip(state, pm, sm, on_path(sm, path))
 
 
 def apply_qwp(state: HybridState, i: int, path: int) -> HybridState:
     """Quarter-wave plate on one path: polarization Hadamard,
     H -> (H + V)/sqrt2, V -> (H - V)/sqrt2."""
     sm, pm = state.require_alive(i)
-    return _hadamard(state, pm, sm, sm if path else 0)
+    return _hadamard(state, pm, sm, on_path(sm, path))
 
 
 def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
@@ -109,9 +109,9 @@ def apply_pbs(state: HybridState, i: int, in_path: int) -> HybridState:
     keeps the path, V is reflected onto the other path.  Polarization is
     unchanged; the photon's path becomes correlated with it."""
     sm, pm = state.require_alive(i)
-    on_path = sm if in_path else 0
+    on = on_path(sm, in_path)
     for ket in state.terms:
-        if (ket & sm) != on_path:
+        if (ket & sm) != on:
             raise ValueError(
                 f"photon {state.photons[i]} has amplitude off path {in_path}; "
                 "single-input use only"

@@ -29,9 +29,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import oracle
-from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, build_initial_state,
-                      charlie, check_amplitudes, check_shape, enumerate_measurement,
-                      registry)
+from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, charlie, check_amplitudes,
+                      check_shape, enumerate_measurement, initial_state, registry)
 from .kerr import enumerate_homodyne, fresh_probe, kerr
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator, apply_bbs,
                      apply_hwp, apply_pauli_polar, apply_pauli_spatial, apply_pbs,
@@ -457,7 +456,7 @@ def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False
                                           for s in range(m))] + [(alpha, beta)]
     return Protocol(config, dict(plan), [Node(nd.name, nd.stage, nd.party, nd.bit_labels, nd.run,
                                               nd.check_id, nd.reads) for nd in nodes],
-                    build_initial_state(config.alpha, config.beta, m, n), labels,
+                    initial_state(config.alpha, config.beta, m, n), labels,
                     _namer(labels), targets)
 
 
@@ -565,8 +564,7 @@ class _Branch(NamedTuple):
     """Where one branch stands: the index of its next node (or of the node
     that blocked it), its state (``state`` with the retired bits ``frozen``
     set in every ket), its bits as a word (the j-th broadcast bit at bit j)
-    and how many there are, and what it has gathered so far.  The walk moves
-    it with :meth:`advance`, one node outcome at a time."""
+    and how many there are, and what it has gathered so far."""
 
     idx: int
     state: HybridState
@@ -577,32 +575,6 @@ class _Branch(NamedTuple):
     errata: tuple
     max_terms: int
     blocked_at: str | None
-
-    def advance(self, node: Node, bits: int, p: float, state: HybridState, frozen: int,
-                peak: int, checker, names) -> "_Branch":
-        """The branch after ``node`` produced the outcome ``bits`` with
-        probability ``p`` and the state ``state`` with ``frozen`` set;
-        ``peak`` is the node's largest intermediate term count.  A stage
-        ``checker`` reads the bits as ``names`` gives them, and the full
-        state, built for it."""
-        idx, _, _, word, width, probability, errata, max_terms, _ = self
-        word |= bits << width
-        width += len(node.bit_labels)
-        if checker is not None and node.check_id is not None:
-            mismatch = checker(node.check_id, names(word, width), state.with_frozen(frozen))
-            if mismatch is not None:
-                errata = errata + (mismatch,)
-        # Compared by hand and built with tuple.__new__, which skips the
-        # Python-level __new__ of a NamedTuple: this runs once per edge of the
-        # outcome tree, and without the max() call and that frame a (3,2)
-        # enumeration takes 20% less CPU time.
-        terms = len(state.terms)
-        if terms < peak:
-            terms = peak
-        if terms > max_terms:
-            max_terms = terms
-        return _tuple_new(_Branch, (idx + 1, state, frozen, word, width, probability * p,
-                                    errata, max_terms, None))
 
     def result(self, proto: Protocol, seed: int | None = None) -> BranchResult:
         """The finished, or blocked, branch of a walk on ``proto``."""
@@ -644,48 +616,59 @@ def _walk(proto: Protocol, checker, branch: _Branch, choose,
     too runs once per key; its verdict is a function of that key alone.  A
     node's first run is stored nowhere and builds only the outcomes
     ``choose`` keeps, so a sampled run, which enters each node once, pays for
-    no table."""
+    no table.  A node's first child goes on at once: a one-outcome node pushes none."""
     nodes, names, intern = proto.nodes, proto.names, proto.intern
     end = len(nodes) if stop is None else stop
-    stack = [branch]
+    stack = [tuple(branch)]
     while stack:
-        branch = stack.pop()
-        idx = branch.idx
-        if branch.blocked_at is not None or idx == end:
-            yield branch
-            continue
-        node = nodes[idx]
-        state, frozen = branch.state, branch.frozen
-        bits = branch.word & node.reads
-        table = node.table
-        try:
-            if table is None:
-                node.table = {}
-                outcomes, peak = node.run(proto, state, bits)
-                children = [branch.advance(node, out.bits, out.p, out.build(), frozen, peak,
-                                           checker, names) for out in choose(outcomes)]
-            else:
-                entry = table.get((state, bits))
-                if entry is None:
-                    state, retired = intern(state)
-                    frozen |= retired
+        idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = stack.pop()
+        while idx != end and blocked_at is None:
+            node = nodes[idx]
+            bits = word & node.reads
+            table = node.table
+            kept = frozen  # the children's retired bits, before their own
+            try:
+                if table is None:
+                    node.table = {}
+                    outcomes, peak = node.run(proto, state, bits)
+                    rows = [(out.bits, out.p, out.build(), 0) for out in choose(outcomes)]
+                else:
                     entry = table.get((state, bits))
                     if entry is None:
-                        outcomes, peak = node.run(proto, state, bits)
-                        entry = table[state, bits] = peak, [
-                            _Row(out.bits, out.p, *intern(out.build())) for out in outcomes]
-                peak, outcomes = entry
-                children = [branch.advance(node, row.bits, row.p, row.state, frozen | row.frozen,
-                                           peak, checker, names) for row in choose(outcomes)]
-        except _FrameMismatch as err:
-            raise FrameInconsistencyError(node.name, names(branch.word | err.word, err.heard),
-                                          err.derived, err.found) from None
-        if not outcomes:  # the node's controller withheld consent
-            stack.append(branch._replace(max_terms=max(branch.max_terms, peak),
-                                         blocked_at=node.name))
-            continue
-        # Advanced in outcome order; pushed reversed, so the first is walked first.
-        stack.extend(reversed(children))
+                        live, retired = intern(state)
+                        kept |= retired
+                        entry = table.get((live, bits))
+                        if entry is None:
+                            outcomes, peak = node.run(proto, live, bits)
+                            entry = table[live, bits] = peak, [
+                                _Row(out.bits, out.p, *intern(out.build())) for out in outcomes]
+                    peak, outcomes = entry
+                    rows = choose(outcomes)
+            except _FrameMismatch as err:
+                raise FrameInconsistencyError(node.name, names(word | err.word, err.heard),
+                                              err.derived, err.found) from None
+            if max_terms < peak:
+                max_terms = peak
+            if not outcomes:  # the node's controller withheld consent
+                blocked_at = node.name
+                break
+            after = width + len(node.bit_labels)
+            children = []
+            for out_bits, p, st, fz in rows:
+                w = word | out_bits << width
+                fz |= kept
+                errs = errata
+                if checker is not None and node.check_id is not None:
+                    mismatch = checker(node.check_id, names(w, after), st.with_frozen(fz))
+                    if mismatch is not None:
+                        errs = errata + (mismatch,)
+                terms = len(st.terms)
+                children.append((idx + 1, st, fz, w, after, probability * p, errs,
+                                 terms if terms > max_terms else max_terms, None))
+            stack += children[:0:-1]  # all but the first, last on the bottom
+            idx, state, frozen, word, width, probability, errata, max_terms, _ = children[0]
+        yield _tuple_new(_Branch, (idx, state, frozen, word, width, probability, errata,
+                                   max_terms, blocked_at))
 
 
 def iter_branches(
@@ -726,7 +709,7 @@ class ProtocolRun:
         self._proto, self._walk, self._branch = _start(
             config, check_stages, validate_corrections, protocol)
         self._seed = seed
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
         self._shown = self._state = None
         self._stage = 0  # the last stage stepped
 

@@ -242,3 +242,31 @@ def test_outcomes_below_the_pruning_tolerance_are_skipped():
     assert [(o.bits, o.p) for o in tapped] == [(0, 1.0)]
     state = tapped[0].build()
     assert state.terms == {ket_a: 1.0}
+
+
+def _fold(values):
+    """``values`` added left to right from int 0."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def test_norm_and_readout_probabilities_are_left_folds():
+    # Ten amplitudes sqrt(0.1) with X on path 0: their squares fold left to
+    # right to 0.9999999999999999, while their exact sum rounds to 1.0, as
+    # Python 3.12's compensated sum() gives it.  The norm and both readouts'
+    # p must read the fold on every Python.
+    from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
+
+    reg = registry(2, 1)
+    terms = {2 * k: complex(math.sqrt(0.1)) for k in range(1, 11)}  # even kets: X on path 0
+    s = HybridState(reg, (True,) * len(reg), terms)
+    x = s.index_of(X)
+    squares = [abs(a) ** 2 for a in s.terms.values()]
+    assert _fold(squares) != math.fsum(squares)
+    assert s.norm() == math.sqrt(_fold(a.real * a.real + a.imag * a.imag
+                                       for a in s.terms.values()))
+    assert [o.p for o in enumerate_measurement(s, x, ("spatial",))] == [_fold(squares)]
+    probe = kerr(fresh_probe(s), s, x, 0, +1)
+    assert [(o.bits, o.p) for o in enumerate_homodyne(probe, s)] == [(1, _fold(squares))]

@@ -110,3 +110,23 @@ def test_multiplier_whitelist(rng):
     with pytest.raises(ValueError):
         kerr(fresh_probe(s), s, s.index_of(X), 0, 3)
 
+
+@pytest.mark.parametrize("path, mult", [(2, 1), (-1, 1), (True, 1), (False, 1), (0, True),
+                                        (1, False)])
+def test_kerr_rejects_a_path_or_multiplier_out_of_range(rng, path, mult):
+    # A path must be 0 or 1 and a multiplier one of the allowed ints; bools
+    # are neither, though True == 1.
+    s = build_initial_state(*random_pair(rng), 2, 1)
+    with pytest.raises(ValueError):
+        kerr(fresh_probe(s), s, s.index_of(X), path, mult)
+
+
+def test_a_probe_reads_out_only_the_state_it_was_tapped_on(rng):
+    s = build_initial_state(*random_pair(rng), 2, 1)
+    copy = HybridState(s.register, s.alive, s.terms)
+    probe = kerr(fresh_probe(s), s, s.index_of(X), 0, +1)
+    with pytest.raises(ValueError, match="re-tap"):
+        kerr(probe, copy, s.index_of(A), 0, -1)
+    with pytest.raises(ValueError, match="re-tap"):
+        enumerate_homodyne(probe, copy)
+    assert len(probe) == len(s.terms) and set(probe) == set(s.terms)

@@ -39,6 +39,9 @@ def amp(state, spatial, polar):
 # Register position of the stand-in photon B1 in single_photon states.
 B1 = registry(1, 0).index(bob(1))
 
+# Paths that are not 0 or 1: out of range, or bools, though True == 1.
+NOT_PATHS = (2, -1, True, False, 0.5)
+
 
 def test_bbs_path0_rule():
     s = single_photon(spatial=0)
@@ -95,6 +98,13 @@ def test_hwp_is_involution():
     assert abs(overlap(s, out) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("path", NOT_PATHS)
+def test_hwp_rejects_a_path_other_than_0_or_1(path):
+    s = single_photon(amp_pairs={(1, 0): 0.6, (1, 1): 0.8})
+    with pytest.raises(ValueError, match="path must be 0 or 1"):
+        apply_hwp(s, B1, path)
+
+
 def test_qwp_rules():
     s = single_photon(spatial=1, polar=0)
     out = apply_qwp(s, B1, 1)
@@ -114,6 +124,13 @@ def test_qwp_twice_is_identity(rng):
     assert abs(overlap(s, out) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("path", NOT_PATHS)
+def test_qwp_rejects_a_path_other_than_0_or_1(path):
+    s = single_photon(amp_pairs={(1, 0): 0.6, (1, 1): 0.8})
+    with pytest.raises(ValueError, match="path must be 0 or 1"):
+        apply_qwp(s, B1, path)
+
+
 def test_pbs_splits_by_polarization(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(1, 0): a, (1, 1): b})
@@ -131,6 +148,13 @@ def test_pbs_rejects_dual_input():
     s = single_photon(amp_pairs={(0, 0): S, (1, 0): S})
     with pytest.raises(ValueError):
         apply_pbs(s, B1, 0)
+
+
+@pytest.mark.parametrize("in_path", NOT_PATHS)
+def test_pbs_rejects_an_in_path_other_than_0_or_1(in_path):
+    s = single_photon(spatial=1, polar=1)
+    with pytest.raises(ValueError, match="path must be 0 or 1"):
+        apply_pbs(s, B1, in_path)
 
 
 def test_pauli_spatial_flip_and_sign(rng):

@@ -671,17 +671,19 @@ def test_degenerate_inputs_run_end_to_end():
 
 def _reference_walk(proto):
     """Every branch of ``proto`` depth-first, first outcome first, as (word,
-    state, probability, max_terms), with no use of the walk's tables.  At
-    every node of every branch it checks the tables' premise: the node run on
-    the full state with the whole word, and on the state's live part with only
-    the bits the node reads, agree once the frozen bits are set back."""
+    state, probability, max_terms, blocked_at), with no use of the walk's
+    tables; a blocked branch ends at the node that blocked it, with that
+    node's input state and its peak counted.  At every node of every branch
+    it checks the tables' premise: the node run on the full state with the
+    whole word, and on the state's live part with only the bits the node
+    reads, agree once the frozen bits are set back."""
     nodes = proto.nodes
     state = proto.initial_state
     stack = [(0, state, 0, 0, 1.0, len(state.terms))]
     while stack:
         idx, state, word, width, probability, max_terms = stack.pop()
         if idx == len(nodes):
-            yield word, state, probability, max_terms
+            yield word, state, probability, max_terms, None
             continue
         node = nodes[idx]
         outcomes, peak = node.run(proto, state, word)
@@ -689,6 +691,9 @@ def _reference_walk(proto):
         on_live, live_peak = node.run(proto, live, word & node.reads)
         assert peak == live_peak, node.name
         assert [(o.bits, o.p) for o in outcomes] == [(o.bits, o.p) for o in on_live], node.name
+        if not outcomes:  # the node's controller withheld consent
+            yield word, state, probability, max(max_terms, peak), node.name
+            continue
         children = []
         for out, other in zip(outcomes, on_live):
             child, rebased = out.build(), other.build().with_frozen(frozen)
@@ -713,20 +718,33 @@ def test_node_runs_depend_only_on_live_part_and_read_bits(rng, shape, validate):
     assert sum(1 for _ in _reference_walk(proto)) == 2 ** branch_bit_count(m, n)
 
 
-def test_enumeration_equals_a_replay_without_tables_m2_n2(rng):
-    # Each branch the tabled walk yields, against the same branch replayed
-    # node by node on a freshly built protocol whose tables stay unused.
-    config = ProtocolConfig(2, 2, (random_su2(rng), random_su2(rng)), *random_pair(rng))
+def _assert_replayed(config, blocked_at, count):
+    """Each branch the tabled walk yields, against the same branch replayed
+    node by node on a freshly built protocol whose tables stay unused."""
     replay = _reference_walk(build_protocol(config))
-    count = 0
-    for res, (word, state, probability, max_terms) in zip(iter_branches(config), replay,
-                                                          strict=True):
+    seen = 0
+    for res, want in zip(iter_branches(config), replay, strict=True):
+        word, state, probability, max_terms, halted_at = want
         assert res._word == word
         assert res.probability == probability and res.max_terms == max_terms
+        assert res.blocked_at == halted_at == blocked_at
         assert res.state.alive == state.alive
         assert res.state.exact_key() == state.exact_key()
-        count += 1
-    assert count == 2 ** 13
+        seen += 1
+    assert seen == count
+
+
+def test_enumeration_equals_a_replay_without_tables_m2_n2(rng):
+    config = ProtocolConfig(2, 2, (random_su2(rng), random_su2(rng)), *random_pair(rng))
+    _assert_replayed(config, None, 2 ** 13)
+
+
+def test_vetoed_enumeration_equals_a_replay_without_tables_m2_n2(rng):
+    # Every branch halts at the first release gate, with the state it
+    # reached that node with, before any intern, and the node's peak counted.
+    config = ProtocolConfig(2, 2, (random_su2(rng), random_su2(rng)), *random_pair(rng),
+                            consent_phase2=(False, True))
+    _assert_replayed(config, "control_measure[1]", 2 ** 11)
 
 
 def test_enumeration_runs_each_node_once_per_table_key(rng, monkeypatch):
