@@ -293,8 +293,9 @@ def cmd_enumerate(args) -> int:
     # put there sees the one build.
     proto = protocol.build_protocol(config)
 
-    # Errata stay in memory: --check-paper-eqs runs only at (2,1), so there are
-    # at most 2^11 branches x 10 checked nodes = 20480 records.
+    # Errata, blocked branches' too, stay in memory: --check-paper-eqs runs
+    # only at (2,1), so there are at most 2^11 branches x 10 checked nodes =
+    # 20480 records.
     errata = []
     # A fidelity reads live photons only, and branches that end in one live
     # state share its object, so each is computed once per such object.
@@ -314,6 +315,7 @@ def cmd_enumerate(args) -> int:
             count += 1
             prob_sum += res.probability
             max_terms = max(max_terms, res.max_terms)
+            errata.extend(res.errata)
             fid = None
             if res.blocked:
                 blocked_count += 1
@@ -322,7 +324,6 @@ def cmd_enumerate(args) -> int:
                 if fid is None:
                     fid = fidelities[res.live] = target_fidelity(res.live, target)
                 min_fid = fid if min_fid is None else min(min_fid, fid)
-                errata.extend(res.errata)
             spool.write((sep + _branch_text(res.bits.values(), res.probability, fid,
                                             res.blocked)).encode())
             sep = ",\n"

@@ -267,8 +267,9 @@ def prune(terms: Mapping[int, complex]) -> dict[int, complex]:
 
 
 def on_path(mask: int, path: int) -> int:
-    """``mask``'s bits in a ket on ``path``, which must be 0 or 1 (not a bool)."""
-    if isinstance(path, bool) or path not in (0, 1):
+    """``mask``'s bits in a ket on ``path``, which must be the Python int 0 or
+    1, by exact type: a bool, Python's or numpy's, or a numpy int is not."""
+    if type(path) is not int or path not in (0, 1):
         raise ValueError(f"a path must be 0 or 1, got {path!r}")
     return mask if path else 0
 

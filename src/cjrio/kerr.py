@@ -49,7 +49,7 @@ def kerr(probe: Probe, state: HybridState, i: int, path: int, mult: int) -> Prob
     """Tap one path of the photon at position ``i``: every ket with the
     photon on ``path`` adds ``mult`` to its probe multiplier.  Returns the
     tapped probe; ``probe`` and the state amplitudes are unchanged."""
-    if isinstance(mult, bool) or mult not in ALLOWED_MULTIPLIERS:
+    if type(mult) is not int or mult not in ALLOWED_MULTIPLIERS:
         raise ValueError(f"interaction multiplier must be one of {ALLOWED_MULTIPLIERS}")
     sm, _ = state.require_alive(i)
     if probe.state is not state:

@@ -492,8 +492,10 @@ class Transcript:
 
 @dataclass
 class BranchResult:
-    """One protocol branch: its outcome bits, probability, final (or halt)
-    state and any stage-check mismatch records.
+    """One protocol branch where a walk left it: its outcome bits,
+    probability, state (final, at a halt or between stages) and any
+    stage-check mismatch records.  A walk resumes from one at node index
+    ``_passed``, the node that blocked it if it is blocked.
 
     Neither its state nor its transcript is made until first asked for, then
     kept.  The state is built by setting the retired bits ``_frozen`` in every
@@ -557,36 +559,11 @@ class BranchResult:
 # ---------------------------------------------------------------------------
 
 
-_tuple_new = tuple.__new__
-
-
-class _Branch(NamedTuple):
-    """Where one branch stands: the index of its next node (or of the node
-    that blocked it), its state (``state`` with the retired bits ``frozen``
-    set in every ket), its bits as a word (the j-th broadcast bit at bit j)
-    and how many there are, and what it has gathered so far."""
-
-    idx: int
-    state: HybridState
-    frozen: int
-    word: int
-    width: int
-    probability: float
-    errata: tuple
-    max_terms: int
-    blocked_at: str | None
-
-    def result(self, proto: Protocol, seed: int | None = None) -> BranchResult:
-        """The finished, or blocked, branch of a walk on ``proto``."""
-        idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = self
-        return BranchResult(dict(proto.names(word, width)), probability, blocked_at, list(errata),
-                            max_terms, seed, proto, idx, word, state, frozen)
-
-
 def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
-           proto: Protocol | None):
-    """The protocol (``proto`` if given, else one built from ``config``), its
-    walk (running the stage checks if asked) and the root."""
+           proto: Protocol | None, seed: int | None = None):
+    """The walk on the protocol (``proto`` if given, else one built from
+    ``config``), running the stage checks if asked and giving its branches
+    ``seed``, and the root branch, where no node has run."""
     if proto is None:
         proto = build_protocol(config, validate_corrections=validate_corrections)
     elif proto.config != config or validate_corrections:
@@ -597,15 +574,17 @@ def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: boo
 
         checker = make_stage_checker(config)
     state = proto.initial_state
-    root = _Branch(0, state, 0, 0, 0, 1.0, (), len(state.terms), None)
-    return proto, partial(_walk, proto, checker), root
+    root = BranchResult({}, 1.0, None, [], len(state.terms), seed, proto, 0, 0, state, 0)
+    return partial(_walk, proto, checker, seed), root
 
 
-def _walk(proto: Protocol, checker, branch: _Branch, choose,
-          stop: int | None = None) -> Iterator[_Branch]:
+def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choose,
+          stop: int | None = None) -> Iterator[BranchResult]:
     """Depth-first from ``branch``: run each node and enter the outcomes
     ``choose`` keeps of its outcome list, first to last.  Yields each branch
     that is blocked or has reached node index ``stop`` (the end by default).
+    A pending branch is a plain tuple; only a yielded one becomes a
+    :class:`BranchResult`.
 
     A node's outcomes depend only on the live part of its input state and on
     the word's bits it reads (primitives touch live photons only, and a
@@ -619,7 +598,8 @@ def _walk(proto: Protocol, checker, branch: _Branch, choose,
     no table.  A node's first child goes on at once: a one-outcome node pushes none."""
     nodes, names, intern = proto.nodes, proto.names, proto.intern
     end = len(nodes) if stop is None else stop
-    stack = [tuple(branch)]
+    stack = [(branch._passed, branch._live, branch._frozen, branch._word, len(branch.bits),
+              branch.probability, tuple(branch.errata), branch.max_terms, branch.blocked_at)]
     while stack:
         idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = stack.pop()
         while idx != end and blocked_at is None:
@@ -667,8 +647,8 @@ def _walk(proto: Protocol, checker, branch: _Branch, choose,
                                  terms if terms > max_terms else max_terms, None))
             stack += children[:0:-1]  # all but the first, last on the bottom
             idx, state, frozen, word, width, probability, errata, max_terms, _ = children[0]
-        yield _tuple_new(_Branch, (idx, state, frozen, word, width, probability, errata,
-                                   max_terms, blocked_at))
+        yield BranchResult(dict(names(word, width)), probability, blocked_at, list(errata),
+                           max_terms, seed, proto, idx, word, state, frozen)
 
 
 def iter_branches(
@@ -681,9 +661,8 @@ def iter_branches(
     """Depth-first enumeration of every outcome branch, in lexicographic
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability.  ``protocol`` is ``config``'s node list, if built."""
-    proto, walk, root = _start(config, check_stages, validate_corrections, protocol)
-    for branch in walk(root, lambda outcomes: outcomes):
-        yield branch.result(proto)
+    walk, root = _start(config, check_stages, validate_corrections, protocol)
+    yield from walk(root, lambda outcomes: outcomes)
 
 
 class ProtocolRun:
@@ -706,28 +685,23 @@ class ProtocolRun:
         if seed is not None and rng is not None:
             raise ValueError("a run takes a seed or an rng, not both")
         self.config = config
-        self._proto, self._walk, self._branch = _start(
-            config, check_stages, validate_corrections, protocol)
-        self._seed = seed
+        self._walk, self._branch = _start(config, check_stages, validate_corrections, protocol,
+                                          seed)
         self._rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
-        self._shown = self._state = None
         self._stage = 0  # the last stage stepped
 
     @property
     def state(self) -> HybridState:
         """The full state where the run stands, built once per branch."""
-        branch = self._branch
-        if self._shown is not branch:
-            self._shown, self._state = branch, branch.state.with_frozen(branch.frozen)
-        return self._state
+        return self._branch.state
 
     @property
     def bits(self) -> dict[str, int]:
-        return dict(self._proto.names(self._branch.word, self._branch.width))
+        return dict(self._branch.bits)
 
     @property
     def blocked(self) -> bool:
-        return self._branch.blocked_at is not None
+        return self._branch.blocked
 
     @property
     def blocked_at(self) -> str | None:
@@ -754,8 +728,8 @@ class ProtocolRun:
         Each step must name a later stage than the last, and skip no stage
         with nodes still to run; a stage without nodes in this shape gives
         ``()``."""
-        branch, nodes = self._branch, self._proto.nodes
-        start = branch.idx
+        branch = self._branch
+        nodes, start = branch._protocol.nodes, branch._passed
         lo = self._stage + 1
         hi = 9 if branch.blocked_at or start == len(nodes) else nodes[start].stage
         if isinstance(stage, bool) or not isinstance(stage, int) or not lo <= stage <= hi:
@@ -769,13 +743,13 @@ class ProtocolRun:
         (self._branch,) = self._walk(branch, self._draw, stop)
         if self.blocked:
             return BLOCKED
-        bits = self.bits
+        bits = self._branch.bits
         return tuple(bits[lbl] for node in nodes[start:stop] for lbl in node.bit_labels)
 
     def finish(self) -> BranchResult:
         self._stage = 9
         (self._branch,) = self._walk(self._branch, self._draw)
-        return self._branch.result(self._proto, seed=self._seed)
+        return self._branch
 
 
 def run_full(config: ProtocolConfig, seed: int | None = None, *,

@@ -320,6 +320,7 @@ def _reference_enumerate_report(argv: list[str]) -> str:
     for res in cli.iter_branches(config, check_stages=args.check_paper_eqs):
         prob_sum += res.probability
         max_terms = max(max_terms, res.max_terms)
+        errata.extend(res.errata)
         if res.blocked:
             blocked_count += 1
             branches.append({
@@ -332,7 +333,6 @@ def _reference_enumerate_report(argv: list[str]) -> str:
         fid = cli.target_fidelity(res.state, target)
         min_fid = fid if min_fid is None else min(min_fid, fid)
         classical_bits = res.transcript.classical_bits
-        errata.extend(res.errata)
         branches.append({
             "bits": [res.bits[lbl] for lbl in labels],
             "probability": res.probability,
@@ -425,6 +425,14 @@ def test_streamed_report_matches_reference_with_errata(capsys, monkeypatch):
     for rows in dumps:
         keys = [(row["paths"], row["pol"]) for row in rows]
         assert len(keys) == 4 and keys == sorted(keys)
+    # A blocked branch reports the mismatches of the checkpoints it passed:
+    # 1024 branches vetoed at control_measure, each past 8 checkpoints.
+    argv = ["enumerate", "--m", "2", "--n", "1", "--check-paper-eqs", "--consent2", "0"]
+    expected = _reference_enumerate_report(argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_BLOCKED
+    assert len(json.loads(out)["errata"]) == 8 * 1024
+    assert out == expected
 
 
 def test_enumerate_memory_flat_in_branch_count(tmp_path):

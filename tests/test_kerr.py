@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cjrio.hilbert import A, HybridState, X, build_initial_state
@@ -112,10 +113,10 @@ def test_multiplier_whitelist(rng):
 
 
 @pytest.mark.parametrize("path, mult", [(2, 1), (-1, 1), (True, 1), (False, 1), (0, True),
-                                        (1, False)])
+                                        (1, False), (np.True_, 1), (0, np.True_)])
 def test_kerr_rejects_a_path_or_multiplier_out_of_range(rng, path, mult):
-    # A path must be 0 or 1 and a multiplier one of the allowed ints; bools
-    # are neither, though True == 1.
+    # A path must be 0 or 1 and a multiplier one of the allowed ints; bools,
+    # Python's or numpy's, are neither, though True == 1.
     s = build_initial_state(*random_pair(rng), 2, 1)
     with pytest.raises(ValueError):
         kerr(fresh_probe(s), s, s.index_of(X), path, mult)

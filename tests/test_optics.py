@@ -39,8 +39,9 @@ def amp(state, spatial, polar):
 # Register position of the stand-in photon B1 in single_photon states.
 B1 = registry(1, 0).index(bob(1))
 
-# Paths that are not 0 or 1: out of range, or bools, though True == 1.
-NOT_PATHS = (2, -1, True, False, 0.5)
+# Paths that are not the int 0 or 1: out of range, or bools, Python's or
+# numpy's, though True == 1.
+NOT_PATHS = (2, -1, True, False, 0.5, np.True_, np.False_)
 
 
 def test_bbs_path0_rule():

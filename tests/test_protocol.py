@@ -773,6 +773,35 @@ def test_enumeration_runs_each_node_once_per_table_key(rng, monkeypatch):
     assert len(runs) <= 1_600
 
 
+# The primitives perfbench/spans.py counts by replacing them on cjrio.protocol.
+PRIMITIVES = ("apply_bbs", "apply_hwp", "apply_qwp", "apply_pbs", "apply_pauli_spatial",
+              "apply_pauli_polar", "apply_su2_spatial", "fresh_probe", "kerr",
+              "enumerate_homodyne", "enumerate_measurement")
+
+
+def test_node_runs_look_up_their_primitives_on_the_module_at_call_time(monkeypatch):
+    # A run that bound a primitive when its shape's skeleton was built would
+    # call past a replacement made later, and that layer would count 0.
+    from cjrio import protocol
+
+    config = cfg(us=(SU2Operator(0.6 + 0.48j, 0.64j), SU2Operator(1j, 0)), beta=-0.8j)
+    build_protocol(config)  # the (2,1) skeleton is cached before the patch
+    counts = dict.fromkeys(PRIMITIVES, 0)
+
+    def counted(name, fn, *args):
+        counts[name] += 1
+        return fn(*args)
+
+    for name in PRIMITIVES:
+        monkeypatch.setattr(protocol, name, partial(counted, name, getattr(protocol, name)))
+    result = ProtocolRun(config, seed=3, validate_corrections=True).finish()
+    assert not result.blocked
+    assert counts == {"apply_bbs": 7, "apply_hwp": 2, "apply_qwp": 2, "apply_pbs": 2,
+                      "apply_pauli_spatial": 3, "apply_pauli_polar": 1, "apply_su2_spatial": 2,
+                      "fresh_probe": 6, "kerr": 9, "enumerate_homodyne": 6,
+                      "enumerate_measurement": 3}
+
+
 # -- one driver for sampling and enumeration --------------------------------
 
 def _same_branch(sampled, enumerated):
