@@ -340,8 +340,6 @@ def overlap(a: HybridState, b: HybridState) -> complex:
     """Inner product <a|b>; conjugate-symmetric by construction."""
     if a.register != b.register or a.alive != b.alive:
         raise ValueError("states live on different photon registries")
-    if len(b.terms) < len(a.terms):
-        return overlap(b, a).conjugate()  # walk the smaller state
     total = 0j
     for ket, amp in a.terms.items():
         other = b.terms.get(ket)

@@ -6,13 +6,11 @@ conditioned on the photon actually occupying the tapped path in a given basis
 ket.  X-quadrature homodyne detection then resolves only the magnitude of the
 accumulated phase, so kets with multipliers +n and -n fall in the same
 outcome class.  The photon-side amplitudes are untouched by the interaction;
-only the measurement collapses them.  A probe is its taps on one state, read
-as a mapping from each ket to its multiplier; one pass classes the kets.
+only the measurement collapses them.  A probe is its taps on one state; one
+pass of the readout classes the kets.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 from .hilbert import PRUNE_TOL, HybridState, Outcome, collapse_outcomes, on_path
 
@@ -20,24 +18,13 @@ ALLOWED_MULTIPLIERS = (-1, 1, 2)
 _RETAP = "the probe was tapped on another state; re-tap after state changes"
 
 
-class Probe(Mapping):
+class Probe:
     """The (path mask, on-path value, multiplier) taps on ``state``; ``tapped`` ORs the masks."""
 
     __slots__ = ("state", "taps", "tapped")
 
     def __init__(self, state: HybridState, taps: tuple = (), tapped: int = 0):
         self.state, self.taps, self.tapped = state, taps, tapped
-
-    def __getitem__(self, ket: int) -> int:
-        if ket not in self.state.terms:
-            raise KeyError(ket)
-        return sum(mult for mask, on, mult in self.taps if ket & mask == on)
-
-    def __iter__(self):
-        return iter(self.state.terms)
-
-    def __len__(self) -> int:
-        return len(self.state.terms)
 
 
 def fresh_probe(state: HybridState) -> Probe:

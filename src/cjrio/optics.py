@@ -47,8 +47,8 @@ class PauliPower:
     z_pow: int
 
     def __post_init__(self) -> None:
-        if self.x_pow not in (0, 1) or self.z_pow not in (0, 1):
-            raise ValueError("Pauli exponents must be bits")
+        if not all(type(e) is int and e in (0, 1) for e in (self.x_pow, self.z_pow)):
+            raise ValueError(f"Pauli exponents must be ints 0 or 1, got {self.x_pow!r}, {self.z_pow!r}")
 
     def __str__(self) -> str:
         return f"Z^{self.z_pow}X^{self.x_pow}"

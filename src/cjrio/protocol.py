@@ -497,11 +497,14 @@ class BranchResult:
     stage-check mismatch records.  A walk resumes from one at node index
     ``_passed``, the node that blocked it if it is blocked.
 
-    Neither its state nor its transcript is made until first asked for, then
-    kept.  The state is built by setting the retired bits ``_frozen`` in every
-    ket of ``_live``.  Each bit is broadcast once and each correction is a
-    function of the bits, so the transcript is read off ``_word`` and the first
-    ``_passed`` nodes of ``_protocol``."""
+    ``live`` is ``state`` with some of its retired bits cleared, the same
+    object for the branches that end in one canonical live state: a key for
+    work that reads live photons only.  Neither the state nor the transcript
+    is made until first asked for, then kept.  The state is built by setting
+    the retired bits ``_frozen`` in every ket of ``live``.  Each bit is
+    broadcast once and each correction is a function of the bits, so the
+    transcript is read off ``_word`` and the first ``_passed`` nodes of
+    ``_protocol``."""
 
     bits: dict[str, int]
     probability: float
@@ -512,7 +515,7 @@ class BranchResult:
     _protocol: Protocol = field(repr=False, compare=False)
     _passed: int = field(repr=False, compare=False)
     _word: int = field(repr=False, compare=False)
-    _live: HybridState = field(repr=False, compare=False)
+    live: HybridState = field(repr=False, compare=False)
     _frozen: int = field(repr=False, compare=False)
     # Plain properties fill these: on Python 3.10 and 3.11 a cached_property
     # takes a lock on every read.
@@ -526,15 +529,8 @@ class BranchResult:
     @property
     def state(self) -> HybridState:
         if self._state is None:
-            self._state = self._live.with_frozen(self._frozen)
+            self._state = self.live.with_frozen(self._frozen)
         return self._state
-
-    @property
-    def live(self) -> HybridState:
-        """``state`` with some of its retired bits cleared, the same object
-        for the branches that end in one canonical live state: a key for work
-        that reads live photons only."""
-        return self._live
 
     @property
     def transcript(self) -> Transcript:
@@ -598,7 +594,7 @@ def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choo
     no table.  A node's first child goes on at once: a one-outcome node pushes none."""
     nodes, names, intern = proto.nodes, proto.names, proto.intern
     end = len(nodes) if stop is None else stop
-    stack = [(branch._passed, branch._live, branch._frozen, branch._word, len(branch.bits),
+    stack = [(branch._passed, branch.live, branch._frozen, branch._word, len(branch.bits),
               branch.probability, tuple(branch.errata), branch.max_terms, branch.blocked_at)]
     while stack:
         idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = stack.pop()
@@ -668,9 +664,10 @@ def iter_branches(
 class ProtocolRun:
     """One sampled execution with stepwise control, for interactive use and
     stage-by-stage tests.  ``run_full`` drives it end to end.  It draws from
-    ``rng`` if given, else from a generator seeded with ``seed``, never both.
-    ``protocol`` is ``config``'s node list, if built; many runs may share one
-    build."""
+    ``rng`` if given, else from a generator seeded with ``seed``, a
+    non-negative int, never both.  ``protocol`` is ``config``'s node list, if
+    built; many runs may share one build.  ``branch`` is the
+    :class:`BranchResult` where the run stands: its state, bits and block."""
 
     def __init__(
         self,
@@ -684,28 +681,12 @@ class ProtocolRun:
     ):
         if seed is not None and rng is not None:
             raise ValueError("a run takes a seed or an rng, not both")
-        self.config = config
-        self._walk, self._branch = _start(config, check_stages, validate_corrections, protocol,
-                                          seed)
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+            raise ValueError(f"a seed must be a non-negative int, got {seed!r}")
+        self._walk, self.branch = _start(config, check_stages, validate_corrections, protocol,
+                                         seed)
         self._rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
         self._stage = 0  # the last stage stepped
-
-    @property
-    def state(self) -> HybridState:
-        """The full state where the run stands, built once per branch."""
-        return self._branch.state
-
-    @property
-    def bits(self) -> dict[str, int]:
-        return dict(self._branch.bits)
-
-    @property
-    def blocked(self) -> bool:
-        return self._branch.blocked
-
-    @property
-    def blocked_at(self) -> str | None:
-        return self._branch.blocked_at
 
     def _draw(self, outcomes: list[Outcome]) -> list[Outcome]:
         """The outcome a node with a choice draws: one uniform number, and the
@@ -728,7 +709,7 @@ class ProtocolRun:
         Each step must name a later stage than the last, and skip no stage
         with nodes still to run; a stage without nodes in this shape gives
         ``()``."""
-        branch = self._branch
+        branch = self.branch
         nodes, start = branch._protocol.nodes, branch._passed
         lo = self._stage + 1
         hi = 9 if branch.blocked_at or start == len(nodes) else nodes[start].stage
@@ -740,16 +721,16 @@ class ProtocolRun:
         # Nodes come in stage order, so the stage's nodes are those up to the
         # first of a later stage.
         stop = next((j for j in range(start, len(nodes)) if nodes[j].stage > stage), len(nodes))
-        (self._branch,) = self._walk(branch, self._draw, stop)
-        if self.blocked:
+        (self.branch,) = self._walk(branch, self._draw, stop)
+        if self.branch.blocked:
             return BLOCKED
-        bits = self._branch.bits
+        bits = self.branch.bits
         return tuple(bits[lbl] for node in nodes[start:stop] for lbl in node.bit_labels)
 
     def finish(self) -> BranchResult:
         self._stage = 9
-        (self._branch,) = self._walk(self._branch, self._draw)
-        return self._branch
+        (self.branch,) = self._walk(self.branch, self._draw)
+        return self.branch
 
 
 def run_full(config: ProtocolConfig, seed: int | None = None, *,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -110,6 +111,14 @@ def test_enumerate_rio(capsys):
     assert report["aggregate"]["min_fidelity"] >= 1.0 - 1e-10
 
 
+def test_enumerate_exits_1_when_a_wrong_fix_drops_the_fidelity(capsys, flipped_x):
+    flipped_x("first_op")
+    code, out, err = run_cli(capsys, "enumerate", "--m", "1", "--n", "0")
+    assert code == EXIT_FIDELITY
+    assert json.loads(out)["aggregate"]["min_fidelity"] < 1e-12
+    assert "min fidelity" in err
+
+
 def test_enumerate_over_limit(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--m", "4", "--n", "3")
     assert code == EXIT_CONFIG
@@ -138,6 +147,23 @@ def test_non_normalized_input(capsys):
     code, _, err = run_cli(capsys, "simulate", "--alpha", "1", "--beta", "1")
     assert code == EXIT_CONFIG
     assert "normalized" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "1", "--consent", "10"],
+    ["simulate", "--n", "1", "--consent", "2"],
+    ["simulate", "--m", "0"],
+    ["simulate", "--n", "-1"],
+    ["simulate", "--m", "2", "--u3", "preset:identity"],
+    ["stats", "--consent", "0"],
+], ids=["mask-too-long", "mask-not-binary", "no-parties", "negative-controllers",
+        "operator-past-m", "stats-vetoed"])
+def test_shape_mask_and_operator_faults_are_config_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("cjrio: configuration error:")
 
 
 def test_unknown_flag_is_config_error(capsys):
@@ -449,14 +475,15 @@ def test_enumerate_memory_flat_in_branch_count(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "enumerate", "stats"])
 def test_negative_seed_is_config_error(capsys, command):
-    # numpy takes only non-negative seeds; enumerate, which only echoes the
-    # seed, refuses one too
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "-1"])
-    assert exc.value.code == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--seed" in captured.err and "Traceback" not in captured.err
+    # numpy takes only non-negative int seeds; enumerate, which only echoes
+    # the seed, refuses one too
+    for seed in ("-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", seed])
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err and "Traceback" not in captured.err
 
 
 def _cli_env() -> dict[str, str]:
@@ -497,3 +524,87 @@ def test_failed_report_write_is_config_error(argv, to_stdout):
     assert err.splitlines() == [err.strip()]
     assert err.startswith("cjrio: cannot write report:") and "No space left" in err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+_FUZZ_PAIRS = [("1", "0"), ("0.6", "0.8"), ("0.6", "-0.8j"), ("0", "1j")]
+_FUZZ_OPS = ["preset:identity", "preset:pauli-x", "pauli-z", "hadamard-like", "0.6,0.8j",
+             "0.6+0.48j,0.64j"]
+# The values a fault gives each flag: not numbers, not finite, out of range,
+# overflowing, subnormal, bad presets, ill-formed pairs and masks of many
+# lengths, and a few that are valid only at some shapes.
+_FUZZ_BAD = {
+    "--m": ["0", "-1", "10", "abc", "1.5", "nan", "1e308", ""],
+    "--n": ["-1", "4", "abc", "inf", "2.0", ""],
+    "--alpha": ["nan", "inf", "-inf", "1e308", "1e-320", "abc", "1+", "", "1,0"],
+    "--beta": ["nan", "inf", "1e308", "1e-320", "abc", "0.8", "j"],
+    "--u1": ["preset:nope", "preset:", "nan,0", "1e308,0", "1e-320,1", "1,1", "abc", "0,1,2",
+             "inf,0", ""],
+    "--u2": ["preset:bogus", "0.6,0.6", "abc,0", "1"],
+    "--consent": ["", "0", "1", "2", "10", "01", "111", "x", "1 1", "0" * 9],
+    "--consent2": ["", "2", "11", "abc", "0000"],
+    "--seed": ["-1", "abc", str(2 ** 70), "1.5", "", "1e3"],
+    "--variant": ["jrio", "crio", "rio", "bogus", ""],
+    "--samples": ["50", "0", "-5", "abc", "1e9"],
+}
+
+
+def _fuzz_argv(rng) -> list[str]:
+    """A CLI argv: a valid run at a shape up to (2,1), the costliest drawn
+    least, with its flags in a random order and each spelled ``--flag value``
+    or ``--flag=value`` (the latter always for a value that starts with a
+    dash).  Four times in five it then carries one to three faults: a flag
+    set to one of its fault values, an operator past m, a stray flag or
+    a dropped flag other than ``--samples``."""
+    command = rng.choice(["simulate", "enumerate", "stats"])
+    m, n = rng.choice([(1, 0), (1, 1)] * 3 + [(2, 0)] * 2 + [(2, 1)])
+    alpha, beta = rng.choice(_FUZZ_PAIRS)
+    flags = {"--m": str(m), "--n": str(n), "--alpha": alpha, "--beta": beta,
+             "--seed": str(rng.randrange(2 ** 32))}
+    for i in range(1, m + 1):
+        if rng.random() < 0.7:
+            flags[f"--u{i}"] = rng.choice(_FUZZ_OPS)
+    if n and command != "stats" and rng.random() < 0.3:
+        flags["--consent2"] = rng.choice(["0", "1"])
+    if command == "stats":
+        flags["--samples"] = "100"
+    if rng.random() < 0.8:
+        for _ in range(rng.randint(1, 3)):
+            fault = rng.random()
+            if fault < 0.7:
+                flag = rng.choice(sorted(_FUZZ_BAD))
+                flags[flag] = rng.choice(_FUZZ_BAD[flag])
+            elif fault < 0.8:
+                flags[f"--u{rng.randint(m + 1, 10)}"] = rng.choice(_FUZZ_OPS)
+            elif fault < 0.9:
+                flags[rng.choice(["--bogus", "--check-paper-eqs", "--mode"])] = None
+            else:  # stats would fall back on its 10,000 samples
+                flags.pop(rng.choice(sorted(set(flags) - {"--samples"})), None)
+    items = list(flags.items())
+    rng.shuffle(items)
+    argv = [command]
+    for flag, val in items:
+        if val is None:
+            argv.append(flag)
+        elif val.startswith("-") or rng.random() < 0.5:
+            argv.append(f"{flag}={val}")
+        else:
+            argv += [flag, val]
+    return argv
+
+
+def test_malformed_argvs_end_in_an_exit_code_not_an_exception(capsys):
+    rng = random.Random(20261020)
+    codes = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_FIDELITY, EXIT_BLOCKED, EXIT_CONFIG), argv
+        assert "Traceback" not in err, argv
+        codes.append(code)
+    assert sum(code != EXIT_CONFIG for code in codes) >= len(codes) // 4

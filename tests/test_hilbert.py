@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cjrio.hilbert import (A, BasisKet, HybridState, PhotonId, VERTICAL, X,
+from cjrio.hilbert import (A, BasisKet, HybridState, PhotonId, PhotonRegister, VERTICAL, X,
                            bob, build_initial_state, charlie,
                            enumerate_measurement, equal_up_to_global_phase,
                            overlap, registry)
@@ -201,6 +201,20 @@ def test_errors_reached_by_position_name_the_photon(reach, message):
     s = build_initial_state(0.6, 0.8, 2, 1)
     with pytest.raises(ValueError, match=f"^{message}"):
         reach(s, s.index_of(bob(1)), s.index_of(charlie(1)))
+
+
+@pytest.mark.parametrize("reach, message", [
+    (lambda s: PhotonRegister([X, X]), "duplicate photon in register"),
+    (lambda s: HybridState(s.register, s.alive[1:], s.terms), "alive flags do not match register"),
+    (lambda s: s.register.mask(0, "both"), "unknown dof 'both'"),
+    (lambda s: s.adopt({}).normalized(), "cannot normalize a null state"),
+    (lambda s: s.adopt({ket: 1e-15 for ket in s.terms}).normalized(),
+     "cannot normalize a null state"),
+], ids=["duplicate-photon", "alive-length", "unknown-dof", "empty", "below-tolerance"])
+def test_malformed_registers_and_states_are_rejected(reach, message):
+    s = build_initial_state(0.6, 0.8, 2, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reach(s)
 
 
 def test_basis_ket_rejects_unequal_lengths():

@@ -13,6 +13,11 @@ def entangle_probe(state):
     return kerr(probe, state, state.index_of(A), 0, -1)
 
 
+def entangle_multiplier(state, ket):
+    """The multiplier ``entangle_probe`` gives ``ket``, worked out by hand."""
+    return (1 if bit(state, ket, X) == 0 else 0) - (1 if bit(state, ket, A) == 0 else 0)
+
+
 def distribution(probe, state):
     """(phase class, probability) pairs, ascending by class."""
     return [(o.bits, o.p) for o in enumerate_homodyne(probe, state)]
@@ -21,12 +26,12 @@ def distribution(probe, state):
 def test_entangle_taps_give_expected_multipliers(rng):
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
-    probe = entangle_probe(s)
-    # enumerate the four spatial configurations by hand
-    for ket, mult in probe.items():
-        want = (1 if bit(s, ket, X) == 0 else 0) - (1 if bit(s, ket, A) == 0 else 0)
-        assert mult == want
-    assert sorted(set(probe.values())) == [-1, 0, 1]
+    want = {ket: entangle_multiplier(s, ket) for ket in s.terms}
+    assert sorted(set(want.values())) == [-1, 0, 1]
+    # the readout classes each ket by the magnitude of its multiplier
+    classed = {ket: o.bits for o in enumerate_homodyne(entangle_probe(s), s)
+               for ket in o.build().terms}
+    assert classed == {ket: abs(mult) for ket, mult in want.items()}
 
 
 def test_kerr_on_empty_path_changes_nothing(rng):
@@ -36,7 +41,6 @@ def test_kerr_on_empty_path_changes_nothing(rng):
     terms = {k: amp for k, amp in s.terms.items() if bit(s, k, X) == 0}
     s = HybridState(s.register, s.alive, terms).normalized()
     probe = kerr(fresh_probe(s), s, s.index_of(X), 1, +1)
-    assert all(m == 0 for m in probe.values())
     assert distribution(probe, s) == [(0, pytest.approx(1.0))]
 
 
@@ -49,7 +53,6 @@ def test_transfer_taps_cover_four_classes(rng):
     st = apply_bbs(apply_bbs(s1, at_x), at_a)
     probe2 = kerr(fresh_probe(st), st, at_x, 0, +1)
     probe2 = kerr(probe2, st, at_a, 0, +2)
-    assert sorted(set(probe2.values())) == [0, 1, 2, 3]
     dist = distribution(probe2, st)
     assert [c for c, _ in dist] == [0, 1, 2, 3]
     for _, p in dist:
@@ -79,7 +82,7 @@ def test_sign_blind_class_merge(rng):
     classes = enumerate_homodyne(probe, s)
     assert len(classes) == 2
     p1, merged = classes[1].p, classes[1].build()
-    mults = {probe[k] for k in merged.terms}
+    mults = {entangle_multiplier(s, k) for k in merged.terms}
     assert mults == {-1, 1}
     assert p1 == pytest.approx(0.5, abs=1e-12)
 
@@ -130,4 +133,3 @@ def test_a_probe_reads_out_only_the_state_it_was_tapped_on(rng):
         kerr(probe, copy, s.index_of(A), 0, -1)
     with pytest.raises(ValueError, match="re-tap"):
         enumerate_homodyne(probe, copy)
-    assert len(probe) == len(s.terms) and set(probe) == set(s.terms)

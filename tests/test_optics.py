@@ -172,6 +172,14 @@ def test_pauli_spatial_flip_and_sign(rng):
         PauliPower(2, 0)
 
 
+@pytest.mark.parametrize("x, z", [(0.0, 1), (True, False), (1, 0.0), (0, True), (np.int64(1), 0)],
+                         ids=["float", "bools", "float-z", "bool-z", "numpy"])
+def test_pauli_power_takes_only_the_ints_0_and_1(x, z):
+    # by exact type, as a path is: 0.0 == 0 and True == 1, yet neither is a bit here
+    with pytest.raises(ValueError, match="Pauli exponents must be ints 0 or 1"):
+        PauliPower(x, z)
+
+
 def test_pauli_polar_sign(rng):
     a, b = random_pair(rng)
     s = single_photon(amp_pairs={(0, 0): a, (0, 1): b})

@@ -130,6 +130,22 @@ def test_extract_qubit_rejects_entangled():
         extract_qubit(s, s.index_of(A), "spatial")
 
 
+def test_extract_qubit_rejects_halves_on_the_same_kets_that_are_not_proportional():
+    # B1's two path halves share the rest kets (A on path 0 or 1) but not
+    # their ratio: B1 is entangled with A, and no Pauli power factors it out
+    reg = registry(1, 0)
+    pol = (VERTICAL, VERTICAL, 0)
+    s = HybridState(reg, (False, True, True), {
+        BasisKet((0, 0, 0), pol): 0.6, BasisKet((0, 0, 1), pol): 0.3,
+        BasisKet((0, 1, 0), pol): 0.3, BasisKet((0, 1, 1), pol): 0.6,
+    }).normalized()
+    b1 = s.index_of(bob(1))
+    with pytest.raises(ValueError, match="photon B1 spatial bit is entangled with the rest"):
+        extract_qubit(s, b1, "spatial")
+    with pytest.raises(CorrectionSearchError, match="no working correction on B1 spatial"):
+        brute_force_correction(s, b1, "spatial", (0.6, 0.8))
+
+
 def _one_pauli_away(a, b, power):
     reg = registry(1, 0)
     terms = {

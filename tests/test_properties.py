@@ -191,7 +191,9 @@ def test_outcomes_equal_the_prune_normalize_retire_composition(case):
         for j, path, mult in arg:
             probe = kerr(probe, state, j, path, mult)
         got = enumerate_homodyne(probe, state)
-        labels = {ket: abs(probe[ket]) for ket in state.terms}
+        labels = {ket: abs(sum(mult for j, path, mult in arg
+                               if (1 if ket & reg.mask(j, "spatial") else 0) == path))
+                  for ket in state.terms}
     else:
         got = enumerate_measurement(state, i, arg)
         labels = {ket: tuple(1 if ket & reg.mask(i, d) else 0 for d in arg)

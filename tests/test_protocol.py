@@ -200,7 +200,7 @@ def test_interleaved_walks_on_one_build_name_their_own_bits(rng):
             assert got.probability == want.probability and got.errata == want.errata
         run, alone = ProtocolRun(config, seed=i, protocol=proto), ProtocolRun(config, seed=i)
         for stage in (1, 2):
-            assert run.step(stage) == alone.step(stage) and run.bits == alone.bits
+            assert run.step(stage) == alone.step(stage) and run.branch.bits == alone.branch.bits
         count += 1
     assert count == 2048 and next(fresh, None) is None
 
@@ -420,14 +420,14 @@ def test_step1_entangle_forms(rng):
     alpha, beta = random_pair(rng)
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=1)
     (k,) = run.step(1)
-    i_x = run.state.index_of(X)
-    for ket, amp in run.state.terms.items():
-        spatial, _ = run.state.register.unpack(ket)
+    i_x = run.branch.state.index_of(X)
+    for ket, amp in run.branch.state.terms.items():
+        spatial, _ = run.branch.state.register.unpack(ket)
         if spatial[i_x] == 0:
             assert all(b == k for b in spatial[1:])
         else:
             assert all(b == (k ^ 1) for b in spatial[1:])
-    assert run.state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert run.branch.state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step1_uniform_even_for_unit_alpha():
@@ -445,7 +445,7 @@ def test_step2_collapsed_form(rng):
     run = ProtocolRun(cfg(alpha=alpha, beta=beta), seed=5)
     (k,) = run.step(1)
     m, n = run.step(2)
-    st = run.state
+    st = run.branch.state
     assert not st.alive[st.index_of(X)]
     assert st.definite_bit(st.index_of(X), "spatial") == n ^ 1
     assert st.definite_bit(st.index_of(A), "spatial") == k ^ m ^ 1
@@ -464,9 +464,9 @@ def test_step3_consent_disentangles_controller(rng):
     run.step(1)
     run.step(2)
     (s_bit,) = run.step(3)
-    k = run.bits["k"]
-    assert run.state.definite_bit(run.state.index_of(charlie(1)), "spatial") == k ^ s_bit ^ 1
-    st = run.state
+    k = run.branch.bits["k"]
+    st = run.branch.state
+    assert st.definite_bit(st.index_of(charlie(1)), "spatial") == k ^ s_bit ^ 1
     joint = [st.index_of(bob(1)), st.index_of(bob(2))]
     assert dense_reduced_purity(st, joint, "spatial") == pytest.approx(1.0, abs=1e-12)
 
@@ -478,17 +478,17 @@ def test_step3_no_consent_blocks_and_purity_stays_mixed(rng):
     run.step(1)
     run.step(2)
     assert run.step(3) == BLOCKED
-    assert run.blocked and run.blocked_at == "consent[1]"
+    assert run.branch.blocked and run.branch.blocked_at == "consent[1]"
     want = abs(alpha) ** 4 + abs(beta) ** 4
-    st = run.state
+    st = run.branch.state
     got = dense_reduced_purity(st, [st.index_of(bob(1)), st.index_of(bob(2))], "spatial")
     assert got == pytest.approx(want, abs=1e-12)
     # every later stage reports the veto and leaves the branch as it was
-    state, bits = run.state, dict(run.bits)
+    state, bits = run.branch.state, dict(run.branch.bits)
     for stage in range(4, 10):
         assert run.step(stage) == BLOCKED
-        assert run.state is state and run.bits == bits
-    assert run.blocked_at == "consent[1]"
+        assert run.branch.state is state and run.branch.bits == bits
+    assert run.branch.blocked_at == "consent[1]"
 
 
 @pytest.mark.parametrize("kw, done, stage, expected", [
@@ -512,10 +512,10 @@ def test_step_rejects_stages_out_of_order(kw, done, stage, expected):
     else:
         for earlier in done:
             run.step(earlier)
-    before = run.bits
+    before = run.branch.bits
     with pytest.raises(ValueError, match=f"^cannot step stage {stage} now: expected {expected}$"):
         run.step(stage)
-    assert run.bits == before  # nothing ran
+    assert run.branch.bits == before  # nothing ran
 
 
 def test_phase2_consent_withheld_blocks_at_release(rng):
@@ -532,9 +532,9 @@ def test_step3_is_noop_without_controllers():
     run = ProtocolRun(cfg(n=0), seed=3)
     run.step(1)
     run.step(2)
-    before = run.state
+    before = run.branch.state
     assert run.step(3) == ()
-    assert run.state is before
+    assert run.branch.state is before
 
 
 def test_step4_identity_operator_form(rng):
@@ -544,8 +544,8 @@ def test_step4_identity_operator_form(rng):
     run.step(2)
     run.step(3)
     (l_bit,) = run.step(4)
-    st = run.state
-    k = run.bits["k"]
+    st = run.branch.state
+    k = run.branch.bits["k"]
     assert st.definite_bit(st.index_of(bob(1)), "spatial") == k ^ l_bit ^ 1
     # with U2 = I the secret pair sits cleanly on B2's paths
     amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 0)
@@ -560,7 +560,7 @@ def test_step4_swap_operator(rng):
     run.step(2)
     run.step(3)
     run.step(4)
-    st = run.state
+    st = run.branch.state
     amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 0)
     amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(2)) == 1)
     # (alpha, beta) -> (beta, -alpha)
@@ -575,7 +575,7 @@ def test_shift_chain_identity_recovers_input(rng):
     run.step(3)
     run.step(4)
     r_bit, g_bit = run.step(5)
-    st = run.state
+    st = run.branch.state
     assert st.definite_bit(st.index_of(bob(2)), "spatial") == g_bit
     amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 0)
     amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 1)
@@ -591,7 +591,7 @@ def test_shift_chain_random_operators_match_product(rng):
     run.step(3)
     run.step(4)
     run.step(5)
-    st = run.state
+    st = run.branch.state
     amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 0)
     amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 1)
     want = u1.matrix @ (u2.matrix @ np.array([alpha, beta]))
@@ -955,6 +955,15 @@ def test_branch_state_and_transcript_are_made_once(rng):
 def test_a_run_takes_a_seed_or_an_rng_not_both():
     with pytest.raises(ValueError, match="a seed or an rng, not both"):
         ProtocolRun(cfg(), seed=5, rng=np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, "a", -1, np.int64(3)],
+                         ids=["true", "false", "float", "whole-float", "str", "negative", "numpy"])
+def test_a_run_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    # as the shape's m and n: a bool is no seed, though True == 1
+    message = f"^a seed must be a non-negative int, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        run_full(cfg(), seed=seed)
 
 
 def test_transcript_seed_reproducibility():

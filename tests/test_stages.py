@@ -58,17 +58,17 @@ def test_mismatch_record_structure(rng):
     r = ProtocolRun(cfg, seed=4)
     r.step(1)
     r.step(2)
-    state = r.state
-    k = r.bits["k"]
+    state = r.branch.state
+    k = r.branch.bits["k"]
     corrupted = HybridState(state.register, state.alive, {
         ket: (-a if bit(state, ket, bob(1)) == (k ^ 1) else a)
         for ket, a in state.terms.items()
     })
-    record = checker("transfer", r.bits, corrupted)
+    record = checker("transfer", r.branch.bits, corrupted)
     assert isinstance(record, StageMismatch)
     payload = record.to_json()
     assert payload["stage"] == "transfer"
-    assert payload["branch"] == r.bits
+    assert payload["branch"] == r.branch.bits
     assert payload["photons"] == ["X", "A", "B1", "B2", "C1"]
     assert len(payload["simulator_coefficients"]) == len(payload["reference_coefficients"])
     for row in payload["simulator_coefficients"]:
