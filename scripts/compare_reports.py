@@ -18,10 +18,13 @@ takes more than TIMEOUT_S seconds is killed and counts as a difference.
 Prints one line per command line and per digest and exits 1 if any
 differs, so a change that claims the same behaviour can show it.
 
-    python scripts/compare_reports.py BASE [HEAD]
+    python scripts/compare_reports.py [--python PY] BASE [HEAD]
 
 BASE and HEAD are checkouts holding ``src/cjrio``; HEAD defaults to the
-checkout this script is in.
+checkout this script is in.  ``--python`` runs HEAD's command lines under
+the interpreter PY, which needs no numpy, so that two interpreters can be
+shown to print the same bytes; the digests, which import numpy, stay on the
+interpreter running this script.
 """
 
 from __future__ import annotations
@@ -125,23 +128,23 @@ def _env(tree: Path) -> dict[str, str]:
     return env
 
 
-def imported_from(tree: Path) -> Path:
+def imported_from(tree: Path, python: str = sys.executable) -> Path:
     """The package directory a CLI process on ``tree`` imports cjrio from."""
-    proc = subprocess.run([sys.executable, "-c", "import cjrio; print(cjrio.__file__)"],
+    proc = subprocess.run([python, "-c", "import cjrio; print(cjrio.__file__)"],
                           env=_env(tree), capture_output=True, text=True, check=True)
     return Path(proc.stdout.strip()).resolve().parent
 
 
-def run(tree: Path, argv: list[str]) -> tuple[str, str, float]:
+def run(tree: Path, argv: list[str], python: str = sys.executable) -> tuple[str, str, float]:
     """The exit code (or "timeout"), the sha256 of stdout, of stderr and of
     the file written in place of REPORT together, and the wall seconds of one
-    CLI run on ``tree``."""
+    CLI run on ``tree`` under the interpreter ``python``."""
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
         argv = [str(report) if arg == REPORT else arg for arg in argv]
         try:
-            proc = subprocess.run([sys.executable, "-m", "cjrio.cli", *argv], env=_env(tree),
+            proc = subprocess.run([python, "-m", "cjrio.cli", *argv], env=_env(tree),
                                   stdin=subprocess.DEVNULL, capture_output=True, check=False,
                                   timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
@@ -319,17 +322,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", type=Path, help="checkout to compare against")
     parser.add_argument("head", type=Path, nargs="?", default=Path(__file__).resolve().parents[1],
                         help="checkout under test (default: this one)")
+    parser.add_argument("--python", default=sys.executable,
+                        help="interpreter for HEAD's command lines (default: this one)")
     args = parser.parse_args(argv)
-    for tree in (args.base, args.head):
+    for tree, python in ((args.base, sys.executable), (args.head, args.python)):
         package = (tree / "src" / "cjrio").resolve()
         if not package.is_dir():
             parser.error(f"{tree} holds no src/cjrio")
-        found = imported_from(tree)
+        try:
+            found = imported_from(tree, python)
+        except (OSError, subprocess.CalledProcessError) as err:
+            parser.error(f"{python} cannot import cjrio from {tree}: {err}")
         if found != package:
             parser.error(f"a process on {tree} imports cjrio from {found}")
     differ = 0
     for cmd in ARGVS:
-        (code_a, sha_a, t_a), (code_b, sha_b, t_b) = run(args.base, cmd), run(args.head, cmd)
+        (code_a, sha_a, t_a), (code_b, sha_b, t_b) = (run(args.base, cmd),
+                                                      run(args.head, cmd, args.python))
         same = code_a == code_b != "timeout" and sha_a == sha_b
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  exit {code_a}/{code_b}  "

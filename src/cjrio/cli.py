@@ -16,16 +16,16 @@ import io
 import json
 import math
 import os
+import secrets
 import shutil
 import sys
 import tempfile
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__, protocol
 from .optics import SQRT_HALF, SU2Operator
 from .oracle import direct_apply, target_fidelity
+from .pcg import PCG64
 from .protocol import (FIDELITY_THRESHOLD, BranchResult, ProtocolConfig,
                        ProtocolRun, branch_bit_count, branch_fidelity,
                        check_variant, iter_branches, run_full)
@@ -102,7 +102,7 @@ def parse_consent(text: str | None, n: int) -> tuple[bool, ...]:
 
 
 def _seed(text: str) -> int:
-    """A ``--seed``: numpy seeds only non-negative ints."""
+    """A ``--seed``: a non-negative int, which seeds :class:`~cjrio.pcg.PCG64`."""
     try:
         seed = int(text)
     except ValueError:
@@ -254,8 +254,7 @@ def _summary(line: str) -> None:
 def cmd_simulate(args) -> int:
     config = build_config(args)
     _check_paper_eqs_shape(args, config)
-    seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % (2 ** 32))
-    args.seed = seed
+    seed = args.seed = secrets.randbits(32) if args.seed is None else args.seed
     with _open_output(args) as out:
         result = run_full(config, seed=seed, check_stages=args.check_paper_eqs)
         fid = branch_fidelity(config, result)
@@ -383,9 +382,8 @@ def cmd_stats(args) -> int:
                 if res.bits[lbl]:
                     expected[lbl] += res.probability
 
-        seed = args.seed if args.seed is not None else 0
-        args.seed = seed
-        rng = np.random.default_rng(seed)
+        seed = args.seed = 0 if args.seed is None else args.seed
+        rng = PCG64(seed)
         counts = {lbl: 0 for lbl in labels}
         for _ in range(args.samples):
             res = ProtocolRun(config, rng=rng, protocol=proto).finish()

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hilbert import HybridState, check_unit_pair, on_path, prune
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -32,11 +30,6 @@ class SU2Operator:
     def __post_init__(self) -> None:
         check_unit_pair({"u": self.u, "v": self.v}, "operator entry ",
                         "operator entries u and v must be finite", "|u|^2 + |v|^2 must equal 1")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        u, v = complex(self.u), complex(self.v)
-        return np.array([[u, v], [-v.conjugate(), u.conjugate()]], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .hilbert import A, HybridState, PHASE_TOL, VERTICAL, check_unit_pair
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator,
                      apply_pauli_polar, apply_pauli_spatial)
@@ -38,17 +36,47 @@ class TargetState:
                         "target amplitudes must be finite", "target amplitudes are not normalized")
 
 
+def split(x: float) -> tuple[float, float, float]:
+    """``(x, hi, lo)``: Veltkamp's split, ``hi + lo == x`` in 26-bit halves."""
+    hi = (c := 134217729.0 * x) - (c - x)  # 2**27 + 1
+    return x, hi, x - hi
+
+
+def fma(a: tuple[float, float, float], b: tuple[float, float, float], c: float) -> float:
+    """``a*b + c`` rounded once, with IEEE 754's signed zero, for finite ``a``, ``b``
+    (as :func:`split` gives them) and ``c``; OverflowError past the float range.  Exact
+    ratios replace Dekker's product where ``a*b`` is tiny, huge or 0 or a split overflowed."""
+    (a, ah, al), (b, bh, bl) = a, b
+    p = a * b
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a*b == p + e
+    if 2.0 ** -900 < abs(p) < 2.0 ** 900 and e == e:  # e is NaN if a split overflowed
+        return math.fsum((p, e, c))
+    if not (a and b):  # an exact zero product: IEEE's sum gives the zero's sign
+        return p + c
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    num = an * bn * cd + cn * ad * bd
+    return num / (ad * bd * cd) if num else 0.0  # int division rounds correctly
+
+
 def direct_apply(
     unitaries: Sequence[SU2Operator], alpha: complex, beta: complex
 ) -> TargetState:
     """Left-to-right matrix product of all party operators applied to the
-    input pair: U1 . U2 . ... . UM (alpha, beta)^T."""
+    input pair: U1 . U2 . ... . UM (alpha, beta)^T.  Each entry product m*x
+    is ``(fma(m.re, x.re, -(m.im*x.im)), fma(m.re, x.im, m.im*x.re))`` and a row
+    adds its two plainly, as numpy's ``@`` rounds under OpenBLAS's SkylakeX
+    kernel: pinned, so that report bytes depend on no BLAS kernel."""
     if not unitaries:
         raise ValueError("at least one operator is required")
-    vec = np.array([alpha, beta], dtype=complex)
+    y0, y1 = complex(alpha), complex(beta)
     for op in reversed(unitaries):
-        vec = op.matrix @ vec
-    return TargetState(complex(vec[0]), complex(vec[1]))
+        u, v = complex(op.u), complex(op.v)  # the rows are (u, v) and (-v*, u*)
+        ur, ui, vr, vi, nvr, nui, ar, ai, br, bi = map(split, (
+            u.real, u.imag, v.real, v.imag, -v.real, -u.imag, y0.real, y0.imag, y1.real, y1.imag))
+        y0, y1 = (complex(fma(mr, ar, -(mi[0] * ai[0])) + fma(nr, br, -(ni[0] * bi[0])),
+                          fma(mr, ai, mi[0] * ar[0]) + fma(nr, bi, ni[0] * br[0]))
+                  for mr, mi, nr, ni in ((ur, ui, vr, vi), (nvr, vi, ur, nui)))
+    return TargetState(y0, y1)
 
 
 def target_fidelity(final: HybridState, target: TargetState) -> float:

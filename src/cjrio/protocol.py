@@ -26,8 +26,6 @@ from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from . import oracle
 from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, charlie, check_amplitudes,
                       check_shape, enumerate_measurement, initial_state, registry)
@@ -35,6 +33,7 @@ from .kerr import enumerate_homodyne, fresh_probe, kerr
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator, apply_bbs,
                      apply_hwp, apply_pauli_polar, apply_pauli_spatial, apply_pbs,
                      apply_qwp, apply_su2_spatial)
+from .pcg import PCG64
 
 BLOCKED = "blocked"
 FIDELITY_THRESHOLD = 1.0 - 1e-10
@@ -664,28 +663,19 @@ def iter_branches(
 class ProtocolRun:
     """One sampled execution with stepwise control, for interactive use and
     stage-by-stage tests.  ``run_full`` drives it end to end.  It draws from
-    ``rng`` if given, else from a generator seeded with ``seed``, a
-    non-negative int, never both.  ``protocol`` is ``config``'s node list, if
-    built; many runs may share one build.  ``branch`` is the
-    :class:`BranchResult` where the run stands: its state, bits and block."""
+    ``rng``, any object with ``random()``, if given, else from ``PCG64(seed)``,
+    never both.  ``protocol`` is ``config``'s node list, if built; many runs
+    may share one build.  ``branch`` is the :class:`BranchResult` where the
+    run stands: its state, bits and block."""
 
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-        *,
-        check_stages: bool = False,
-        validate_corrections: bool = False,
-        protocol: Protocol | None = None,
-    ):
+    def __init__(self, config: ProtocolConfig, seed: int | None = None, rng=None, *,
+                 check_stages: bool = False, validate_corrections: bool = False,
+                 protocol: Protocol | None = None):
         if seed is not None and rng is not None:
             raise ValueError("a run takes a seed or an rng, not both")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-            raise ValueError(f"a seed must be a non-negative int, got {seed!r}")
+        self._rng = rng if rng is not None else PCG64(seed)
         self._walk, self.branch = _start(config, check_stages, validate_corrections, protocol,
                                          seed)
-        self._rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
         self._stage = 0  # the last stage stepped
 
     def _draw(self, outcomes: list[Outcome]) -> list[Outcome]:

@@ -38,6 +38,12 @@ def random_pair(rng: np.random.Generator) -> tuple[complex, complex]:
     return a / nrm, b / nrm
 
 
+def matrix(op: SU2Operator) -> np.ndarray:
+    """The operator's dense 2x2 matrix ((u, v), (-v*, u*))."""
+    u, v = complex(op.u), complex(op.v)
+    return np.array([[u, v], [-v.conjugate(), u.conjugate()]], dtype=complex)
+
+
 def bit(state: HybridState, ket: int, photon: PhotonId, dof: str = "spatial") -> int:
     """One bit of a ket of ``state``, read through the register's mask."""
     return 1 if ket & state.register.mask(state.index_of(photon), dof) else 0

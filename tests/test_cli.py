@@ -493,6 +493,25 @@ def _cli_env() -> dict[str, str]:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def test_the_cli_imports_no_numpy():
+    check = "import sys, cjrio.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_report_bytes_do_not_depend_on_the_blas_kernel():
+    # numpy's matrix product rounds one way under OpenBLAS's Haswell kernel
+    # and another under SkylakeX; this run's fidelity read either digit.
+    argv = [sys.executable, "-m", "cjrio.cli", "simulate", "--m", "3", "--n", "2",
+            "--alpha=0.28-0.96j", "--beta=0", "--u1", "preset:hadamard-like",
+            "--u2=0.6+0.48j,0.64j", "--u3", "preset:pauli-x", "--seed", "6"]
+    outs = [subprocess.run(argv, capture_output=True, env={**_cli_env(), **kernel}, timeout=120,
+                           check=True).stdout for kernel in ({}, {"OPENBLAS_CORETYPE": "Haswell"})]
+    assert outs[0] == outs[1]
+    assert b'"fidelity": 0.9999999999999999,' in outs[0]
+
+
 def test_closed_stdout_exits_quietly():
     # The (2,1) report is about 500 kB, more than a pipe buffer holds, so the
     # report cannot be written out once the reader has gone.

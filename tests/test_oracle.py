@@ -1,16 +1,21 @@
+import itertools
 import math
+import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cjrio.cli import PRESETS
 from cjrio.hilbert import (A, PHASE_TOL, X, BasisKet, HybridState, PhotonRegister,
                            VERTICAL, bob, registry)
 from cjrio.optics import PauliPower, SU2Operator, apply_pauli_spatial
 from cjrio.oracle import (CorrectionSearchError, TargetState,
-                          brute_force_correction, direct_apply, extract_qubit,
+                          brute_force_correction, direct_apply, extract_qubit, fma, split,
                           target_fidelity)
 
-from conftest import random_pair, random_su2
+from conftest import matrix, random_pair, random_su2
 
 
 def test_direct_apply_identity():
@@ -30,7 +35,7 @@ def test_direct_apply_rotation_first_column():
 def test_direct_apply_matches_two_sequential_multiplications(rng):
     u1, u2 = random_su2(rng), random_su2(rng)
     t = direct_apply([u1, u2], 0.6, 0.8)
-    want = u1.matrix @ (u2.matrix @ np.array([0.6, 0.8]))
+    want = matrix(u1) @ (matrix(u2) @ np.array([0.6, 0.8]))
     assert t.a0 == pytest.approx(complex(want[0]), abs=1e-12)
     assert t.a1 == pytest.approx(complex(want[1]), abs=1e-12)
 
@@ -40,6 +45,107 @@ def test_direct_apply_normalized_output(rng):
     a, b = random_pair(rng)
     t = direct_apply(ops, a, b)
     assert abs(t.a0) ** 2 + abs(t.a1) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def fma_reference(a: float, b: float, c: float) -> float:
+    """``a*b + c`` in exact rational arithmetic, rounded once (``float`` of a
+    Fraction divides ints, which rounds correctly, and raises OverflowError
+    past the float range).  An exact zero is -0.0 only as IEEE 754 makes it:
+    a zero product and a zero ``c`` that are both negative."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact:
+        return float(exact)
+    negative = (not (a and b) and math.copysign(1.0, a) * math.copysign(1.0, b) < 0
+                and math.copysign(1.0, c) < 0)
+    return -0.0 if negative else 0.0
+
+
+def _fma_or_overflow(fn, a, b, c):
+    try:
+        return fn(a, b, c).hex()
+    except OverflowError:
+        return "overflow"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.5e-310, 2.0 ** -1022,
+                  2.0 ** -460, -(2.0 ** -470) * 1.5, 2.0 ** -900, 2.0 ** 460, 2.0 ** 1000,
+                  -1.7976931348623157e308, 0.1, -3.0]
+
+
+def _random_finite(rng: random.Random) -> float:
+    """A float with uniform random bits, so every exponent is equally likely,
+    subnormals included; infinities and NaNs are redrawn."""
+    while True:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(x):
+            return x
+
+
+def test_fma_rounds_the_exact_sum_once():
+    rng = random.Random(7)
+    triples = list(itertools.product(SPECIAL_FLOATS, repeat=3))
+    triples += [tuple(_random_finite(rng) for _ in range(3)) for _ in range(20000)]
+    # products below 2**-900, where Dekker's error term may underflow
+    triples += [(math.ldexp(rng.random() + 0.5, rng.randint(-600, -300)),
+                 math.ldexp(rng.random() - 0.5, rng.randint(-600, -300)),
+                 math.ldexp(rng.random() - 0.5, rng.randint(-1100, -850))) for _ in range(5000)]
+    # unit-scale operands, as the oracle's products have
+    triples += [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1) * rng.random() ** 8)
+                for _ in range(20000)]
+    for a, b, c in triples:
+        assert (_fma_or_overflow(lambda a, b, c: fma(split(a), split(b), c), a, b, c)
+                == _fma_or_overflow(fma_reference, a, b, c)), (a, b, c)
+
+
+def exact_direct_apply(unitaries, alpha, beta) -> tuple[complex, complex]:
+    """The per-part FMA rule of ``direct_apply`` in exact arithmetic: each
+    entry product m*x is (fma(m.re, x.re, -(m.im*x.im)), fma(m.re, x.im,
+    m.im*x.re)), each part rounded once, and a row adds its two products."""
+    def product(p: complex, q: complex) -> complex:
+        return complex(fma_reference(p.real, q.real, -(p.imag * q.imag)),
+                       fma_reference(p.real, q.imag, p.imag * q.real))
+
+    y0, y1 = complex(alpha), complex(beta)
+    for op in reversed(unitaries):
+        u, v = complex(op.u), complex(op.v)
+        y0, y1 = (product(m0, y0) + product(m1, y1)
+                  for m0, m1 in ((u, v), (-v.conjugate(), u.conjugate())))
+    return y0, y1
+
+
+def _hex(pair) -> list[str]:
+    return [part.hex() for z in pair for part in (z.real, z.imag)]
+
+
+ZERO_HEAVY = [SU2Operator(*PRESETS[name]) for name in ("identity", "pauli-x", "hadamard-like")]
+
+
+def test_direct_apply_is_the_exact_per_part_fma_rule(rng):
+    inputs = [(0.6, 0.8), (1.0, 0.0), (0j, 1j), (-0.6, 0.8j)]
+    for m in range(1, 9):
+        for trial in range(40):
+            # every third product is of presets only, the rest mixes them in
+            ops = [ZERO_HEAVY[int(rng.integers(3))] if trial % 3 == 0 or rng.random() < 0.3
+                   else random_su2(rng) for _ in range(m)]
+            alpha, beta = inputs[trial % 4] if trial % 2 else random_pair(rng)
+            t = direct_apply(ops, alpha, beta)
+            assert _hex((t.a0, t.a1)) == _hex(exact_direct_apply(ops, alpha, beta))
+
+
+def test_direct_apply_agrees_with_numpys_matmul_within_a_few_ulps(rng):
+    # numpy's own bits depend on the BLAS kernel it picks, so only closeness
+    # is asked of it.
+    for m in range(1, 9):
+        for _ in range(25):
+            ops = [random_su2(rng) for _ in range(m)]
+            alpha, beta = random_pair(rng)
+            want = np.array([alpha, beta])
+            for op in reversed(ops):
+                want = matrix(op) @ want
+            t = direct_apply(ops, alpha, beta)
+            for got, ref in zip((t.a0, t.a1), want):
+                assert abs(got.real - ref.real) <= 4 * m * 2.0 ** -53
+                assert abs(got.imag - ref.imag) <= 4 * m * 2.0 ** -53
 
 
 def test_direct_apply_rejects_empty():

@@ -21,7 +21,7 @@ from cjrio.optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
 from cjrio.oracle import direct_apply, target_fidelity
 from cjrio.protocol import ProtocolConfig, ProtocolRun
 
-from conftest import dense_vector
+from conftest import dense_vector, matrix
 
 S = 1 / math.sqrt(2)
 I2 = np.eye(2)
@@ -97,7 +97,7 @@ def cases(draw, ops=OPS):
         local = np.kron(pauli(power), I2) if op == "pauli_spatial" else np.kron(I2, pauli(power))
         return state, op, i, power, local
     su2 = SU2Operator(*draw(unit_pairs()))
-    return state, op, i, su2, np.kron(su2.matrix, I2)
+    return state, op, i, su2, np.kron(matrix(su2), I2)
 
 
 def apply(state, op, i, arg):

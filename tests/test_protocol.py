@@ -16,7 +16,7 @@ from cjrio.protocol import (BLOCKED, FIDELITY_THRESHOLD, FrameInconsistencyError
                             branch_fidelity, build_protocol, check_variant,
                             iter_branches, run_full)
 
-from conftest import bit, dense_reduced_purity, random_pair, random_su2
+from conftest import bit, dense_reduced_purity, matrix, random_pair, random_su2
 
 I2 = SU2Operator(1, 0)
 
@@ -594,7 +594,7 @@ def test_shift_chain_random_operators_match_product(rng):
     st = run.branch.state
     amp0 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 0)
     amp1 = sum(a for ket, a in st.terms.items() if bit(st, ket, bob(1)) == 1)
-    want = u1.matrix @ (u2.matrix @ np.array([alpha, beta]))
+    want = matrix(u1) @ (matrix(u2) @ np.array([alpha, beta]))
     assert amp1 / amp0 == pytest.approx(complex(want[1] / want[0]), abs=1e-9)
 
 
