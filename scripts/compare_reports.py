@@ -7,16 +7,18 @@ that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout, of stderr (every summary and error line is deterministic)
 and of the report a command line writes with ``--output`` (to a temporary
 file of its own per run).  Then, in one such process per tree, it computes
-five digests (see :func:`digests`): the scheme (bit names, node metadata
+six digests (see :func:`digests`): the scheme (bit names, node metadata
 and Pauli-fix forms for m 1-9 and n 0-4), a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
 amplitudes, floats as hex), the same of runs that share one build per
 config, so that they read its node tables, every branch of validated
-walks, as ``certify`` runs them, and the two readout primitives on seeded
-random states (each outcome's bits, probability and state).  A run that
-takes more than TIMEOUT_S seconds is killed and counts as a difference.
-Prints one line per command line and per digest and exits 1 if any
-differs, so a change that claims the same behaviour can show it.
+walks, as ``certify`` runs them, the two readout primitives on seeded
+random states (each outcome's bits, probability and state), and the stage
+mismatch records of checked (2,1) walks with a planted wrong fix, which a
+correct build never reports.  A run that takes more than TIMEOUT_S seconds
+is killed and counts as a difference.  Prints one line per command line and
+per digest and exits 1 if any differs, so a change that claims the same
+behaviour can show it.
 
     python scripts/compare_reports.py [--python PY] BASE [HEAD]
 
@@ -250,10 +252,48 @@ def readout_digest() -> str:
     return digest.hexdigest()
 
 
+# The errata walks: every branch of checked (2,1) walks on this many configs
+# (the last one vetoed), each with one planted fault per entry here: a plan
+# entry and the term of its X form that is flipped.  Flipping first_op's
+# constant puts every branch out of step from there on; flipping hop_close[1]'s
+# coefficient of k (word bit 0, form bit 1), only the branches with k = 1.
+ERRATA_CONFIGS = 4
+FAULTS = (("first_op", 1), ("hop_close[1]", 2))
+
+
+def _hexed(value):
+    """``value`` with every float in it, in lists and dict values, as hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def errata_digest() -> str:
+    """A sha256 over every branch's stage mismatch records, each as its
+    ``to_json()`` with floats as hex, in checked (2,1) walks with each fault
+    of FAULTS planted in a fresh build."""
+    import dataclasses
+
+    from cjrio.protocol import build_protocol, iter_branches
+
+    digest = hashlib.sha256()
+    for config, _ in _run_configs(((2, 1),), ERRATA_CONFIGS):
+        for node, term in FAULTS:
+            proto = build_protocol(config)
+            proto.plan[node] = dataclasses.replace(proto.plan[node], x=proto.plan[node].x ^ term)
+            for res in iter_branches(config, check_stages=True, protocol=proto):
+                digest.update(repr([_hexed(e.to_json()) for e in res.errata]).encode())
+    return digest.hexdigest()
+
+
 def digests() -> dict[str, str]:
-    """The scheme, seeded-run, shared-protocol, validated-walk and readout
-    digests of the cjrio this process imports, each a sha256 over the repr of
-    what it covers."""
+    """The scheme, seeded-run, shared-protocol, validated-walk, readout and
+    errata digests of the cjrio this process imports, each a sha256 over the
+    repr of what it covers."""
     import numpy as np
 
     from cjrio import ProtocolConfig, SU2Operator
@@ -299,7 +339,8 @@ def digests() -> dict[str, str]:
                                    len(res.errata), None if fid is None else fid.hex())).encode())
     return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest(),
             "shared-protocol digest": shared.hexdigest(),
-            "validated-walk digest": validated.hexdigest(), "readout digest": readout_digest()}
+            "validated-walk digest": validated.hexdigest(), "readout digest": readout_digest(),
+            "errata digest": errata_digest()}
 
 
 def run_digests(tree: Path) -> tuple[dict[str, str], float]:
@@ -346,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} command lines byte-identical")
     (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
     for name in ("scheme digest", "seeded-run digest", "shared-protocol digest",
-                 "validated-walk digest", "readout digest"):
+                 "validated-walk digest", "readout digest", "errata digest"):
         same = name in base and base.get(name) == head.get(name)
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "

@@ -16,11 +16,10 @@ import io
 import json
 import math
 import os
-import secrets
 import shutil
 import sys
 import tempfile
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from . import __version__, protocol
 from .optics import SQRT_HALF, SU2Operator
@@ -234,16 +233,22 @@ def _emit(report: dict, out: TextIO) -> None:
 _BRANCHES_MARK = "\0branches"
 
 
-def _branch_text(bits: Iterable[int], probability: float, fidelity: float | None,
+# Each 8-bit chunk of a word as list items, bit 0 first, each followed by a separator.
+_CHUNKS = tuple("".join(f"{c >> j & 1},\n        " for j in range(8)) for c in range(256))
+
+
+def _branch_text(word: int, width: int, probability: float, fidelity: str,
                  blocked: bool) -> str:
-    """One entry of an enumerate report's "branches" list, byte for byte as
+    """One entry of an enumerate report's "branches" list, the first ``width``
+    bits of ``word`` and ``fidelity`` given as its JSON text, byte for byte as
     ``json.dumps(report, indent=2, sort_keys=True)`` writes it for finite
     floats, which ``json`` writes with ``float.__repr__``."""
-    bits_text = ",\n        ".join(map(str, bits))
-    bits_text = f"[\n        {bits_text}\n      ]" if bits_text else "[]"
-    return (f'    {{\n      "bits": {bits_text},\n'
+    # 11 characters a bit, less the last separator's 10
+    bits = "".join([_CHUNKS[word >> lo & 255] for lo in range(0, width, 8)])[:11 * width - 10]
+    bits = f"[\n        {bits}\n      ]" if width else "[]"
+    return (f'    {{\n      "bits": {bits},\n'
             f'      "blocked": {"true" if blocked else "false"},\n'
-            f'      "fidelity": {"null" if fidelity is None else float.__repr__(fidelity)},\n'
+            f'      "fidelity": {fidelity},\n'
             f'      "probability": {float.__repr__(probability)}\n    }}')
 
 
@@ -254,7 +259,7 @@ def _summary(line: str) -> None:
 def cmd_simulate(args) -> int:
     config = build_config(args)
     _check_paper_eqs_shape(args, config)
-    seed = args.seed = secrets.randbits(32) if args.seed is None else args.seed
+    seed = args.seed = int.from_bytes(os.urandom(4), "little") if args.seed is None else args.seed
     with _open_output(args) as out:
         result = run_full(config, seed=seed, check_stages=args.check_paper_eqs)
         fid = branch_fidelity(config, result)
@@ -291,40 +296,42 @@ def cmd_enumerate(args) -> int:
     # Looked up on the module, where iter_branches looks it up, so a wrapper
     # put there sees the one build.
     proto = protocol.build_protocol(config)
+    walk, root = protocol._start(config, args.check_paper_eqs, False, proto)
 
     # Errata, blocked branches' too, stay in memory: --check-paper-eqs runs
     # only at (2,1), so there are at most 2^11 branches x 10 checked nodes =
     # 20480 records.
     errata = []
     # A fidelity reads live photons only, and branches that end in one live
-    # state share its object, so each is computed once per such object.
+    # state share its object, so its JSON text is made once per such object.
     fidelities = {}
     prob_sum = 0.0
     min_fid = None
     blocked_count = 0
     max_terms = 0
     count = 0
-    # Each branch is written out as it is yielded, so memory stays flat in the
-    # branch count.  sort_keys puts "aggregate", known only after the last
-    # branch, ahead of "branches", hence the spool.
+    # Each leaf is written out as it is yielded, from its word and with no
+    # BranchResult made, so memory stays flat in the branch count.  sort_keys
+    # puts "aggregate", known only after the last branch, ahead of "branches",
+    # hence the spool.
     # A binary spool: a text file open for reading resets its decoder per write.
     with _open_output(args) as out, tempfile.TemporaryFile() as spool:
         sep = ""  # ahead of every entry but the first
-        for res in iter_branches(config, check_stages=args.check_paper_eqs, protocol=proto):
+        for _, live, _, word, width, probability, errs, terms, blocked_at in walk(
+                root, lambda outcomes: outcomes):
             count += 1
-            prob_sum += res.probability
-            max_terms = max(max_terms, res.max_terms)
-            errata.extend(res.errata)
-            fid = None
-            if res.blocked:
+            prob_sum += probability
+            max_terms = max(max_terms, terms)
+            errata.extend(errs)
+            if blocked_at is not None:
                 blocked_count += 1
-            else:
-                fid = fidelities.get(res.live)
-                if fid is None:
-                    fid = fidelities[res.live] = target_fidelity(res.live, target)
-                min_fid = fid if min_fid is None else min(min_fid, fid)
-            spool.write((sep + _branch_text(res.bits.values(), res.probability, fid,
-                                            res.blocked)).encode())
+                fid = "null"
+            elif (fid := fidelities.get(live)) is None:
+                value = target_fidelity(live, target)
+                min_fid = value if min_fid is None else min(min_fid, value)
+                fid = fidelities[live] = float.__repr__(value)
+            spool.write((sep + _branch_text(word, width, probability, fid,
+                                            blocked_at is not None)).encode())
             sep = ",\n"
 
         report = {

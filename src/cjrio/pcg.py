@@ -2,7 +2,7 @@
 seed goes through ``SeedSequence``'s hash into a 128-bit PCG state and
 increment; a draw steps the LCG and keeps 53 bits of its XSL-RR output."""
 
-import secrets
+import os
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
@@ -26,7 +26,7 @@ class PCG64:
     def __init__(self, seed: int | None = None):
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
             raise ValueError(f"a seed must be a non-negative int, got {seed!r}")
-        seed = secrets.randbits(128) if seed is None else seed
+        seed = int.from_bytes(os.urandom(16), "little") if seed is None else seed
         words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
         hs = _MIX if len(words) <= 4 else _hashes(0x43B0D7E5, 0x931E8875, 4 * len(words) + 1)
         pairs = _PAIRS + [(src, dst) for src in range(4, len(words)) for dst in range(4)]

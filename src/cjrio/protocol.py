@@ -449,10 +449,10 @@ def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False
     m, n = config.m, config.n
     labels, nodes, plan = _skeleton(m, n)
     targets = None
-    if validate_corrections:
-        us, alpha, beta = config.unitaries, config.alpha, config.beta
-        targets = [(t.a0, t.a1) for t in (oracle.direct_apply(us[s:], alpha, beta)
-                                          for s in range(m))] + [(alpha, beta)]
+    if validate_corrections:  # each suffix product is U_s applied to the next one's pair
+        targets = [(config.alpha, config.beta)]
+        for u in reversed(config.unitaries):
+            targets.insert(0, ((t := oracle.direct_apply((u,), *targets[0])).a0, t.a1))
     return Protocol(config, dict(plan), [Node(nd.name, nd.stage, nd.party, nd.bit_labels, nd.run,
                                               nd.check_id, nd.reads) for nd in nodes],
                     initial_state(config.alpha, config.beta, m, n), labels,
@@ -525,6 +525,13 @@ class BranchResult:
     def blocked(self) -> bool:
         return self.blocked_at is not None
 
+    def _at(self, leaf: tuple) -> BranchResult:
+        """The branch at a leaf a walk from this one yields, with its protocol and seed."""
+        idx, live, frozen, word, width, probability, errata, max_terms, blocked_at = leaf
+        return BranchResult(dict(self._protocol.names(word, width)), probability, blocked_at,
+                            list(errata), max_terms, self.seed, self._protocol, idx, word, live,
+                            frozen)
+
     @property
     def state(self) -> HybridState:
         if self._state is None:
@@ -557,8 +564,8 @@ class BranchResult:
 def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: bool,
            proto: Protocol | None, seed: int | None = None):
     """The walk on the protocol (``proto`` if given, else one built from
-    ``config``), running the stage checks if asked and giving its branches
-    ``seed``, and the root branch, where no node has run."""
+    ``config``), running the stage checks if asked, and the root branch,
+    where no node has run, with ``seed``."""
     if proto is None:
         proto = build_protocol(config, validate_corrections=validate_corrections)
     elif proto.config != config or validate_corrections:
@@ -567,19 +574,19 @@ def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: boo
     if check_stages:
         from .stages import make_stage_checker
 
-        checker = make_stage_checker(config)
+        checker = partial(make_stage_checker(config), proto.labels)
     state = proto.initial_state
     root = BranchResult({}, 1.0, None, [], len(state.terms), seed, proto, 0, 0, state, 0)
-    return partial(_walk, proto, checker, seed), root
+    return partial(_walk, proto, checker), root
 
 
-def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choose,
-          stop: int | None = None) -> Iterator[BranchResult]:
+def _walk(proto: Protocol, checker, branch: BranchResult, choose,
+          stop: int | None = None) -> Iterator[tuple]:
     """Depth-first from ``branch``: run each node and enter the outcomes
     ``choose`` keeps of its outcome list, first to last.  Yields each branch
-    that is blocked or has reached node index ``stop`` (the end by default).
-    A pending branch is a plain tuple; only a yielded one becomes a
-    :class:`BranchResult`.
+    that is blocked or has reached node index ``stop`` (the end by default)
+    as a leaf, the plain tuple a pending branch is kept as: (node index, live
+    state, retired bits, word, bit count, probability, errata, term peak, halt).
 
     A node's outcomes depend only on the live part of its input state and on
     the word's bits it reads (primitives touch live photons only, and a
@@ -591,7 +598,7 @@ def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choo
     node's first run is stored nowhere and builds only the outcomes
     ``choose`` keeps, so a sampled run, which enters each node once, pays for
     no table.  A node's first child goes on at once: a one-outcome node pushes none."""
-    nodes, names, intern = proto.nodes, proto.names, proto.intern
+    nodes, intern = proto.nodes, proto.intern
     end = len(nodes) if stop is None else stop
     stack = [(branch._passed, branch.live, branch._frozen, branch._word, len(branch.bits),
               branch.probability, tuple(branch.errata), branch.max_terms, branch.blocked_at)]
@@ -620,7 +627,7 @@ def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choo
                     peak, outcomes = entry
                     rows = choose(outcomes)
             except _FrameMismatch as err:
-                raise FrameInconsistencyError(node.name, names(word | err.word, err.heard),
+                raise FrameInconsistencyError(node.name, proto.names(word | err.word, err.heard),
                                               err.derived, err.found) from None
             if max_terms < peak:
                 max_terms = peak
@@ -634,7 +641,7 @@ def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choo
                 fz |= kept
                 errs = errata
                 if checker is not None and node.check_id is not None:
-                    mismatch = checker(node.check_id, names(w, after), st.with_frozen(fz))
+                    mismatch = checker(node.check_id, w, after, st, fz)
                     if mismatch is not None:
                         errs = errata + (mismatch,)
                 terms = len(st.terms)
@@ -642,8 +649,7 @@ def _walk(proto: Protocol, checker, seed: int | None, branch: BranchResult, choo
                                  terms if terms > max_terms else max_terms, None))
             stack += children[:0:-1]  # all but the first, last on the bottom
             idx, state, frozen, word, width, probability, errata, max_terms, _ = children[0]
-        yield BranchResult(dict(names(word, width)), probability, blocked_at, list(errata),
-                           max_terms, seed, proto, idx, word, state, frozen)
+        yield idx, state, frozen, word, width, probability, errata, max_terms, blocked_at
 
 
 def iter_branches(
@@ -657,7 +663,7 @@ def iter_branches(
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability.  ``protocol`` is ``config``'s node list, if built."""
     walk, root = _start(config, check_stages, validate_corrections, protocol)
-    yield from walk(root, lambda outcomes: outcomes)
+    yield from map(root._at, walk(root, lambda outcomes: outcomes))
 
 
 class ProtocolRun:
@@ -711,7 +717,8 @@ class ProtocolRun:
         # Nodes come in stage order, so the stage's nodes are those up to the
         # first of a later stage.
         stop = next((j for j in range(start, len(nodes)) if nodes[j].stage > stage), len(nodes))
-        (self.branch,) = self._walk(branch, self._draw, stop)
+        (leaf,) = self._walk(branch, self._draw, stop)
+        self.branch = branch._at(leaf)
         if self.branch.blocked:
             return BLOCKED
         bits = self.branch.bits
@@ -719,7 +726,8 @@ class ProtocolRun:
 
     def finish(self) -> BranchResult:
         self._stage = 9
-        (self.branch,) = self._walk(self.branch, self._draw)
+        (leaf,) = self._walk(self.branch, self._draw)
+        self.branch = self.branch._at(leaf)
         return self.branch
 
 

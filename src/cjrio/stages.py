@@ -4,10 +4,11 @@ Each checkpoint rebuilds, from nothing but the branch's broadcast bits and
 the configured operators, the closed-form state the derivation predicts at
 that point of the protocol, and compares it with the simulator state up to
 global phase at 1e-12.  A form's builder takes the bits it reads as its
-parameters, so one checker builds each form once per value of those bits.
-A disagreement is never absorbed: it becomes a structured mismatch record
-carrying both coefficient lists, and the report path surfaces it so it can
-be held against the repository's documented errata list.
+parameters, so one checker builds each form once per value of those bits
+and reaches each verdict once per (checkpoint, those bits, live state,
+retired bits).  A disagreement is never absorbed: it becomes a structured
+mismatch record carrying both coefficient lists, and the report path
+surfaces it so it can be held against the documented errata list.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Sequence
 
 from .hilbert import (BasisKet, HybridState, PhotonRegister, VERTICAL,
                       equal_up_to_global_phase, registry)
@@ -78,14 +79,16 @@ def _state(reg: PhotonRegister, alive: tuple[bool, ...],
     return HybridState(reg, alive, terms).normalized()
 
 
-def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState], StageMismatch | None]:
-    """Checker closure for one (m=2, n=1) configuration."""
+def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
+    """Checker closure for one (m=2, n=1) configuration: ``check(labels,
+    check_id, word, width, live, frozen)`` takes the bit names, the branch's
+    word and bit count, and its state as a live part and the retired bits."""
     if config.m != 2 or config.n != 1:
         raise ValueError("stage reference forms exist only for m=2, n=1")
 
     alpha, beta = complex(config.alpha), complex(config.beta)
     t2 = direct_apply(config.unitaries[1:], alpha, beta)
-    t12 = direct_apply(config.unitaries, alpha, beta)
+    t12 = direct_apply(config.unitaries[:1], t2.a0, t2.a1)  # one step past t2
     pair_in = (alpha, beta)
     pair_2 = (t2.a0, t2.a1)
     pair_12 = (t12.a0, t12.a1)
@@ -210,23 +213,35 @@ def make_stage_checker(config) -> Callable[[str, Mapping[str, int], HybridState]
         "polar-fixed": f_polar_fixed,
     }
 
-    # A builder reads exactly the bits its parameters name, so its form is a
-    # function of their values: each is built once per value tuple, in a memo
-    # the checker owns.
-    readers = {check_id: (build, tuple(inspect.signature(build).parameters), {})
-               for check_id, build in builders.items()}
+    # A builder reads exactly the bits its parameters name (found in the word
+    # on a checkpoint's first check), so its form is a function of their
+    # values, and a verdict of those, the live state (never mutated, so its
+    # identity will do) and the retired bits; memos the checker owns keep both.
+    # A full state is made on a verdict's first check, names only for a mismatch.
+    params = {check_id: tuple(inspect.signature(build).parameters)
+              for check_id, build in builders.items()}
+    readers: dict[str, tuple] = {}
 
-    def check(check_id: str, bits: Mapping[str, int], sim: HybridState) -> StageMismatch | None:
-        build, params, memo = readers[check_id]
-        key = tuple([bits[p] for p in params])
-        ref = memo.get(key)
-        if ref is None:
-            ref = memo[key] = build(*key)
-        if equal_up_to_global_phase(sim, ref, STAGE_TOL):
+    def check(labels: Sequence[str], check_id: str, word: int, width: int,
+              live: HybridState, frozen: int) -> StageMismatch | None:
+        if (reader := readers.get(check_id)) is None:
+            at = [labels.index(p) for p in params[check_id]]
+            reader = readers[check_id] = at, sum(1 << j for j in at), {}, {}
+        at, mask, refs, verdicts = reader
+        read = word & mask
+        verdict = verdicts.get((read, live, frozen))
+        if verdict is None:  # a pass is (), a mismatch the two states
+            if (ref := refs.get(read)) is None:
+                ref = refs[read] = builders[check_id](*[word >> j & 1 for j in at])
+            sim = live.with_frozen(frozen)
+            verdict = verdicts[read, live, frozen] = (
+                () if equal_up_to_global_phase(sim, ref, STAGE_TOL) else (sim, ref))
+        if not verdict:
             return None
+        sim, ref = verdict
         return StageMismatch(
             stage=check_id,
-            bits=dict(bits),
+            bits={labels[j]: word >> j & 1 for j in range(width)},
             photons=[str(p) for p in sim.photons],
             simulator=_dump(sim),
             reference=_dump(ref),

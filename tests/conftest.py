@@ -111,13 +111,17 @@ def fixed_polar_fix(monkeypatch):
 @pytest.fixture
 def flipped_x(monkeypatch):
     """Call with a node name to make every protocol built afterwards flip the
-    constant of that node's X exponent: a wrong fix on every branch."""
+    constant of that node's X exponent, a wrong fix on every branch, or with
+    ``bit`` too, its coefficient of the word's bit ``bit``, a wrong fix on the
+    branches where that bit is 1."""
     build = protocol.build_protocol
 
-    def flip(node: str) -> None:
+    def flip(node: str, bit: int | None = None) -> None:
+        term = 1 if bit is None else 2 << bit  # a form's bit 0 is its constant
+
         def build_flipped(*args, **kwargs) -> protocol.Protocol:
             proto = build(*args, **kwargs)
-            proto.plan[node] = dataclasses.replace(proto.plan[node], x=proto.plan[node].x ^ 1)
+            proto.plan[node] = dataclasses.replace(proto.plan[node], x=proto.plan[node].x ^ term)
             return proto
 
         monkeypatch.setattr(protocol, "build_protocol", build_flipped)

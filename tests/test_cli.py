@@ -414,25 +414,34 @@ _FLOATS = st.sampled_from([-0.0, 5e-324, 2.0 ** -17, 1e16]) | st.floats(
     allow_nan=False, allow_infinity=False)
 
 
-@given(bits=st.lists(st.integers(0, 1), max_size=17), probability=_FLOATS,
-       fidelity=st.none() | _FLOATS, blocked=st.booleans())
-@example(bits=[], probability=5e-324, fidelity=None, blocked=True)
-@example(bits=[1] * 17, probability=2.0 ** -17, fidelity=-0.0, blocked=False)
-@example(bits=[0, 1], probability=1e16, fidelity=1e16, blocked=True)
-def test_branch_text_is_its_slice_of_the_json_dump(bits, probability, fidelity, blocked):
-    entry = {"bits": bits, "probability": probability, "fidelity": fidelity, "blocked": blocked}
+@given(word=st.integers(0, 2 ** cli.ENUMERATE_MAX_BITS - 1), probability=_FLOATS,
+       fidelity=st.none() | _FLOATS)
+@example(word=0, probability=5e-324, fidelity=None)
+@example(word=2 ** 17 - 1, probability=2.0 ** -17, fidelity=-0.0)
+@example(word=0b10, probability=1e16, fidelity=1e16)
+def test_branch_text_is_its_slice_of_the_json_dump(word, probability, fidelity):
+    # Every width an enumeration can reach, each on the word's low bits,
+    # blocked and not; the fidelity's text is the one cmd_enumerate makes.
+    fidelity_text = "null" if fidelity is None else float.__repr__(fidelity)
     head, tail = '{\n  "branches": [\n', "\n  ]\n}"
-    dumped = json.dumps({"branches": [entry]}, indent=2, sort_keys=True)
-    assert dumped.startswith(head) and dumped.endswith(tail)
-    assert cli._branch_text(bits, probability, fidelity, blocked) == dumped[len(head):-len(tail)]
+    for width in range(cli.ENUMERATE_MAX_BITS + 1):
+        low = word & (1 << width) - 1
+        for blocked in (False, True):
+            entry = {"bits": [low >> j & 1 for j in range(width)], "probability": probability,
+                     "fidelity": fidelity, "blocked": blocked}
+            dumped = json.dumps({"branches": [entry]}, indent=2, sort_keys=True)
+            assert dumped.startswith(head) and dumped.endswith(tail)
+            assert (cli._branch_text(low, width, probability, fidelity_text, blocked)
+                    == dumped[len(head):-len(tail)])
 
 
 def test_streamed_report_matches_reference_with_errata(capsys, monkeypatch):
     def always_mismatch(config):
-        def check(stage, bits, state):
+        def check(labels, stage, word, width, live, frozen):
             # the real dump of the post-transfer state, so its row order shows
-            dump = stages._dump(state) if stage == "transfer" else []
-            return stages.StageMismatch(stage, dict(bits), ["X"], dump, [{"amp": [0.5, -0.0]}])
+            dump = stages._dump(live.with_frozen(frozen)) if stage == "transfer" else []
+            bits = {labels[j]: word >> j & 1 for j in range(width)}
+            return stages.StageMismatch(stage, bits, ["X"], dump, [{"amp": [0.5, -0.0]}])
         return check
 
     monkeypatch.setattr(stages, "make_stage_checker", always_mismatch)
@@ -494,7 +503,9 @@ def _cli_env() -> dict[str, str]:
 
 
 def test_the_cli_imports_no_numpy():
-    check = "import sys, cjrio.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    # nor secrets, which brings hashlib, hmac and base64 with it
+    check = ("import sys, cjrio.cli; assert 'numpy' not in sys.modules, 'numpy imported'; "
+             "assert 'secrets' not in sys.modules, 'secrets imported'")
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                           env=_cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

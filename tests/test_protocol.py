@@ -341,6 +341,21 @@ def test_configs_of_one_shape_built_back_to_back_reach_their_own_targets(rng):
                 assert branch_fidelity(config, res) >= FIDELITY_THRESHOLD
 
 
+def test_validation_targets_are_the_suffix_products_bit_for_bit(rng):
+    # The build takes each suffix product one operator past the next; the
+    # oracle's product from scratch must give the same float bits.
+    for m in range(1, 9):
+        for _ in range(5):
+            us, (alpha, beta) = tuple(random_su2(rng) for _ in range(m)), random_pair(rng)
+            proto = build_protocol(ProtocolConfig(m, 0, us, alpha, beta),
+                                   validate_corrections=True)
+            want = [direct_apply(us[s:], alpha, beta) for s in range(m)]
+            assert len(proto.targets) == m + 1 and proto.targets[m] == (alpha, beta)
+            for got, t in zip(proto.targets, want):
+                assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                    (z.real.hex(), z.imag.hex()) for z in (t.a0, t.a1)], (m, us)
+
+
 def test_frame_agrees_with_brute_force_m3_n2_sampled(rng):
     config = ProtocolConfig(3, 2, tuple(random_su2(rng) for _ in range(3)),
                             *random_pair(rng))

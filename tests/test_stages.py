@@ -1,12 +1,13 @@
+import inspect
 import json
 import pathlib
 
 import pytest
 
 from cjrio import stages
-from cjrio.hilbert import HybridState, registry
+from cjrio.hilbert import X, HybridState, registry
 from cjrio.optics import SU2Operator
-from cjrio.protocol import ProtocolConfig, build_protocol, iter_branches, run_full
+from cjrio.protocol import ProtocolConfig, ProtocolRun, build_protocol, iter_branches, run_full
 from cjrio.stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 from conftest import bit, random_pair, random_su2
@@ -64,7 +65,10 @@ def test_mismatch_record_structure(rng):
         ket: (-a if bit(state, ket, bob(1)) == (k ^ 1) else a)
         for ket, a in state.terms.items()
     })
-    record = checker("transfer", r.branch.bits, corrupted)
+    # the branch's word (bit j its j-th bit) and the whole state as its live part
+    word = sum(b << j for j, b in enumerate(r.branch.bits.values()))
+    record = checker(build_protocol(cfg).labels, "transfer", word, len(r.branch.bits),
+                     corrupted, 0)
     assert isinstance(record, StageMismatch)
     payload = record.to_json()
     assert payload["stage"] == "transfer"
@@ -90,8 +94,8 @@ def test_memoized_references_hide_no_mismatch(rng, monkeypatch, flipped_x):
     memoized = [res.errata for res in iter_branches(cfg, check_stages=True)]
 
     def unmemoized(config):
-        # A new checker, so a new reference, for every call.
-        return lambda stage, bits, sim: make_stage_checker(config)(stage, bits, sim)
+        # A new checker, so a new reference and verdict, for every call.
+        return lambda *args: make_stage_checker(config)(*args)
 
     monkeypatch.setattr(stages, "make_stage_checker", unmemoized)
     fresh = [res.errata for res in iter_branches(cfg, check_stages=True)]
@@ -99,6 +103,84 @@ def test_memoized_references_hide_no_mismatch(rng, monkeypatch, flipped_x):
     assert {e.stage for errata in memoized for e in errata} == set(CHECK_IDS[4:])
     for got, want in zip(memoized, fresh):
         assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+
+def test_memoized_verdicts_hide_no_mismatch_of_half_the_branches(rng, monkeypatch, flipped_x):
+    # A wrong coefficient of k in hop_close[1]'s X fix puts exactly the
+    # branches with k = 1 out of step, so one live state and retired bits
+    # meet both passing and failing references across the walk.
+    flipped_x("hop_close[1]", bit=0)
+    cfg = config_for(rng)
+    memoized = [res.errata for res in iter_branches(cfg, check_stages=True)]
+    monkeypatch.setattr(stages, "make_stage_checker",
+                        lambda config: lambda *args: make_stage_checker(config)(*args))
+    fresh = [res.errata for res in iter_branches(cfg, check_stages=True)]
+    assert len(memoized) == len(fresh) == 2048
+    assert sum(1 for errata in memoized if errata) == 1024
+    assert {e.stage for errata in memoized for e in errata} == set(CHECK_IDS[6:])
+    for got, want in zip(memoized, fresh):
+        assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+
+def test_one_live_state_gets_a_verdict_per_bits_read_and_retired_bits(rng):
+    # One post-transfer state checked under every (k, m, n): each value has
+    # a reference of its own, so the memo must not hand one verdict to all.
+    cfg = config_for(rng)
+    labels = build_protocol(cfg).labels
+    run = ProtocolRun(cfg, seed=4)
+    run.step(1)
+    run.step(2)
+    state, checker = run.branch.state, make_stage_checker(cfg)
+
+    def verdict(check, word):
+        record = check(labels, "transfer", word, 3, state, 0)
+        return record and record.to_json()
+
+    words = [*range(8), *range(8)]  # the second pass meets the memo
+    verdicts = [verdict(checker, word) for word in words]
+    assert verdicts == [verdict(make_stage_checker(cfg), word) for word in words]
+    own = sum(b << j for j, b in enumerate(run.branch.bits.values()))
+    assert [word for word, v in zip(words, verdicts) if v is None] == [own, own]
+    # Nor one verdict to every set of retired bits: X, retired at transfer,
+    # put on its other path.
+    live, frozen = state.live_part()
+    moved = frozen ^ state.register.mask(state.index_of(X), "spatial")
+    for check in (checker, make_stage_checker(cfg)):
+        assert check(labels, "transfer", own, 3, live, frozen) is None
+        assert check(labels, "transfer", own, 3, live, moved) is not None
+
+
+def test_checked_walk_builds_one_full_state_per_verdict_key(rng, monkeypatch):
+    # A verdict is a function of (checkpoint, the bits its form reads, live
+    # state, retired bits): the checker builds a full state once per such
+    # key, counted here from the calls, and never names the bits of a check.
+    calls, built = [], []
+    make, with_frozen = stages.make_stage_checker, HybridState.with_frozen
+
+    def recorded_checker(config):
+        check = make(config)
+        params = inspect.getclosurevars(check).nonlocals["params"]
+
+        def recorded(labels, check_id, word, width, live, frozen):
+            at = [labels.index(p) for p in params[check_id]]
+            calls.append((check_id, tuple(word >> j & 1 for j in at), live, frozen))
+            return check(labels, check_id, word, width, live, frozen)
+        return recorded
+
+    def counted_with_frozen(state, frozen):
+        built.append(1)
+        return with_frozen(state, frozen)
+
+    monkeypatch.setattr(stages, "make_stage_checker", recorded_checker)
+    monkeypatch.setattr(HybridState, "with_frozen", counted_with_frozen)
+    cfg = config_for(rng)
+    proto = build_protocol(cfg)
+    names, named = proto.names, []
+    proto.names = lambda word, width: named.append(1) or names(word, width)
+    assert all(res.errata == [] for res in iter_branches(cfg, check_stages=True, protocol=proto))
+    assert len(calls) == 5_402
+    assert len(built) == len(set(calls)) == 2_778
+    assert len(named) == 2048  # once per branch, for BranchResult.bits
 
 
 def test_checked_walk_builds_each_reference_once_per_bits_read(rng, monkeypatch):
