@@ -7,18 +7,19 @@ that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout, of stderr (every summary and error line is deterministic)
 and of the report a command line writes with ``--output`` (to a temporary
 file of its own per run).  Then, in one such process per tree, it computes
-six digests (see :func:`digests`): the scheme (bit names, node metadata
+seven digests (see :func:`digests`): the scheme (bit names, node metadata
 and Pauli-fix forms for m 1-9 and n 0-4), a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
 amplitudes, floats as hex), the same of runs that share one build per
 config, so that they read its node tables, every branch of validated
 walks, as ``certify`` runs them, the two readout primitives on seeded
-random states (each outcome's bits, probability and state), and the stage
+random states (each outcome's bits, probability and state), the stage
 mismatch records of checked (2,1) walks with a planted wrong fix, which a
-correct build never reports.  A run that takes more than TIMEOUT_S seconds
-is killed and counts as a difference.  Prints one line per command line and
-per digest and exits 1 if any differs, so a change that claims the same
-behaviour can show it.
+correct build never reports, and the transcripts of the seeded runs and of
+every branch of the validated walks, as a ``simulate`` report writes them.
+A run that takes more than TIMEOUT_S seconds is killed and counts as a
+difference.  Prints one line per command line and per digest and exits 1 if
+any differs, so a change that claims the same behaviour can show it.
 
     python scripts/compare_reports.py [--python PY] BASE [HEAD]
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -290,10 +292,22 @@ def errata_digest() -> str:
     return digest.hexdigest()
 
 
+def _transcript_text(res) -> bytes:
+    """The JSON text of ``res``'s transcript, keys sorted: the ``transcript``
+    section of a ``simulate`` report.  A tree whose ``BranchResult.transcript``
+    is no dict yet is read through the converter its CLI writes it with."""
+    transcript = res.transcript
+    if not isinstance(transcript, dict):
+        from cjrio.cli import _transcript_json
+
+        transcript = _transcript_json(res)
+    return json.dumps(transcript, sort_keys=True).encode()
+
+
 def digests() -> dict[str, str]:
-    """The scheme, seeded-run, shared-protocol, validated-walk, readout and
-    errata digests of the cjrio this process imports, each a sha256 over the
-    repr of what it covers."""
+    """The scheme, seeded-run, shared-protocol, validated-walk, readout,
+    errata and transcript digests of the cjrio this process imports, each a
+    sha256 over the repr, or for transcripts the JSON, of what it covers."""
     import numpy as np
 
     from cjrio import ProtocolConfig, SU2Operator
@@ -318,9 +332,11 @@ def digests() -> dict[str, str]:
                             [(ket, a.real.hex(), a.imag.hex())
                              for ket, a in res.state.terms.items()])).encode())
 
-    runs = hashlib.sha256()
+    runs, transcripts = hashlib.sha256(), hashlib.sha256()
     for config, seed in _run_configs():
-        update(runs, config, run_full(config, seed=seed))
+        res = run_full(config, seed=seed)
+        update(runs, config, res)
+        transcripts.update(_transcript_text(res))
     # As stats samples: one build and one rng per config, so every run after
     # the first reads the node tables the earlier ones filled.
     shared = hashlib.sha256()
@@ -337,10 +353,11 @@ def digests() -> dict[str, str]:
             fid = branch_fidelity(config, res)
             validated.update(repr((list(res.bits.values()), res.probability.hex(), res.max_terms,
                                    len(res.errata), None if fid is None else fid.hex())).encode())
+            transcripts.update(_transcript_text(res))
     return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest(),
             "shared-protocol digest": shared.hexdigest(),
             "validated-walk digest": validated.hexdigest(), "readout digest": readout_digest(),
-            "errata digest": errata_digest()}
+            "errata digest": errata_digest(), "transcript digest": transcripts.hexdigest()}
 
 
 def run_digests(tree: Path) -> tuple[dict[str, str], float]:
@@ -387,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(ARGVS) - differ} of {len(ARGVS)} command lines byte-identical")
     (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
     for name in ("scheme digest", "seeded-run digest", "shared-protocol digest",
-                 "validated-walk digest", "readout digest", "errata digest"):
+                 "validated-walk digest", "readout digest", "errata digest",
+                 "transcript digest"):
         same = name in base and base.get(name) == head.get(name)
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "

@@ -14,15 +14,15 @@ from .oracle import (CorrectionSearchError, TargetState,
                      brute_force_correction, direct_apply, target_fidelity)
 from .protocol import (BLOCKED, BranchResult, CorrectionSpec,
                        FrameInconsistencyError, ProtocolConfig, ProtocolRun,
-                       Transcript, branch_fidelity, build_protocol,
-                       iter_branches, run_full)
+                       branch_fidelity, build_protocol, iter_branches,
+                       run_full)
 from .stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 __all__ = [
     "A", "BLOCKED", "BasisKet", "BranchResult", "CHECK_IDS",
     "CorrectionSearchError", "CorrectionSpec", "FrameInconsistencyError",
     "HybridState", "PauliPower", "PhotonId", "ProtocolConfig", "ProtocolRun",
-    "SU2Operator", "StageMismatch", "TargetState", "Transcript", "X",
+    "SU2Operator", "StageMismatch", "TargetState", "X",
     "apply_bbs", "apply_hwp", "apply_pauli_polar",
     "apply_pauli_spatial", "apply_pbs", "apply_qwp", "apply_su2_spatial",
     "bob", "branch_fidelity", "brute_force_correction",

@@ -25,9 +25,9 @@ from . import __version__, protocol
 from .optics import SQRT_HALF, SU2Operator
 from .oracle import direct_apply, target_fidelity
 from .pcg import PCG64
-from .protocol import (FIDELITY_THRESHOLD, BranchResult, ProtocolConfig,
-                       ProtocolRun, branch_bit_count, branch_fidelity,
-                       check_variant, iter_branches, run_full)
+from .protocol import (FIDELITY_THRESHOLD, ProtocolConfig, ProtocolRun,
+                       branch_bit_count, branch_fidelity, check_variant,
+                       iter_branches, run_full)
 
 SCHEMA_VERSION = 1
 
@@ -195,23 +195,6 @@ def _config_json(config: ProtocolConfig, args, mode: str) -> dict:
     }
 
 
-def _transcript_json(result: BranchResult) -> dict:
-    t = result.transcript
-    return {
-        "outcomes": [
-            {"step": rec.step, "party": rec.party, "bits": rec.bits}
-            for rec in t.outcomes
-        ],
-        "corrections": [
-            {"party": rec.party, "dof": rec.dof,
-             "x_pow": rec.power.x_pow, "z_pow": rec.power.z_pow}
-            for rec in t.corrections
-        ],
-        "classical_bits": t.classical_bits,
-        "seed": t.seed,
-    }
-
-
 def _open_output(args) -> contextlib.AbstractContextManager[TextIO]:
     """The report's destination, opened before any branch is computed so an
     unwritable ``--output`` fails fast as a configuration error."""
@@ -276,7 +259,7 @@ def cmd_simulate(args) -> int:
                 "blocked": result.blocked,
                 "blocked_at": result.blocked_at,
             },
-            "transcript": _transcript_json(result),
+            "transcript": result.transcript,
             "errata": [e.to_json() for e in result.errata],
             "max_terms": result.max_terms,
         }

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, partial
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import oracle
 from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, charlie, check_amplitudes,
@@ -44,13 +44,13 @@ VARIANTS = ("cjrio", "jrio", "crio", "rio")
 class FrameInconsistencyError(RuntimeError):
     """A frame-derived correction is not among those exhaustive search finds."""
 
-    def __init__(self, node: str, bits: Mapping[str, int], derived: PauliPower, found: tuple):
+    def __init__(self, node: str, bits: dict[str, int], derived: PauliPower, found: tuple):
         super().__init__(
             f"frame correction {derived} at {node} disagrees with searched "
-            f"{' or '.join(map(str, found))} on branch {dict(bits)}"
+            f"{' or '.join(map(str, found))} on branch {bits}"
         )
         self.node = node
-        self.bits = dict(bits)
+        self.bits = bits
         self.derived = derived
         self.found = found
 
@@ -65,27 +65,9 @@ class _FrameMismatch(Exception):
         self.word, self.heard, self.derived, self.found = word, heard, derived, found
 
 
-def _namer(labels: Sequence[str]) -> Callable[[int, int], dict[str, int]]:
-    """Names the first ``width`` bits of a word, bit j as ``labels[j]``, in one
-    dict rewritten in place: a depth-first walk names words that share most
-    bits with the last one, so only the bits that differ are rewritten.  The
-    dict stays the namer's; whoever keeps it takes a copy."""
-    names: dict[str, int] = {}
-    last = 0
-
-    def named(word: int, width: int) -> dict[str, int]:
-        nonlocal last
-        while len(names) > width:
-            names.popitem()
-        # The bits that changed and those past the dict's end, lowest first.
-        stale = ((word ^ last) | -1 << len(names)) & ((1 << width) - 1)
-        while stale:
-            j = (stale & -stale).bit_length() - 1
-            names[labels[j]] = word >> j & 1
-            stale &= stale - 1
-        last = word
-        return names
-    return named
+def _named(labels: Sequence[str], word: int, width: int) -> dict[str, int]:
+    """The first ``width`` bits of ``word`` in a fresh dict, bit j as ``labels[j]``."""
+    return {labels[j]: word >> j & 1 for j in range(width)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +221,14 @@ class Protocol:
     Its node runs read its config, its plan and, if validated, ``targets[s]``,
     the oracle pair after the operators from s on.
 
-    ``names`` names the bits of a word for every walk on it (see
-    :func:`_namer`), and ``interned`` maps the exact content of a live-only
-    state to its one canonical copy, the key of every node's ``table``."""
+    ``interned`` maps the exact content of a live-only state to its one
+    canonical copy, the key of every node's ``table``."""
 
     config: ProtocolConfig
     plan: dict[str, CorrectionSpec]
     nodes: list[Node]
     initial_state: HybridState
     labels: tuple[str, ...]
-    names: Callable[[int, int], dict[str, int]] = field(repr=False, compare=False)
     targets: list[tuple[complex, complex]] | None = field(default=None, repr=False,
                                                           compare=False)
     interned: dict[tuple, HybridState] = field(default_factory=dict, repr=False,
@@ -455,38 +435,12 @@ def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False
             targets.insert(0, ((t := oracle.direct_apply((u,), *targets[0])).a0, t.a1))
     return Protocol(config, dict(plan), [Node(nd.name, nd.stage, nd.party, nd.bit_labels, nd.run,
                                               nd.check_id, nd.reads) for nd in nodes],
-                    initial_state(config.alpha, config.beta, m, n), labels,
-                    _namer(labels), targets)
+                    initial_state(config.alpha, config.beta, m, n), labels, targets)
 
 
 # ---------------------------------------------------------------------------
-# Transcripts and results
+# Results
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OutcomeRecord:
-    step: str
-    party: str
-    bits: dict[str, int]
-
-
-@dataclass
-class CorrectionRecord:
-    party: str
-    dof: str
-    power: PauliPower
-
-
-@dataclass
-class Transcript:
-    """Classical-communication ledger of one branch: every outcome bit in
-    broadcast order, every correction applied, and the bit total."""
-
-    outcomes: list[OutcomeRecord]
-    corrections: list[CorrectionRecord]
-    classical_bits: int
-    seed: int | None = None
 
 
 @dataclass
@@ -500,10 +454,14 @@ class BranchResult:
     object for the branches that end in one canonical live state: a key for
     work that reads live photons only.  Neither the state nor the transcript
     is made until first asked for, then kept.  The state is built by setting
-    the retired bits ``_frozen`` in every ket of ``live``.  Each bit is
-    broadcast once and each correction is a function of the bits, so the
-    transcript is read off ``_word`` and the first ``_passed`` nodes of
-    ``_protocol``."""
+    the retired bits ``_frozen`` in every ket of ``live``.
+
+    The transcript is the classical ledger, the ``transcript`` section of a
+    ``simulate`` report as it is written: ``outcomes``, each node's step,
+    party and named bits in broadcast order, ``corrections``, each fix's
+    party, DOF and Pauli exponents, ``classical_bits`` and ``seed``.  Each bit
+    is broadcast once and each correction is a function of the bits, so it is
+    read off ``_word`` and the first ``_passed`` nodes of ``_protocol``."""
 
     bits: dict[str, int]
     probability: float
@@ -519,7 +477,7 @@ class BranchResult:
     # Plain properties fill these: on Python 3.10 and 3.11 a cached_property
     # takes a lock on every read.
     _state: HybridState | None = field(default=None, repr=False, compare=False)
-    _transcript: Transcript | None = field(default=None, repr=False, compare=False)
+    _transcript: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def blocked(self) -> bool:
@@ -528,7 +486,7 @@ class BranchResult:
     def _at(self, leaf: tuple) -> BranchResult:
         """The branch at a leaf a walk from this one yields, with its protocol and seed."""
         idx, live, frozen, word, width, probability, errata, max_terms, blocked_at = leaf
-        return BranchResult(dict(self._protocol.names(word, width)), probability, blocked_at,
+        return BranchResult(_named(self._protocol.labels, word, width), probability, blocked_at,
                             list(errata), max_terms, self.seed, self._protocol, idx, word, live,
                             frozen)
 
@@ -539,20 +497,22 @@ class BranchResult:
         return self._state
 
     @property
-    def transcript(self) -> Transcript:
+    def transcript(self) -> dict:
         if self._transcript is None:
             bits = self.bits
             passed = self._protocol.nodes[:self._passed]
             plan = self._protocol.plan
-            self._transcript = Transcript(
-                outcomes=[OutcomeRecord(node.name, node.party,
-                                        {lbl: bits[lbl] for lbl in node.bit_labels})
-                          for node in passed if node.bit_labels],
-                corrections=[CorrectionRecord(str(spec.party), spec.dof, spec.power(self._word))
-                             for spec in (plan.get(node.name) for node in passed) if spec],
-                classical_bits=len(bits),
-                seed=self.seed,
-            )
+            self._transcript = {
+                "outcomes": [{"step": node.name, "party": node.party,
+                              "bits": {lbl: bits[lbl] for lbl in node.bit_labels}}
+                             for node in passed if node.bit_labels],
+                "corrections": [{"party": str(spec.party), "dof": spec.dof,
+                                 "x_pow": (power := spec.power(self._word)).x_pow,
+                                 "z_pow": power.z_pow}
+                                for spec in (plan.get(node.name) for node in passed) if spec],
+                "classical_bits": len(bits),
+                "seed": self.seed,
+            }
         return self._transcript
 
 
@@ -627,7 +587,8 @@ def _walk(proto: Protocol, checker, branch: BranchResult, choose,
                     peak, outcomes = entry
                     rows = choose(outcomes)
             except _FrameMismatch as err:
-                raise FrameInconsistencyError(node.name, proto.names(word | err.word, err.heard),
+                raise FrameInconsistencyError(node.name,
+                                              _named(proto.labels, word | err.word, err.heard),
                                               err.derived, err.found) from None
             if max_terms < peak:
                 max_terms = peak

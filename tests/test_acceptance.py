@@ -214,9 +214,9 @@ def test_criterion_6_controller_power(fixed_polar_fix):
 
 def test_criterion_7_classical_ledger():
     res = run_full(ProtocolConfig(2, 1, (SU2Operator(1, 0),) * 2, 0.6, 0.8), seed=77)
-    names = tuple(lbl for rec in res.transcript.outcomes for lbl in rec.bits)
+    names = tuple(lbl for rec in res.transcript["outcomes"] for lbl in rec["bits"])
     assert names == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
-    assert res.transcript.classical_bits == 11
+    assert res.transcript["classical_bits"] == 11
     _report("criterion 7 (classical ledger)",
             f"bits {'.'.join(names)}, classical total 11")
 

@@ -43,6 +43,14 @@ def test_parse_unitary_presets_and_pairs():
         parse_unitary("0.9,0.9")  # not unitary
 
 
+def _library_transcript(argv: list[str]) -> dict:
+    """The transcript of the run a seeded ``simulate`` argv samples, from the
+    library, through JSON as a report holds it."""
+    args = cli.make_parser().parse_args(argv)
+    return json.loads(json.dumps(protocol.run_full(cli.build_config(args),
+                                                   seed=args.seed).transcript))
+
+
 def test_simulate_identity_pass(capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--m", "2", "--n", "1", "--alpha", "0.6",
@@ -84,22 +92,25 @@ def test_enumerate_m2_n1(capsys):
 
 
 def test_simulate_m3_n2_random_operators(capsys):
-    code, out, _ = run_cli(
-        capsys, "simulate", "--m", "3", "--n", "2", "--alpha", "0.6", "--beta", "0.8",
-        "--u1", "preset:hadamard-like", "--u2", "0.6,0.8j", "--u3", "preset:pauli-x",
-        "--seed", "7")
+    argv = ["simulate", "--m", "3", "--n", "2", "--alpha", "0.6", "--beta", "0.8",
+            "--u1", "preset:hadamard-like", "--u2", "0.6,0.8j", "--u3", "preset:pauli-x",
+            "--seed", "7"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["branch"]["fidelity"] >= 1.0 - 1e-10
     assert report["transcript"]["classical_bits"] == 17
+    assert report["transcript"] == _library_transcript(argv)
 
 
 def test_consent2_blocks_release_stage(capsys):
-    code, out, _ = run_cli(capsys, "simulate", "--m", "2", "--n", "1",
-                           "--consent", "1", "--consent2", "0", "--seed", "2")
+    argv = ["simulate", "--m", "2", "--n", "1", "--consent", "1", "--consent2", "0",
+            "--seed", "2"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_BLOCKED
     report = json.loads(out)
     assert report["branch"]["blocked_at"] == "control_measure[1]"
+    assert report["transcript"] == _library_transcript(argv)
 
 
 def test_enumerate_rio(capsys):
@@ -358,7 +369,7 @@ def _reference_enumerate_report(argv: list[str]) -> str:
             continue
         fid = cli.target_fidelity(res.state, target)
         min_fid = fid if min_fid is None else min(min_fid, fid)
-        classical_bits = res.transcript.classical_bits
+        classical_bits = res.transcript["classical_bits"]
         branches.append({
             "bits": [res.bits[lbl] for lbl in labels],
             "probability": res.probability,

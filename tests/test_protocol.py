@@ -185,9 +185,9 @@ def _metadata(proto):
 
 
 def test_interleaved_walks_on_one_build_name_their_own_bits(rng):
-    # One build's namer serves every walk on it: two checked enumerations
-    # zipped, with a stepped sampled run between each pair, name each
-    # branch's bits as a walk on a build of its own does.
+    # Every walk on one build shares its node tables: two checked
+    # enumerations zipped, with a stepped sampled run between each pair, name
+    # each branch's bits as a walk on a build of its own does.
     config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=0.8j, beta=0.6)
     proto = build_protocol(config)
     walks = [iter_branches(config, check_stages=True, protocol=proto) for _ in range(2)]
@@ -826,9 +826,9 @@ def _same_branch(sampled, enumerated):
     assert sampled.max_terms == enumerated.max_terms
     assert sampled.errata == enumerated.errata
     ts, te = sampled.transcript, enumerated.transcript
-    assert ts.outcomes == te.outcomes
-    assert ts.corrections == te.corrections
-    assert ts.classical_bits == te.classical_bits
+    assert ts["outcomes"] == te["outcomes"]
+    assert ts["corrections"] == te["corrections"]
+    assert ts["classical_bits"] == te["classical_bits"]
     assert sampled.state.register == enumerated.state.register
     assert sampled.state.alive == enumerated.state.alive
     assert set(sampled.state.terms) == set(enumerated.state.terms)
@@ -938,20 +938,20 @@ PINNED_TRANSCRIPTS = {
 def test_transcripts_are_pinned(case):
     shape, kw, seed, outcomes, corrections = PINNED_TRANSCRIPTS[case]
     t = run_full(_pinned_config(*shape, **kw), seed=seed).transcript
-    assert [(rec.step, rec.party, rec.bits) for rec in t.outcomes] == outcomes
-    assert [(rec.party, rec.dof, rec.power.x_pow, rec.power.z_pow)
-            for rec in t.corrections] == corrections
-    assert t.classical_bits == sum(len(bits) for _, _, bits in outcomes)
+    assert [(rec["step"], rec["party"], rec["bits"]) for rec in t["outcomes"]] == outcomes
+    assert [(rec["party"], rec["dof"], rec["x_pow"], rec["z_pow"])
+            for rec in t["corrections"]] == corrections
+    assert t["classical_bits"] == sum(len(bits) for _, _, bits in outcomes)
 
 def test_transcript_ledger_m2_n1(rng):
     alpha, beta = random_pair(rng)
     res = run_full(cfg(alpha=alpha, beta=beta), seed=31)
     t = res.transcript
-    names = tuple(lbl for rec in t.outcomes for lbl in rec.bits)
+    names = tuple(lbl for rec in t["outcomes"] for lbl in rec["bits"])
     assert names == ("k", "m", "n", "s", "l", "r", "g", "p", "q", "w", "v")
-    assert t.classical_bits == 11
-    assert t.seed == 31
-    parties = [(rec.party, rec.dof) for rec in t.corrections]
+    assert t["classical_bits"] == 11
+    assert t["seed"] == 31
+    parties = [(rec["party"], rec["dof"]) for rec in t["corrections"]]
     assert parties == [("B2", "spatial"), ("B1", "spatial"), ("A", "polar"), ("A", "spatial")]
 
 
@@ -1029,16 +1029,16 @@ def test_reduction_rio_with_z_like_operator():
 
 def test_jrio_skips_controller_stages():
     res = run_full(ProtocolConfig(2, 0, (I2, I2), 0.6, 0.8), seed=41)
-    steps = [rec.step for rec in res.transcript.outcomes]
+    steps = [rec["step"] for rec in res.transcript["outcomes"]]
     assert not any(s.startswith("consent") or s.startswith("control") for s in steps)
-    assert res.transcript.classical_bits == 9
+    assert res.transcript["classical_bits"] == 9
 
 
 def test_crio_skips_concentrate_and_hops():
     res = run_full(ProtocolConfig(1, 1, (I2,), 0.6, 0.8), seed=43)
-    steps = [rec.step for rec in res.transcript.outcomes]
+    steps = [rec["step"] for rec in res.transcript["outcomes"]]
     assert not any(s.startswith("concentrate") or s.startswith("hop") for s in steps)
-    assert res.transcript.classical_bits == 7
+    assert res.transcript["classical_bits"] == 7
 
 
 # -- secrecy ----------------------------------------------------------------
@@ -1071,7 +1071,8 @@ def test_controller_release_is_required(rng, fixed_polar_fix):
         fixed_polar_fix(override)
         worst = 1.0
         for res in iter_branches(config):
-            assert res.transcript.corrections[2].power == override
+            fix = res.transcript["corrections"][2]
+            assert (fix["x_pow"], fix["z_pow"]) == (override.x_pow, override.z_pow)
             worst = min(worst, target_fidelity(res.state, target))
         assert worst < 1.0 - 1e-10
 

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from cjrio import stages
+from cjrio import protocol, stages
 from cjrio.hilbert import X, HybridState, registry
 from cjrio.optics import SU2Operator
 from cjrio.protocol import ProtocolConfig, ProtocolRun, build_protocol, iter_branches, run_full
@@ -175,8 +175,8 @@ def test_checked_walk_builds_one_full_state_per_verdict_key(rng, monkeypatch):
     monkeypatch.setattr(HybridState, "with_frozen", counted_with_frozen)
     cfg = config_for(rng)
     proto = build_protocol(cfg)
-    names, named = proto.names, []
-    proto.names = lambda word, width: named.append(1) or names(word, width)
+    named_bits, named = protocol._named, []
+    monkeypatch.setattr(protocol, "_named", lambda *args: named.append(1) or named_bits(*args))
     assert all(res.errata == [] for res in iter_branches(cfg, check_stages=True, protocol=proto))
     assert len(calls) == 5_402
     assert len(built) == len(set(calls)) == 2_778
