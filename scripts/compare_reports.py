@@ -14,9 +14,10 @@ amplitudes, floats as hex), the same of runs that share one build per
 config, so that they read its node tables, every branch of validated
 walks, as ``certify`` runs them, the two readout primitives on seeded
 random states (each outcome's bits, probability and state), the stage
-mismatch records of checked (2,1) walks with a planted wrong fix, which a
-correct build never reports, and the transcripts of the seeded runs and of
-every branch of the validated walks, as a ``simulate`` report writes them.
+mismatch records of checked (2,1) walks with a planted wrong fix or the
+input pair swapped, which a correct build never reports, and the
+transcripts of the seeded runs and of every branch of the validated walks,
+as a ``simulate`` report writes them.
 A run that takes more than TIMEOUT_S seconds is killed and counts as a
 difference.  Prints one line per command line and per digest and exits 1 if
 any differs, so a change that claims the same behaviour can show it.
@@ -258,7 +259,8 @@ def readout_digest() -> str:
 # (the last one vetoed), each with one planted fault per entry here: a plan
 # entry and the term of its X form that is flipped.  Flipping first_op's
 # constant puts every branch out of step from there on; flipping hop_close[1]'s
-# coefficient of k (word bit 0, form bit 1), only the branches with k = 1.
+# coefficient of k (word bit 0, form bit 1), only the branches with k = 1.  A
+# last walk starts from the input pair swapped, out of step at every checkpoint.
 ERRATA_CONFIGS = 4
 FAULTS = (("first_op", 1), ("hop_close[1]", 2))
 
@@ -277,16 +279,21 @@ def _hexed(value):
 def errata_digest() -> str:
     """A sha256 over every branch's stage mismatch records, each as its
     ``to_json()`` with floats as hex, in checked (2,1) walks with each fault
-    of FAULTS planted in a fresh build."""
+    of FAULTS planted in a fresh build, then in a fresh build whose initial
+    state has the input pair swapped, so that the records of every checkpoint,
+    ``entangle`` to ``concentrate`` too, carry their reference's bytes."""
     import dataclasses
 
+    from cjrio.hilbert import initial_state
     from cjrio.protocol import build_protocol, iter_branches
 
     digest = hashlib.sha256()
     for config, _ in _run_configs(((2, 1),), ERRATA_CONFIGS):
-        for node, term in FAULTS:
-            proto = build_protocol(config)
+        protos = [build_protocol(config) for _ in range(len(FAULTS) + 1)]
+        for proto, (node, term) in zip(protos, FAULTS):
             proto.plan[node] = dataclasses.replace(proto.plan[node], x=proto.plan[node].x ^ term)
+        protos[-1].initial_state = initial_state(config.beta, config.alpha, 2, 1)
+        for proto in protos:
             for res in iter_branches(config, check_stages=True, protocol=proto):
                 digest.update(repr([_hexed(e.to_json()) for e in res.errata]).encode())
     return digest.hexdigest()

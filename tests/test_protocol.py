@@ -986,6 +986,7 @@ def test_transcript_seed_reproducibility():
     r2 = run_full(cfg(), seed=37)
     assert r1.bits == r2.bits
     assert r1.probability == r2.probability
+    assert r1.transcript == r2.transcript
 
 
 # -- reductions -------------------------------------------------------------

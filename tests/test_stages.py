@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import itertools
 import json
 import pathlib
 
@@ -150,28 +152,33 @@ def test_one_live_state_gets_a_verdict_per_bits_read_and_retired_bits(rng):
         assert check(labels, "transfer", own, 3, live, moved) is not None
 
 
-def test_checked_walk_builds_one_full_state_per_verdict_key(rng, monkeypatch):
+def test_checked_walk_compares_once_per_verdict_key(rng, monkeypatch):
     # A verdict is a function of (checkpoint, the bits its form reads, live
-    # state, retired bits): the checker builds a full state once per such
-    # key, counted here from the calls, and never names the bits of a check.
-    calls, built = [], []
-    make, with_frozen = stages.make_stage_checker, HybridState.with_frozen
+    # state, retired bits): the checker compares the live state with the
+    # reference once per such key, counted here from the calls, builds no
+    # full state on a passing walk and never names the bits of a check.
+    calls, compared, built = [], [], []
+    make, agrees, with_frozen = stages.make_stage_checker, stages._agrees, HybridState.with_frozen
 
     def recorded_checker(config):
         check = make(config)
-        params = inspect.getclosurevars(check).nonlocals["params"]
 
         def recorded(labels, check_id, word, width, live, frozen):
-            at = [labels.index(p) for p in params[check_id]]
+            at = [labels.index(p) for p in inspect.signature(stages.FORMS[check_id]).parameters]
             calls.append((check_id, tuple(word >> j & 1 for j in at), live, frozen))
             return check(labels, check_id, word, width, live, frozen)
         return recorded
+
+    def counted_agrees(live, frozen, ref):
+        compared.append(1)
+        return agrees(live, frozen, ref)
 
     def counted_with_frozen(state, frozen):
         built.append(1)
         return with_frozen(state, frozen)
 
     monkeypatch.setattr(stages, "make_stage_checker", recorded_checker)
+    monkeypatch.setattr(stages, "_agrees", counted_agrees)
     monkeypatch.setattr(HybridState, "with_frozen", counted_with_frozen)
     cfg = config_for(rng)
     proto = build_protocol(cfg)
@@ -179,8 +186,9 @@ def test_checked_walk_builds_one_full_state_per_verdict_key(rng, monkeypatch):
     monkeypatch.setattr(protocol, "_named", lambda *args: named.append(1) or named_bits(*args))
     assert all(res.errata == [] for res in iter_branches(cfg, check_stages=True, protocol=proto))
     assert len(calls) == 5_402
-    assert len(built) == len(set(calls)) == 2_778
+    assert len(compared) == len(set(calls)) == 2_778
     assert len(named) == 2048  # once per branch, for BranchResult.bits
+    assert built == []
 
 
 def test_checked_walk_builds_each_reference_once_per_bits_read(rng, monkeypatch):
@@ -227,3 +235,74 @@ def test_references_share_the_protocol_register(rng, monkeypatch):
     assert reg is registry(2, 1)
     assert res.state.register is reg
     assert all(r is reg for r in registers)
+
+
+def test_alive_flag_disagreement_is_a_mismatch(rng):
+    # The initial state, X still live, at the transfer checkpoint, whose
+    # form has X retired: a record, not an error out of the walk.
+    cfg = config_for(rng)
+    proto = build_protocol(cfg)
+    state = proto.initial_state
+    record = make_stage_checker(cfg)(proto.labels, "transfer", 0, 3, state, 0)
+    assert isinstance(record, StageMismatch)
+    assert record.bits == {"k": 0, "m": 0, "n": 0}
+    assert record.simulator == stages._dump(state)
+    assert len(record.reference) == 4
+
+
+# The bits each checkpoint's form reads, in order, and two fixed (2,1)
+# configs: the second's pair after U2 has a zero amplitude, which the
+# references drop.
+READS = {"entangle": "k", "transfer": "kmn", "consent": "kmns", "concentrate": "kmnsl",
+         "first-op": "kmnsl", "hop-link": "kmnslr", "hop-done": "kmnsg",
+         "joint-measure": "kmnspqwg", "control-measure": "kmnspqwgv",
+         "polar-fixed": "kmnspqwgv"}
+SQRT_HALF = 0.7071067811865475  # 1 / sqrt(2), rounded
+PINNED_CONFIGS = (
+    ProtocolConfig(2, 1, (SU2Operator(-0.17547439839203136+0.8014734357988105j,
+                                      -0.046073835870012125+0.5698475838906644j),
+                          SU2Operator(-0.4341752927689969+0.5160279857654675j,
+                                      0.6155850087501356+0.40775241269413204j)),
+                   -0.8811999406590537-0.45498665299503344j,
+                   -0.08769975050259558-0.09371533460773546j),
+    ProtocolConfig(2, 1, (SU2Operator(0.6 + 0.48j, 0.64j),
+                          SU2Operator(SQRT_HALF + 0j, SQRT_HALF + 0j)), SQRT_HALF, SQRT_HALF),
+)
+# The sha256 of every reference's coefficient rows, floats as hex, in the
+# order below, as the hand-written builders of 3adcaef's stages.py made them.
+PINNED_REFERENCES = "b25bf6c7bef7dfb8a1ccf391d01126663dbfab6e0429fcf1ee1c7596b5985af1"
+
+
+def test_every_reference_is_pinned():
+    # A state that matches no form (all photons live, its one ket with X H
+    # polarized) fails every check, so each record carries its reference's
+    # rows: 1,466 (checkpoint, bits read) per config.
+    probe = HybridState(registry(2, 1), (True,) * 5, {0: 1 + 0j})
+    digest, count = hashlib.sha256(), 0
+    for cfg in PINNED_CONFIGS:
+        check, labels = make_stage_checker(cfg), build_protocol(cfg).labels
+        for check_id in CHECK_IDS:
+            names = READS[check_id]
+            for values in itertools.product((0, 1), repeat=len(names)):
+                word = sum(b << labels.index(name) for name, b in zip(names, values))
+                rows = check(labels, check_id, word, len(labels), probe, 0).reference
+                for row in rows:
+                    row["amp"] = [x.hex() for x in row["amp"]]
+                digest.update(repr(rows).encode())
+                count += 1
+    assert count == 2 * 1_466
+    assert digest.hexdigest() == PINNED_REFERENCES
+
+
+def test_a_second_config_walk_makes_no_ket(rng, monkeypatch):
+    # Ket layouts depend on the bits read alone: once one walk has made them,
+    # another config's walk scales them and packs no ket.
+    kets = []
+    basis_ket = stages.BasisKet
+    monkeypatch.setattr(stages, "_LAYOUTS", {})
+    monkeypatch.setattr(stages, "BasisKet", lambda *args: kets.append(1) or basis_ket(*args))
+    for made in (3_304, 0):
+        kets.clear()
+        assert all(res.errata == [] for res in iter_branches(config_for(rng), check_stages=True))
+        assert len(kets) == made
+    assert len(stages._LAYOUTS) == 1_466
