@@ -245,7 +245,10 @@ def cmd_simulate(args) -> int:
     seed = args.seed = int.from_bytes(os.urandom(4), "little") if args.seed is None else args.seed
     with _open_output(args) as out:
         result = run_full(config, seed=seed, check_stages=args.check_paper_eqs)
-        fid = branch_fidelity(config, result)
+        try:
+            fid, failure = branch_fidelity(config, result), None
+        except ValueError as exc:  # a build that leaves a photon live: reported, not raised
+            fid, failure = None, str(exc)
         labels = list(result.bits)
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -267,6 +270,9 @@ def cmd_simulate(args) -> int:
     if result.blocked:
         _summary(f"blocked by controller at {result.blocked_at}")
         return EXIT_BLOCKED
+    if failure is not None:
+        print(f"cjrio: {failure}", file=sys.stderr)
+        return EXIT_FIDELITY
     _summary(f"fidelity {fid:.15f} over {len(labels)} outcome bits (seed {seed})")
     return EXIT_OK if fid >= FIDELITY_THRESHOLD else EXIT_FIDELITY
 
@@ -288,6 +294,7 @@ def cmd_enumerate(args) -> int:
     # A fidelity reads live photons only, and branches that end in one live
     # state share its object, so its JSON text is made once per such object.
     fidelities = {}
+    failure = None  # the first fidelity error
     prob_sum = 0.0
     min_fid = None
     blocked_count = 0
@@ -310,9 +317,14 @@ def cmd_enumerate(args) -> int:
                 blocked_count += 1
                 fid = "null"
             elif (fid := fidelities.get(live)) is None:
-                value = target_fidelity(live, target)
-                min_fid = value if min_fid is None else min(min_fid, value)
-                fid = fidelities[live] = float.__repr__(value)
+                try:
+                    value = target_fidelity(live, target)
+                except ValueError as exc:  # no fidelity: the report is still written whole
+                    failure = failure or str(exc)
+                    fid = fidelities[live] = "null"
+                else:
+                    min_fid = value if min_fid is None else min(min_fid, value)
+                    fid = fidelities[live] = float.__repr__(value)
             spool.write((sep + _branch_text(word, width, probability, fid,
                                             blocked_at is not None)).encode())
             sep = ",\n"
@@ -346,6 +358,9 @@ def cmd_enumerate(args) -> int:
         f"min fidelity {min_fid if min_fid is not None else 'n/a'}, "
         f"{blocked_count} blocked, {len(errata)} stage mismatches"
     )
+    if failure is not None:
+        print(f"cjrio: {failure}", file=sys.stderr)
+        return EXIT_FIDELITY
     if blocked_count:
         return EXIT_BLOCKED
     if min_fid is None or min_fid < FIDELITY_THRESHOLD:

@@ -24,7 +24,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-14
@@ -82,6 +82,13 @@ def BasisKet(spatial: Sequence[int], polar: Sequence[int]) -> int:
     return ket
 
 
+def _mask(size: int, i: int, dof: str) -> int:
+    """:meth:`PhotonRegister.mask` in a register of ``size`` photons."""
+    if dof not in ("spatial", "polar"):
+        raise ValueError(f"unknown dof {dof!r}")
+    return 1 << (i if dof == "spatial" else size + i)
+
+
 class PhotonRegister:
     """Immutable photon list shared by every state of one run."""
 
@@ -103,11 +110,7 @@ class PhotonRegister:
     def mask(self, i: int, dof: str) -> int:
         """The ket bit holding the path ("spatial") or polarization ("polar")
         bit of the photon at position ``i``."""
-        if dof == "spatial":
-            return 1 << i
-        if dof == "polar":
-            return 1 << (len(self.photons) + i)
-        raise ValueError(f"unknown dof {dof!r}")
+        return _mask(len(self.photons), i, dof)
 
     def unpack(self, ket: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The (path bits, polarization bits) of a ket, in registry order;
@@ -185,7 +188,8 @@ class HybridState:
 
     def definite_bit(self, i: int, dof: str) -> int:
         """Photon ``i``'s bit on ``dof``, which must be the same in every term."""
-        mask = self.register.mask(i, dof)
+        known = dof in ("spatial", "polar")  # else mask() raises
+        mask = self.register.masks[i][dof == "polar"] if known else self.register.mask(i, dof)
         want = next(iter(self.terms), 0) & mask
         for ket in self.terms:
             if ket & mask != want:
@@ -206,12 +210,16 @@ class HybridState:
     def mark_dead(self, i: int) -> "HybridState":
         """Freeze the photon at position ``i`` out of the live registry.
 
-        Both of its bits must already be definite; the frozen values stay in
-        every ket so later records can still report where it ended up.
+        Both of its bits must already be definite (one pass reads both); the frozen
+        values stay in every ket so later records can still report where it ended up.
         """
-        self.require_alive(i)
-        self.definite_bit(i, "spatial")
-        self.definite_bit(i, "polar")
+        want = next(iter(self.terms), 0) & (both := sum(self.require_alive(i)))
+        for ket in self.terms:
+            if ket & both != want:  # one bit is in superposition: its error, the path's first
+                self.definite_bit(i, "spatial")
+                self.definite_bit(i, "polar")
+        if not self.terms:
+            self.definite_bit(i, "spatial")
         s = self.adopt(self.terms)
         s.alive = self.alive[:i] + (False,) + self.alive[i + 1:]
         return s
@@ -251,11 +259,7 @@ class HybridState:
         return math.sqrt(total)
 
     def normalized(self) -> "HybridState":
-        nrm = self.norm()
-        if nrm < PRUNE_TOL:
-            raise ValueError("cannot normalize a null state")
-        inv = 1.0 / nrm
-        return self.adopt({k: a * inv for k, a in self.terms.items()})
+        return _collapse(self, self.terms, None)
 
     def __repr__(self) -> str:
         live = [str(p) for p, al in zip(self.photons, self.alive) if al]
@@ -365,8 +369,14 @@ class Outcome:
 
 
 def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None) -> HybridState:
-    """``state`` projected onto the pruned ``terms``, normalized, ``dead`` (if any) retired."""
-    s = state.adopt(terms).normalized()
+    """``state`` on the pruned ``terms`` over ``norm``'s fold of them, ``dead`` (if any) retired."""
+    total = 0
+    for a in terms.values():
+        total += a.real * a.real + a.imag * a.imag
+    if (nrm := math.sqrt(total)) < PRUNE_TOL:
+        raise ValueError("cannot normalize a null state")
+    inv = 1.0 / nrm
+    s = state.adopt({k: a * inv for k, a in terms.items()})
     return s if dead is None else s.mark_dead(dead)
 
 
@@ -379,6 +389,21 @@ def collapse_outcomes(state: HybridState, parts: Iterable[tuple[object, dict, fl
             for bits, terms, p in parts if p > PRUNE_TOL ** 2]
 
 
+@cache
+def _readout_plan(size: int, i: int, dofs: tuple[str, ...]) -> tuple[int, tuple]:
+    """The mask a reading of ``dofs`` of photon ``i`` of ``size`` reads, and its (word, key)s."""
+    if not dofs:
+        raise ValueError("the dof list is empty: a measurement reads at least one dof")
+    for j, d in enumerate(dofs):
+        if d in dofs[:j]:
+            raise ValueError(f"dof {d!r} is listed twice")
+    masks = [_mask(size, i, d) for d in dofs]
+    readouts = [(0, 0)]
+    for j in reversed(range(len(masks))):
+        readouts += [(word | 1 << j, key | masks[j]) for word, key in readouts]
+    return sum(masks), tuple(readouts)  # distinct one-bit masks: their sum is their union
+
+
 def enumerate_measurement(state: HybridState, i: int,
                           dofs: Sequence[str] = ("polar", "spatial")) -> list[Outcome]:
     """Projective measurement of the photon at position ``i`` in the
@@ -387,22 +412,12 @@ def enumerate_measurement(state: HybridState, i: int,
     are a word, the j-th listed DOF's bit at bit j; outcomes come in
     lexicographic order of the bits in DOF order, not in numeric word order."""
     state.require_alive(i)
-    if not dofs:
-        raise ValueError("the dof list is empty: a measurement reads at least one dof")
-    for j, d in enumerate(dofs):
-        if d in dofs[:j]:
-            raise ValueError(f"dof {d!r} is listed twice")
-    masks = [state.register.mask(i, d) for d in dofs]
-    measured = sum(masks)  # distinct one-bit masks: their sum is their union
+    measured, readouts = _readout_plan(len(state.register.masks), i, tuple(dofs))
     buckets: dict[int, dict[int, complex]] = {}
     ps: dict[int, float] = {}  # each bucket's probability
     for ket, amp in state.terms.items():
         if (a := abs(amp)) > PRUNE_TOL:  # pruned here: a collapse only normalizes
             buckets.setdefault(ket & measured, {})[ket] = amp
         ps[ket & measured] = ps.get(ket & measured, 0) + a ** 2
-    # Every readout as (word, bucket key), lexicographic in the bits in DOF order.
-    readouts = [(0, 0)]
-    for j in reversed(range(len(masks))):
-        readouts += [(word | 1 << j, key | masks[j]) for word, key in readouts]
     return collapse_outcomes(state, [(word, buckets.get(key, {}), ps[key]) for word, key in readouts
                                      if key in ps], i)

@@ -53,8 +53,9 @@ def enumerate_homodyne(probe: Probe, state: HybridState) -> list[Outcome]:
     taps, tapped = probe.taps, probe.tapped
     classes: dict[int, list] = {}  # class -> [its terms, its probability]
     read: dict[int, list] = {}  # the tapped bits of a ket -> its class's entry
+    get = read.get
     for ket, amp in state.terms.items():
-        part = read.get(ket & tapped)
+        part = get(ket & tapped)
         if part is None:
             c = 0
             for mask, on, mult in taps:

@@ -53,17 +53,18 @@ ALL_PAULI_POWERS = (PauliPower(0, 0), PauliPower(1, 0), PauliPower(0, 1), PauliP
 def _hadamard(state: HybridState, bit: int, if_mask: int = 0, if_value: int = 0) -> HybridState:
     # Rotates ``bit`` in the kets whose ``if_mask`` bits read ``if_value``
     # (every ket by default); the others pass through.
-    off = ~bit
+    off, root = ~bit, SQRT_HALF
     out: dict[int, complex] = {}
+    get = out.get
     for ket, amp in state.terms.items():
         if (ket & if_mask) != if_value:
-            out[ket] = out.get(ket, 0j) + amp
+            out[ket] = get(ket, 0j) + amp
             continue
-        half = amp * SQRT_HALF
+        half = amp * root
         k0 = ket & off
         k1 = ket | bit
-        out[k0] = out.get(k0, 0j) + half
-        out[k1] = out.get(k1, 0j) + (-half if ket & bit else half)
+        out[k0] = get(k0, 0j) + half
+        out[k1] = get(k1, 0j) + (-half if ket & bit else half)
     return state.adopt(prune(out))
 
 

@@ -71,11 +71,11 @@ def direct_apply(
     y0, y1 = complex(alpha), complex(beta)
     for op in reversed(unitaries):
         u, v = complex(op.u), complex(op.v)  # the rows are (u, v) and (-v*, u*)
-        ur, ui, vr, vi, nvr, nui, ar, ai, br, bi = map(split, (
-            u.real, u.imag, v.real, v.imag, -v.real, -u.imag, y0.real, y0.imag, y1.real, y1.imag))
-        y0, y1 = (complex(fma(mr, ar, -(mi[0] * ai[0])) + fma(nr, br, -(ni[0] * bi[0])),
-                          fma(mr, ai, mi[0] * ar[0]) + fma(nr, bi, ni[0] * br[0]))
-                  for mr, mi, nr, ni in ((ur, ui, vr, vi), (nvr, vi, ur, nui)))
+        ur, vr, nvr, ar, ai, br, bi = map(split, (
+            u.real, v.real, -v.real, y0.real, y0.imag, y1.real, y1.imag))
+        y0, y1 = (complex(fma(mr, ar, -(mi * ai[0])) + fma(nr, br, -(ni * bi[0])),
+                          fma(mr, ai, mi * ar[0]) + fma(nr, bi, ni * br[0]))
+                  for mr, mi, nr, ni in ((ur, u.imag, vr, v.imag), (nvr, v.imag, ur, -u.imag)))
     return TargetState(y0, y1)
 
 

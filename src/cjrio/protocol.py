@@ -596,7 +596,7 @@ def _walk(proto: Protocol, checker, branch: BranchResult, choose,
                 blocked_at = node.name
                 break
             after = width + len(node.bit_labels)
-            children = []
+            first, rest = None, len(stack)  # later children go under the ones before them
             for out_bits, p, st, fz in rows:
                 w = word | out_bits << width
                 fz |= kept
@@ -606,10 +606,13 @@ def _walk(proto: Protocol, checker, branch: BranchResult, choose,
                     if mismatch is not None:
                         errs = errata + (mismatch,)
                 terms = len(st.terms)
-                children.append((idx + 1, st, fz, w, after, probability * p, errs,
-                                 terms if terms > max_terms else max_terms, None))
-            stack += children[:0:-1]  # all but the first, last on the bottom
-            idx, state, frozen, word, width, probability, errata, max_terms, _ = children[0]
+                child = (idx + 1, st, fz, w, after, probability * p, errs,
+                         terms if terms > max_terms else max_terms, None)
+                if first is None:
+                    first = child
+                else:
+                    stack.insert(rest, child)
+            idx, state, frozen, word, width, probability, errata, max_terms, _ = first
         yield idx, state, frozen, word, width, probability, errata, max_terms, blocked_at
 
 

@@ -132,16 +132,20 @@ FORMS = {
         (BasisKet((n ^ 1, k ^ m ^ 1, q, g, k ^ s ^ 1 ^ v), (VERTICAL, 1, p, w, v)), U12 + 1)]),
 }
 CHECK_IDS = tuple(FORMS)
-_LAYOUTS: dict[tuple[str, tuple[int, ...]], tuple] = {}
+_LAYOUTS: dict[int, tuple] = {}
 
 
-def _layout(check_id: str, bits: tuple[int, ...]) -> tuple:
-    """The alive flags, kets and codes of ``check_id``'s form on ``bits``, the
-    values of its parameters: made on the first call, then kept for every config."""
-    layout = _LAYOUTS.get((check_id, bits))
+def _layout(check_id: str, word: int, at: Sequence[int]) -> tuple:
+    """The alive flags, kets and codes of ``check_id``'s form on the bits of
+    ``word`` at ``at``, the values of its parameters: made on the first call,
+    then kept for every config, keyed by one int, those values packed (the
+    first lowest) times the checkpoint count plus the checkpoint's index."""
+    key = sum((word >> j & 1) << t for t, j in enumerate(at))
+    key = key * len(CHECK_IDS) + CHECK_IDS.index(check_id)
+    layout = _LAYOUTS.get(key)
     if layout is None:
-        alive, rows = FORMS[check_id](*bits)
-        layout = _LAYOUTS[check_id, bits] = (alive, *zip(*rows))
+        alive, rows = FORMS[check_id](*(word >> j & 1 for j in at))
+        layout = _LAYOUTS[key] = (alive, *zip(*rows))
     return layout
 
 
@@ -180,8 +184,8 @@ def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
     # and a reference puts each row's ket in place of its row.
     scaled: dict[tuple, HybridState] = {}
 
-    def reference(check_id: str, bits: tuple[int, ...]) -> HybridState:
-        alive, kets, codes = _layout(check_id, bits)
+    def reference(check_id: str, word: int, at: Sequence[int]) -> HybridState:
+        alive, kets, codes = _layout(check_id, word, at)
         if (amps := scaled.get((alive, codes))) is None:
             amps = scaled[alive, codes] = _state(reg, alive, {i: table[code]
                                                               for i, code in enumerate(codes)})
@@ -204,7 +208,7 @@ def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
         verdict = verdicts.get((read, live, frozen))
         if verdict is None:  # a pass is (), a mismatch the two states
             if (ref := refs.get(read)) is None:
-                ref = refs[read] = reference(check_id, tuple(word >> j & 1 for j in at))
+                ref = refs[read] = reference(check_id, word, at)
             verdict = verdicts[read, live, frozen] = (
                 () if _agrees(live, frozen, ref) else (live.with_frozen(frozen), ref))
         if not verdict:

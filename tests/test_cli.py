@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from cjrio import cli, protocol, stages
 from cjrio.cli import (EXIT_BLOCKED, EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_FIDELITY,
                        EXIT_OK, main, parse_complex, parse_unitary)
+from cjrio.hilbert import Outcome, X
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +280,63 @@ def test_enumerate_builds_one_protocol_and_scores_each_final_state_once(capsys, 
     # The 8,192 branches end in 4 canonical live states, plus the first
     # branch's own, which the walk builds before any table holds it.
     assert len(scored) <= 5
+
+
+def _leave_x_live(monkeypatch, when=lambda k, c: True):
+    """Wrap ``protocol.build_protocol`` so that the transfer outcomes of class
+    ``c`` on bit ``k`` for which ``when`` holds keep photon X live, as a build
+    that forgot to retire it would."""
+    build = protocol.build_protocol
+
+    def revived(build_state):
+        st = build_state()
+        live, x = st.adopt(st.terms), st.index_of(X)
+        live.alive = st.alive[:x] + (True,) + st.alive[x + 1:]
+        return live
+
+    def leaky(*args, **kwargs):
+        proto = build(*args, **kwargs)
+        node = next(nd for nd in proto.nodes if nd.name == "transfer")
+        run = node.run
+
+        def run_live(proto, state, bits):
+            outcomes, peak = run(proto, state, bits)
+            return [Outcome(o.bits, o.p, partial(revived, o.build)) if when(bits, o.bits) else o
+                    for o in outcomes], peak
+        node.run = run_live
+        return proto
+
+    monkeypatch.setattr(protocol, "build_protocol", leaky)
+
+
+def test_enumerate_reports_a_live_photon_instead_of_raising(capsys, monkeypatch):
+    # One transfer outcome in eight keeps X live: its branches have no
+    # fidelity, and the checker's records of them reach the report.
+    _leave_x_live(monkeypatch, lambda k, c: k == 0 and c == 0)
+    code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--n", "1", "--check-paper-eqs")
+    assert code == EXIT_FIDELITY
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("cjrio:")] == [
+        "cjrio: protocol incomplete: photon X still live"]
+    report = json.loads(out)
+    fids = [b["fidelity"] for b in report["branches"]]
+    assert len(fids) == 2_048 and fids.count(None) == 256
+    assert min(f for f in fids if f is not None) >= protocol.FIDELITY_THRESHOLD
+    stages_hit = {e["stage"] for e in report["errata"]}
+    assert len(report["errata"]) == 9 * 256
+    assert stages_hit == set(stages.CHECK_IDS[1:])  # from transfer on
+
+
+def test_simulate_reports_a_live_photon_instead_of_raising(capsys, monkeypatch):
+    _leave_x_live(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate", "--m", "2", "--n", "1", "--seed", "3",
+                             "--check-paper-eqs")
+    assert code == EXIT_FIDELITY
+    assert "Traceback" not in err
+    assert err.splitlines() == ["cjrio: protocol incomplete: photon X still live"]
+    report = json.loads(out)
+    assert report["branch"]["fidelity"] is None and not report["branch"]["blocked"]
+    assert [e["stage"] for e in report["errata"]] == list(stages.CHECK_IDS[1:])
 
 
 def test_stats_rejects_tiny_sample(capsys):

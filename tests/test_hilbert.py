@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import pytest
 
 from cjrio.hilbert import (A, BasisKet, HybridState, PhotonId, PhotonRegister, VERTICAL, X,
-                           bob, build_initial_state, charlie,
+                           bob, build_initial_state, charlie, collapse_outcomes,
                            enumerate_measurement, equal_up_to_global_phase,
                            overlap, registry)
 from cjrio.optics import apply_pbs
@@ -178,6 +179,48 @@ def test_enumerate_measurement_rejects_an_empty_dof_list():
     s = build_initial_state(0.6, 0.8, 1, 0)
     with pytest.raises(ValueError, match="dof list is empty"):
         enumerate_measurement(s, s.index_of(X), ())
+
+
+def test_enumerate_measurement_reads_a_dof_list_as_its_tuple():
+    # Readout plans are cached by the DOF tuple: a list of the same DOFs
+    # gives the same outcomes, bits, probabilities and states.
+    # X's polarization is definite, so reading its path alone retires it.
+    s = build_initial_state(0.6, 0.8, 2, 1)
+    both = (("polar", "spatial"), ("spatial", "polar"))
+    for photon, reads in ((X, both + (("spatial",),)), (bob(1), both)):
+        for dofs in reads:
+            got = [enumerate_measurement(s, s.index_of(photon), kind(dofs)) for kind in (list, tuple)]
+            outcomes = [[(o.bits, o.p, (st := o.build()).alive, st.terms) for o in outs]
+                        for outs in got]
+            assert outcomes[0] == outcomes[1] and outcomes[0]
+
+
+@pytest.mark.parametrize("dofs, message", [
+    ((), "the dof list is empty: a measurement reads at least one dof"),
+    (("polar", "polar"), "dof 'polar' is listed twice"),
+    (("spatial", "both"), "unknown dof 'both'"),
+], ids=["empty", "repeated", "unknown"])
+def test_a_rejected_dof_list_raises_on_every_call(dofs, message):
+    # A plan that raises is not cached: the repeat raises the same message.
+    s = build_initial_state(0.6, 0.8, 1, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_measurement(s, s.index_of(X), dofs)
+
+
+@pytest.mark.parametrize("spread, dof", [
+    (("spatial",), "spatial"), (("polar",), "polar"), (("spatial", "polar"), "spatial"),
+], ids=["path", "polarization", "both"])
+def test_a_collapse_that_leaves_the_photon_undefined_names_its_bit(spread, dof):
+    # One pass checks both of the measured photon's bits; the error names the
+    # bit left in superposition, the path bit first.
+    reg = registry(1, 0)
+    x = reg.index(X)
+    flip = sum(mask for mask, d in zip(reg.masks[x], ("spatial", "polar")) if d in spread)
+    s = HybridState(reg, (True,) * len(reg), {0: 1 + 0j})
+    (out,) = collapse_outcomes(s, [(0, {0: 0.6 + 0j, flip: 0.8 + 0j}, 1.0)], dead=x)
+    with pytest.raises(ValueError, match=f"^photon X {dof} bit is in superposition$"):
+        out.build()
 
 
 def test_mark_dead_requires_definite_bits():

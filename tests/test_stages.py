@@ -193,11 +193,16 @@ def test_checked_walk_compares_once_per_verdict_key(rng, monkeypatch):
 
 def test_checked_walk_builds_each_reference_once_per_bits_read(rng, monkeypatch):
     # Ten checkpoints see 5,402 edges of a (2,1) walk; the forms read 1,466
-    # distinct (checkpoint, bits read) values.  Every builder makes its state
-    # through stages._state once.
-    builds, checks = [], []
-    state = stages._state
+    # distinct (checkpoint, bits read) values, and the checker looks each
+    # one's layout up once.  Their amplitudes go through stages._state once
+    # per distinct (alive flags, codes): 12 per config.
+    layouts, builds, checks = [], [], []
+    layout, state = stages._layout, stages._state
     make = stages.make_stage_checker
+
+    def counted_layout(*args):
+        layouts.append(1)
+        return layout(*args)
 
     def counted_state(*args):
         builds.append(1)
@@ -211,11 +216,13 @@ def test_checked_walk_builds_each_reference_once_per_bits_read(rng, monkeypatch)
             return check(*args)
         return counted
 
+    monkeypatch.setattr(stages, "_layout", counted_layout)
     monkeypatch.setattr(stages, "_state", counted_state)
     monkeypatch.setattr(stages, "make_stage_checker", counted_checker)
     assert all(res.errata == [] for res in iter_branches(config_for(rng), check_stages=True))
     assert len(checks) == 5_402
-    assert len(builds) <= 1_466
+    assert len(layouts) == 1_466
+    assert len(builds) == 12
 
 
 def test_references_share_the_protocol_register(rng, monkeypatch):
