@@ -284,7 +284,7 @@ def errata_digest() -> str:
     ``entangle`` to ``concentrate`` too, carry their reference's bytes."""
     import dataclasses
 
-    from cjrio.hilbert import initial_state
+    from cjrio.hilbert import build_initial_state
     from cjrio.protocol import build_protocol, iter_branches
 
     digest = hashlib.sha256()
@@ -292,7 +292,7 @@ def errata_digest() -> str:
         protos = [build_protocol(config) for _ in range(len(FAULTS) + 1)]
         for proto, (node, term) in zip(protos, FAULTS):
             proto.plan[node] = dataclasses.replace(proto.plan[node], x=proto.plan[node].x ^ term)
-        protos[-1].initial_state = initial_state(config.beta, config.alpha, 2, 1)
+        protos[-1].initial_state = build_initial_state(config.beta, config.alpha, 2, 1)
         for proto in protos:
             for res in iter_branches(config, check_stages=True, protocol=proto):
                 digest.update(repr([_hexed(e.to_json()) for e in res.errata]).encode())
@@ -301,14 +301,8 @@ def errata_digest() -> str:
 
 def _transcript_text(res) -> bytes:
     """The JSON text of ``res``'s transcript, keys sorted: the ``transcript``
-    section of a ``simulate`` report.  A tree whose ``BranchResult.transcript``
-    is no dict yet is read through the converter its CLI writes it with."""
-    transcript = res.transcript
-    if not isinstance(transcript, dict):
-        from cjrio.cli import _transcript_json
-
-        transcript = _transcript_json(res)
-    return json.dumps(transcript, sort_keys=True).encode()
+    section of a ``simulate`` report."""
+    return json.dumps(res.transcript, sort_keys=True).encode()
 
 
 def digests() -> dict[str, str]:

@@ -4,8 +4,7 @@ implementation of operators (CJRIO) over hyperentangled photons."""
 __version__ = "0.1.0"
 
 from .hilbert import (A, BasisKet, HybridState, PhotonId, X, bob,
-                      build_initial_state, charlie, enumerate_measurement,
-                      equal_up_to_global_phase, overlap, registry)
+                      build_initial_state, charlie, enumerate_measurement, registry)
 from .kerr import enumerate_homodyne, fresh_probe, kerr
 from .optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
                      apply_pauli_polar, apply_pauli_spatial, apply_pbs,
@@ -27,7 +26,7 @@ __all__ = [
     "apply_pauli_spatial", "apply_pbs", "apply_qwp", "apply_su2_spatial",
     "bob", "branch_fidelity", "brute_force_correction",
     "build_initial_state", "build_protocol", "charlie", "direct_apply",
-    "enumerate_homodyne", "enumerate_measurement", "equal_up_to_global_phase",
-    "fresh_probe", "iter_branches", "kerr", "make_stage_checker", "overlap",
-    "registry", "run_full", "target_fidelity",
+    "enumerate_homodyne", "enumerate_measurement", "fresh_probe",
+    "iter_branches", "kerr", "make_stage_checker", "registry", "run_full",
+    "target_fidelity",
 ]

@@ -86,6 +86,8 @@ def _mask(size: int, i: int, dof: str) -> int:
     """:meth:`PhotonRegister.mask` in a register of ``size`` photons."""
     if dof not in ("spatial", "polar"):
         raise ValueError(f"unknown dof {dof!r}")
+    if type(i) is not int or not 0 <= i < size:
+        raise ValueError(f"no photon at position {i!r} in a register of {size} photons")
     return 1 << (i if dof == "spatial" else size + i)
 
 
@@ -109,7 +111,7 @@ class PhotonRegister:
 
     def mask(self, i: int, dof: str) -> int:
         """The ket bit holding the path ("spatial") or polarization ("polar")
-        bit of the photon at position ``i``."""
+        bit of the photon at position ``i``, an int in ``0..len - 1``."""
         return _mask(len(self.photons), i, dof)
 
     def unpack(self, ket: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,14 +184,19 @@ class HybridState:
 
     def require_alive(self, i: int) -> tuple[int, int]:
         """Photon ``i``'s (path, polarization) mask pair; it must still be live."""
-        if not self.alive[i]:
-            raise ValueError(f"photon {self.photons[i]} has been measured out")
-        return self.register.masks[i]
+        try:  # a position past the end fails the lookup
+            if type(i) is int and i >= 0 and self.alive[i]:
+                return self.register.masks[i]
+        except IndexError:
+            pass
+        self.register.mask(i, "spatial")  # raises for a position off the register
+        raise ValueError(f"photon {self.photons[i]} has been measured out")
 
     def definite_bit(self, i: int, dof: str) -> int:
         """Photon ``i``'s bit on ``dof``, which must be the same in every term."""
-        known = dof in ("spatial", "polar")  # else mask() raises
-        mask = self.register.masks[i][dof == "polar"] if known else self.register.mask(i, dof)
+        if dof not in ("spatial", "polar") or type(i) is not int or not 0 <= i < len(self.alive):
+            self.register.mask(i, dof)  # raises
+        mask = self.register.masks[i][dof == "polar"]
         want = next(iter(self.terms), 0) & mask
         for ket in self.terms:
             if ket & mask != want:
@@ -251,12 +258,6 @@ class HybridState:
         return self.alive, tuple(self.terms), struct.pack(f"{len(amps)}d", *amps)
 
     # -- numerics ----------------------------------------------------------
-
-    def norm(self) -> float:
-        total = 0  # a left fold, as the readouts sum p: from Python 3.12 sum() compensates
-        for a in self.terms.values():
-            total += a.real * a.real + a.imag * a.imag
-        return math.sqrt(total)
 
     def normalized(self) -> "HybridState":
         return _collapse(self, self.terms, None)
@@ -321,15 +322,10 @@ def build_initial_state(alpha: complex, beta: complex, m: int, n: int) -> Hybrid
     X sits in the path superposition alpha|x0> + beta|x1> with fixed V
     polarization; the channel photons share one GHZ-like branch in their path
     bits and another in their polarization bits.  Eight terms for generic
-    amplitudes, always normalized.
+    amplitudes, always normalized; the terms are copied once, to normalize them.
     """
     check_shape(m, n)
     check_amplitudes(alpha, beta)
-    return initial_state(alpha, beta, m, n)
-
-
-def initial_state(alpha: complex, beta: complex, m: int, n: int) -> HybridState:
-    """:func:`build_initial_state` of a checked shape and pair: one terms copy."""
     reg = registry(m, n)
     size = len(reg)
     chan = (1 << size) - 2  # the channel photons' path bits; shifted by size, their polarizations
@@ -338,23 +334,6 @@ def initial_state(alpha: complex, beta: complex, m: int, n: int) -> HybridState:
         xbit | branch * chan | (VERTICAL << size) | (pol * chan) << size: w
         for xbit, w in ((0, a), (1, b)) if abs(w) > PRUNE_TOL
         for branch in (0, 1) for pol in (0, 1)}).normalized()
-
-
-def overlap(a: HybridState, b: HybridState) -> complex:
-    """Inner product <a|b>; conjugate-symmetric by construction."""
-    if a.register != b.register or a.alive != b.alive:
-        raise ValueError("states live on different photon registries")
-    total = 0j
-    for ket, amp in a.terms.items():
-        other = b.terms.get(ket)
-        if other is not None:
-            total += amp.conjugate() * other
-    return total
-
-
-def equal_up_to_global_phase(a: HybridState, b: HybridState, tol: float = PHASE_TOL) -> bool:
-    """True iff |<a|b>| >= 1 - tol (states assumed normalized)."""
-    return abs(overlap(a, b)) >= 1.0 - tol
 
 
 class Outcome:
@@ -369,7 +348,7 @@ class Outcome:
 
 
 def _collapse(state: HybridState, terms: dict[int, complex], dead: int | None) -> HybridState:
-    """``state`` on the pruned ``terms`` over ``norm``'s fold of them, ``dead`` (if any) retired."""
+    """``state`` on the pruned ``terms`` over their norm, a left fold, ``dead`` (if any) retired."""
     total = 0
     for a in terms.values():
         total += a.real * a.real + a.imag * a.imag

@@ -27,8 +27,8 @@ from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import oracle
-from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, charlie, check_amplitudes,
-                      check_shape, enumerate_measurement, initial_state, registry)
+from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, build_initial_state, charlie,
+                      check_amplitudes, check_shape, enumerate_measurement, registry)
 from .kerr import enumerate_homodyne, fresh_probe, kerr
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator, apply_bbs,
                      apply_hwp, apply_pauli_polar, apply_pauli_spatial, apply_pbs,
@@ -435,7 +435,7 @@ def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False
             targets.insert(0, ((t := oracle.direct_apply((u,), *targets[0])).a0, t.a1))
     return Protocol(config, dict(plan), [Node(nd.name, nd.stage, nd.party, nd.bit_labels, nd.run,
                                               nd.check_id, nd.reads) for nd in nodes],
-                    initial_state(config.alpha, config.beta, m, n), labels, targets)
+                    build_initial_state(config.alpha, config.beta, m, n), labels, targets)
 
 
 # ---------------------------------------------------------------------------

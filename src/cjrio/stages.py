@@ -151,9 +151,9 @@ def _layout(check_id: str, word: int, at: Sequence[int]) -> tuple:
 
 def _agrees(live: HybridState, frozen: int, ref: HybridState) -> bool:
     """Whether ``live`` with the retired bits ``frozen`` set in every ket equals
-    ``ref`` up to global phase: their overlap, summed over ``live``'s terms in
-    order as :func:`hilbert.overlap` sums it, with no full state made.  States
-    on other photons or alive flags never agree."""
+    ``ref`` up to global phase: their overlap, each of ``live``'s conjugated
+    amplitudes times ``ref``'s on the same ket, summed in ``live``'s term order,
+    with no full state made.  States on other photons or alive flags never agree."""
     if live.alive != ref.alive or live.register != ref.register:
         return False
     get, total = ref.terms.get, 0j

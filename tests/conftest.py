@@ -64,6 +64,18 @@ def dense_vector(state: HybridState) -> np.ndarray:
     return vec
 
 
+def dense_overlap(a: HybridState, b: HybridState) -> complex:
+    """<a|b> over the two states' dense vectors; both must be on one register
+    with the same alive flags."""
+    assert a.register == b.register and a.alive == b.alive
+    return complex(np.vdot(dense_vector(a), dense_vector(b)))
+
+
+def dense_norm(state: HybridState) -> float:
+    """The 2-norm of the state's dense vector."""
+    return float(np.linalg.norm(dense_vector(state)))
+
+
 def dense_reduced_purity(state: HybridState, keep_indices, dof: str = "both") -> float:
     """Brute-force Tr(rho^2) via the dense density matrix."""
     n = len(state.register)

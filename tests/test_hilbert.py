@@ -1,4 +1,3 @@
-import cmath
 import math
 import re
 
@@ -6,11 +5,11 @@ import pytest
 
 from cjrio.hilbert import (A, BasisKet, HybridState, PhotonId, PhotonRegister, VERTICAL, X,
                            bob, build_initial_state, charlie, collapse_outcomes,
-                           enumerate_measurement, equal_up_to_global_phase,
-                           overlap, registry)
-from cjrio.optics import apply_pbs
+                           enumerate_measurement, registry)
+from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
+from cjrio.optics import apply_bbs, apply_pbs
 
-from conftest import bit, random_pair
+from conftest import bit, dense_norm, dense_overlap, random_pair
 
 
 def test_photon_ids():
@@ -51,7 +50,7 @@ def test_initial_state_generic_eight_terms():
     alpha, beta = 0.6, 0.8j
     s = build_initial_state(alpha, beta, 2, 1)
     assert len(s.terms) == 8
-    assert s.norm() == pytest.approx(1.0, abs=1e-12)
+    assert dense_norm(s) == pytest.approx(1.0, abs=1e-12)
     # brute-force rebuild: enumerate the expected kets directly
     for xbit, w in ((0, alpha), (1, beta)):
         for branch in (0, 1):
@@ -64,7 +63,7 @@ def test_initial_state_generic_eight_terms():
 def test_initial_state_m3_n2():
     s = build_initial_state(3 / 5, 4 / 5, 3, 2)
     assert len(s.terms) == 8
-    assert s.norm() == pytest.approx(1.0, abs=1e-15)
+    assert dense_norm(s) == pytest.approx(1.0, abs=1e-15)
     assert len(s.register) == 7
 
 
@@ -88,66 +87,15 @@ def test_initial_state_rejections():
             build_initial_state(*args)
 
 
-def test_overlap_self_is_one(rng):
-    a, b = random_pair(rng)
-    s = build_initial_state(a, b, 2, 1)
-    assert overlap(s, s) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_overlap_sign_flip_on_half_weight_branch():
-    s = build_initial_state(1 / math.sqrt(2), 1 / math.sqrt(2), 1, 0)
-    flipped = {k: (-a if bit(s, k, X) == 1 else a) for k, a in s.terms.items()}
-    s2 = HybridState(s.register, s.alive, flipped)
-    assert abs(overlap(s, s2)) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_overlap_disjoint_spatial_supports(rng):
     # the two post-entangle branches k=0 / k=1 occupy disjoint path sets
-    from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
-
     a, b = random_pair(rng)
     s = build_initial_state(a, b, 2, 1)
     probe = kerr(kerr(fresh_probe(s), s, s.index_of(X), 0, +1), s, s.index_of(A), 0, -1)
     outcomes = enumerate_homodyne(probe, s)
     assert len(outcomes) == 2
     s0, s1 = outcomes[0].build(), outcomes[1].build()
-    assert abs(overlap(s0, s1)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_overlap_conjugate_symmetry(rng):
-    a, b = random_pair(rng)
-    c, d = random_pair(rng)
-    s1 = build_initial_state(a, b, 2, 1)
-    s2 = build_initial_state(c, d, 2, 1)
-    assert overlap(s1, s2) == overlap(s2, s1).conjugate()
-
-
-def _with_dead(s):
-    # freeze X by projecting onto its x0 component first
-    terms = {k: a for k, a in s.terms.items() if bit(s, k, X) == 0}
-    return HybridState(s.register, s.alive, terms).normalized().mark_dead(s.index_of(X))
-
-
-def test_overlap_registry_mismatch():
-    s1 = build_initial_state(0.6, 0.8, 2, 1)
-    s2 = build_initial_state(0.6, 0.8, 2, 2)
-    with pytest.raises(ValueError):
-        overlap(s1, s2)
-    with pytest.raises(ValueError):
-        overlap(s1, _with_dead(s1))
-
-
-def test_equal_up_to_global_phase(rng):
-    a, b = random_pair(rng)
-    s = build_initial_state(a, b, 2, 1)
-    phased = HybridState(s.register, s.alive, {k: cmath.exp(1j * math.pi / 7) * amp
-                                               for k, amp in s.terms.items()})
-    assert equal_up_to_global_phase(s, phased, 1e-10)
-
-    # flipping the relative phase of the beta branch is a different state
-    rotated = HybridState(s.register, s.alive, {k: (-amp if bit(s, k, X) else amp)
-                                                for k, amp in s.terms.items()})
-    assert not equal_up_to_global_phase(s, rotated, 1e-10)
+    assert abs(dense_overlap(s0, s1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_enumerate_measurement_probabilities(rng):
@@ -160,7 +108,7 @@ def test_enumerate_measurement_probabilities(rng):
     assert probs[0] == pytest.approx(abs(alpha) ** 2, abs=1e-12)
     assert probs[1] == pytest.approx(abs(beta) ** 2, abs=1e-12)
     for st in (o.build() for o in outs):
-        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+        assert dense_norm(st) == pytest.approx(1.0, abs=1e-12)
         assert not st.alive[x]
 
 
@@ -246,6 +194,24 @@ def test_errors_reached_by_position_name_the_photon(reach, message):
         reach(s, s.index_of(bob(1)), s.index_of(charlie(1)))
 
 
+@pytest.mark.parametrize("reach", [
+    lambda s, i: apply_bbs(s, i),
+    lambda s, i: enumerate_measurement(s, i),
+    lambda s, i: kerr(fresh_probe(s), s, i, 0, +1),
+    lambda s, i: s.definite_bit(i, "spatial"),
+    lambda s, i: s.mark_dead(i),
+    lambda s, i: s.register.mask(i, "polar"),
+], ids=["apply_bbs", "enumerate_measurement", "kerr", "definite_bit", "mark_dead", "mask"])
+@pytest.mark.parametrize("i", [-1, 5, True], ids=["minus-1", "len", "bool"])
+def test_a_position_off_the_register_is_rejected(reach, i):
+    # -1 would read the last photon and True photon 1, silently; 5 would fail
+    # with an IndexError, or in mask() read photon 0's polarization bit.
+    s = build_initial_state(0.6, 0.8, 2, 1)
+    assert len(s.register) == 5
+    with pytest.raises(ValueError, match=f"^no photon at position {i!r} in a register of 5 photons$"):
+        reach(s, i)
+
+
 @pytest.mark.parametrize("reach, message", [
     (lambda s: PhotonRegister([X, X]), "duplicate photon in register"),
     (lambda s: HybridState(s.register, s.alive[1:], s.terms), "alive flags do not match register"),
@@ -286,8 +252,6 @@ def test_replace_terms_copies_its_argument():
 def test_outcomes_below_the_pruning_tolerance_are_skipped():
     # A class of probability 1e-30 carries no state to collapse onto: both
     # readouts skip it rather than fail to normalize it.
-    from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
-
     reg = registry(1, 0)
     ket_a = BasisKet((0, 0, 0), (1, 0, 0))  # X on path 0
     ket_b = BasisKet((1, 0, 0), (1, 0, 0))  # X on path 1
@@ -312,18 +276,16 @@ def _fold(values):
 def test_norm_and_readout_probabilities_are_left_folds():
     # Ten amplitudes sqrt(0.1) with X on path 0: their squares fold left to
     # right to 0.9999999999999999, while their exact sum rounds to 1.0, as
-    # Python 3.12's compensated sum() gives it.  The norm and both readouts'
-    # p must read the fold on every Python.
-    from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
-
+    # Python 3.12's compensated sum() gives it.  normalized()'s scale and both
+    # readouts' p must read the fold on every Python.
     reg = registry(2, 1)
     terms = {2 * k: complex(math.sqrt(0.1)) for k in range(1, 11)}  # even kets: X on path 0
     s = HybridState(reg, (True,) * len(reg), terms)
     x = s.index_of(X)
     squares = [abs(a) ** 2 for a in s.terms.values()]
     assert _fold(squares) != math.fsum(squares)
-    assert s.norm() == math.sqrt(_fold(a.real * a.real + a.imag * a.imag
-                                       for a in s.terms.values()))
+    inv = 1.0 / math.sqrt(_fold(a.real * a.real + a.imag * a.imag for a in s.terms.values()))
+    assert s.normalized().terms == {k: a * inv for k, a in s.terms.items()}
     assert [o.p for o in enumerate_measurement(s, x, ("spatial",))] == [_fold(squares)]
     probe = kerr(fresh_probe(s), s, x, 0, +1)
     assert [(o.bits, o.p) for o in enumerate_homodyne(probe, s)] == [(1, _fold(squares))]

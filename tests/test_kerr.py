@@ -5,7 +5,7 @@ from cjrio.hilbert import A, HybridState, X, build_initial_state
 from cjrio.kerr import enumerate_homodyne, fresh_probe, kerr
 from cjrio.optics import apply_bbs
 
-from conftest import bit, random_pair
+from conftest import bit, dense_norm, random_pair
 
 
 def entangle_probe(state):
@@ -94,7 +94,7 @@ def test_distribution_sums_to_one_and_collapse_normalized(rng):
     total = sum(p for _, p in distribution(probe, s))
     assert total == pytest.approx(1.0, abs=1e-12)
     for o in enumerate_homodyne(probe, s):
-        assert o.build().norm() == pytest.approx(1.0, abs=1e-12)
+        assert dense_norm(o.build()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unentangled_probe_single_outcome(rng):

@@ -21,7 +21,7 @@ from cjrio.optics import (PauliPower, SU2Operator, apply_bbs, apply_hwp,
 from cjrio.oracle import direct_apply, target_fidelity
 from cjrio.protocol import ProtocolConfig, ProtocolRun
 
-from conftest import dense_vector, matrix
+from conftest import dense_norm, dense_vector, matrix
 
 S = 1 / math.sqrt(2)
 I2 = np.eye(2)
@@ -126,7 +126,7 @@ def test_primitive_matches_dense_matrix(case):
 @given(cases())
 def test_primitive_preserves_norm(case):
     state, op, i, arg, _ = case
-    assert abs(apply(state, op, i, arg).norm() - 1.0) <= 1e-12
+    assert abs(dense_norm(apply(state, op, i, arg)) - 1.0) <= 1e-12
 
 
 @given(cases(ops=("bbs", "qwp")))

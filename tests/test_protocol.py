@@ -16,7 +16,7 @@ from cjrio.protocol import (BLOCKED, FIDELITY_THRESHOLD, FrameInconsistencyError
                             branch_fidelity, build_protocol, check_variant,
                             iter_branches, run_full)
 
-from conftest import bit, dense_reduced_purity, matrix, random_pair, random_su2
+from conftest import bit, dense_norm, dense_reduced_purity, matrix, random_pair, random_su2
 
 I2 = SU2Operator(1, 0)
 
@@ -442,7 +442,7 @@ def test_step1_entangle_forms(rng):
             assert all(b == k for b in spatial[1:])
         else:
             assert all(b == (k ^ 1) for b in spatial[1:])
-    assert run.branch.state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert dense_norm(run.branch.state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step1_uniform_even_for_unit_alpha():
