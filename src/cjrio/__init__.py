@@ -15,7 +15,6 @@ from .protocol import (BLOCKED, BranchResult, CorrectionSpec,
                        FrameInconsistencyError, ProtocolConfig, ProtocolRun,
                        branch_fidelity, build_protocol, iter_branches,
                        run_full)
-from .stages import CHECK_IDS, StageMismatch, make_stage_checker
 
 __all__ = [
     "A", "BLOCKED", "BasisKet", "BranchResult", "CHECK_IDS",
@@ -30,3 +29,13 @@ __all__ = [
     "iter_branches", "kerr", "make_stage_checker", "registry", "run_full",
     "target_fidelity",
 ]
+
+
+def __getattr__(name: str):
+    """The stage-check names, from ``cjrio.stages`` on first access, so a
+    run that checks no stage never imports it."""
+    if name in ("CHECK_IDS", "StageMismatch", "make_stage_checker"):
+        from . import stages
+
+        return getattr(stages, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

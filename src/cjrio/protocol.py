@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, partial
 from types import MappingProxyType
-from typing import Callable, Iterator, NamedTuple, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterator, Sequence
 
 from . import oracle
 from .hilbert import (A, HybridState, Outcome, PhotonId, X, bob, build_initial_state, charlie,
@@ -191,8 +192,9 @@ class Node:
     the bits a correcting node's fix reads.  ``check_id`` names the stage
     checkpoint the state is compared with after the node, where a checker
     exists (m=2, n=1 only).  ``table`` maps a canonical live state and the
-    bits the node reads to its run there: its peak term count and its outcome
-    rows; it is None until the node first runs."""
+    bits the node reads to its run there: its peak term count and a row per
+    outcome (its bits, its probability, its state's live part, canonical,
+    and the bits that part leaves out); it is None until the node first runs."""
 
     name: str
     stage: int
@@ -204,16 +206,6 @@ class Node:
     table: dict | None = field(default=None, repr=False, compare=False)
 
 
-class _Row(NamedTuple):
-    """One stored outcome of a node run: its bits, its probability, its
-    state's live part (canonical) and the bits that part leaves out."""
-
-    bits: int
-    p: float
-    state: HybridState
-    frozen: int
-
-
 @dataclass
 class Protocol:
     """The node list of one run, its bit names in broadcast order and, keyed
@@ -222,17 +214,23 @@ class Protocol:
     the oracle pair after the operators from s on.
 
     ``interned`` maps the exact content of a live-only state to its one
-    canonical copy, the key of every node's ``table``."""
+    canonical copy, the key of every node's ``table``.  ``later[i]`` holds
+    the bits read by node i or a later one, and ``subtrees`` maps a node
+    index, a canonical state and a word masked to those bits to the walk's
+    ``_Subtree`` there."""
 
     config: ProtocolConfig
     plan: dict[str, CorrectionSpec]
     nodes: list[Node]
     initial_state: HybridState
     labels: tuple[str, ...]
+    later: tuple[int, ...]
     targets: list[tuple[complex, complex]] | None = field(default=None, repr=False,
                                                           compare=False)
     interned: dict[tuple, HybridState] = field(default_factory=dict, repr=False,
                                                compare=False)
+    subtrees: dict[tuple, _Subtree] = field(default_factory=dict, repr=False,
+                                            compare=False)
 
     def intern(self, state: HybridState) -> tuple[HybridState, int]:
         """The canonical copy of ``state``'s live part, and the retired bits
@@ -244,9 +242,10 @@ class Protocol:
 @cache
 def _skeleton(m: int, n: int) -> tuple:
     """What (m, n) alone fixes, derived once: the bit names in broadcast order,
-    the nodes with each ``run`` a function of (``Protocol``, state, bits), and
-    the plan.  Each measuring node names its bits (k is bit 0) and advances the
-    Pauli frame; each correcting node takes its fix from the frame there."""
+    the nodes with each ``run`` a function of (``Protocol``, state, bits), the
+    plan, and per node index the bits that node or a later one reads.  Each
+    measuring node names its bits (k is bit 0) and advances the Pauli frame;
+    each correcting node takes its fix from the frame there."""
     reg = registry(m, n)
     # Register positions, resolved once: the nodes address photons by these.
     at_x, at_a = reg.index(X), reg.index(A)
@@ -420,14 +419,17 @@ def _skeleton(m: int, n: int) -> tuple:
     add(Node("to_spatial", 9, "A", (), run_to_spatial))
     fix("to_spatial", A, "spatial", a_path, 0, 0)
 
-    return tuple(labels), tuple(nodes), MappingProxyType(plan)
+    later = [0]
+    for node in reversed(nodes):
+        later.insert(0, later[0] | node.reads)
+    return tuple(labels), tuple(nodes), MappingProxyType(plan), tuple(later)
 
 
 def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False) -> Protocol:
     """The node list of ``config``, in broadcast order: its shape's skeleton,
     with fresh nodes, each with a table of its own, and its own plan."""
     m, n = config.m, config.n
-    labels, nodes, plan = _skeleton(m, n)
+    labels, nodes, plan, later = _skeleton(m, n)
     targets = None
     if validate_corrections:  # each suffix product is U_s applied to the next one's pair
         targets = [(config.alpha, config.beta)]
@@ -435,7 +437,7 @@ def build_protocol(config: ProtocolConfig, *, validate_corrections: bool = False
             targets.insert(0, ((t := oracle.direct_apply((u,), *targets[0])).a0, t.a1))
     return Protocol(config, dict(plan), [Node(nd.name, nd.stage, nd.party, nd.bit_labels, nd.run,
                                               nd.check_id, nd.reads) for nd in nodes],
-                    build_initial_state(config.alpha, config.beta, m, n), labels, targets)
+                    build_initial_state(config.alpha, config.beta, m, n), labels, later, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +542,109 @@ def _start(config: ProtocolConfig, check_stages: bool, validate_corrections: boo
     return partial(_walk, proto, checker), root
 
 
+_EDGE_P = itemgetter(1)  # a subtree edge's probability
+
+
+class _Subtree:
+    """The walk below node index ``idx`` from the canonical live state
+    ``live``, the same for every branch that arrives there with the bits
+    ``word``: the branch's word masked to the bits the node or any later one
+    reads (``Protocol.later[idx]``); ``width`` bits are out by then.
+
+    ``edges`` is None until the node's run is looked up; then it lists one
+    edge per outcome, or is empty where the walk halts: past the last node,
+    or at a node whose controller withheld consent (``halt``, the node's
+    name, with its term ``peak``).  An edge is a plain tuple, which unpacks
+    faster than a named one: the outcome's bits shifted to their word
+    positions, its probability, the bits its state retired, the largest term
+    count on the way (the node's peak and the child's own) and the child.
+
+    ``folded`` is ``edges`` with every chain of subtrees of one outcome of
+    p == 1.0 that follows an edge joined into that edge, made once every
+    chain's end is linked; a product of probabilities is the same without a
+    factor of 1.0, so it is exact."""
+
+    __slots__ = ("idx", "live", "word", "width", "edges", "folded", "peak", "halt")
+
+    def __init__(self, idx: int, live: HybridState, word: int, width: int, last: bool):
+        self.idx, self.live, self.word, self.width = idx, live, word, width
+        self.edges = () if last else None
+        self.folded = self.peak = self.halt = None
+
+
+def _subtree(proto: Protocol, idx: int, live: HybridState, word: int,
+             width: int) -> _Subtree:
+    """The one subtree of ``proto`` keyed (``idx``, ``live``, ``word``)."""
+    key = idx, live, word
+    if (sub := proto.subtrees.get(key)) is None:
+        sub = proto.subtrees[key] = _Subtree(idx, live, word, width, idx == len(proto.nodes))
+    return sub
+
+
+def _inconsistent(proto: Protocol, node: Node, word: int,
+                  err: _FrameMismatch) -> FrameInconsistencyError:
+    """``err``, a failed correction check of ``node``, on the branch of ``word``."""
+    return FrameInconsistencyError(node.name, _named(proto.labels, word | err.word, err.heard),
+                                   err.derived, err.found)
+
+
+def _resolve(proto: Protocol, sub: _Subtree, word: int) -> list[tuple] | tuple:
+    """Link ``sub``'s edges: its node's run on its live state, found in the
+    node's table or run and added there, each outcome's state interned and
+    its child subtree looked up.  ``word`` is the whole word of the branch
+    that gets there first, which a failed correction check names."""
+    node = proto.nodes[sub.idx]
+    bits = sub.word & node.reads
+    run = node.table.get((sub.live, bits))
+    if run is None:
+        try:  # a correcting node checks its fix as it builds an outcome's state
+            outcomes, peak = node.run(proto, sub.live, bits)
+            run = node.table[sub.live, bits] = peak, [
+                (out.bits, out.p, *proto.intern(out.build())) for out in outcomes]
+        except _FrameMismatch as err:
+            raise _inconsistent(proto, node, word, err) from None
+    peak, rows = run
+    if not rows:  # the node's controller withheld consent
+        sub.peak, sub.halt, sub.edges = peak, node.name, ()
+        return ()
+    idx, width, at = sub.idx + 1, sub.width, sub.word
+    after, later = width + len(node.bit_labels), proto.later[idx]
+    edges = sub.edges = []
+    for b, p, st, retired in rows:
+        terms = len(st.terms)
+        edges.append((b << width, p, retired, peak if peak > terms else terms,
+                      _subtree(proto, idx, st, (at | b << width) & later, after)))
+    return edges
+
+
+def _fold(sub: _Subtree) -> list[tuple] | None:
+    """``sub.folded``, made and kept if every chain's end is linked, else None."""
+    folded = []
+    for edge in sub.edges:
+        bits, p, retired, peak, child = edge
+        while True:
+            through = child.edges
+            if through is None:
+                return None
+            if len(through) != 1 or through[0][1] != 1.0:
+                break
+            b, _, r, k, child = through[0]
+            bits, retired = bits | b, retired | r
+            if peak < k:
+                peak = k
+        folded.append(edge if child is edge[4] else (bits, p, retired, peak, child))
+    sub.folded = sub.edges if folded == sub.edges else folded
+    return sub.folded
+
+
 def _walk(proto: Protocol, checker, branch: BranchResult, choose,
           stop: int | None = None) -> Iterator[tuple]:
-    """Depth-first from ``branch``: run each node and enter the outcomes
-    ``choose`` keeps of its outcome list, first to last.  Yields each branch
-    that is blocked or has reached node index ``stop`` (the end by default)
-    as a leaf, the plain tuple a pending branch is kept as: (node index, live
-    state, retired bits, word, bit count, probability, errata, term peak, halt).
+    """Depth-first from ``branch``: run each node and enter every outcome,
+    first to last, or, if ``choose`` is given, the one it picks from the
+    node's outcome list.  Yields each branch that is blocked or has reached
+    node index ``stop`` (the end by default) as a leaf, the plain tuple a
+    pending branch starts as: (node index, live state, retired bits, word,
+    bit count, probability, errata, term peak, halt).
 
     A node's outcomes depend only on the live part of its input state and on
     the word's bits it reads (primitives touch live photons only, and a
@@ -554,66 +652,105 @@ def _walk(proto: Protocol, checker, branch: BranchResult, choose,
     per (canonical live part, bits read) and its ``table`` keeps the outcome
     rows for every later branch that arrives with the same key.  The
     correction check of ``validate_corrections`` runs inside the node, so it
-    too runs once per key; its verdict is a function of that key alone.  A
-    node's first run is stored nowhere and builds only the outcomes
-    ``choose`` keeps, so a sampled run, which enters each node once, pays for
-    no table.  A node's first child goes on at once: a one-outcome node pushes none."""
-    nodes, intern = proto.nodes, proto.intern
+    too runs once per key; its verdict is a function of that key alone.
+
+    So is all that follows it: a branch that reaches a node whose table
+    exists goes on in the ``_Subtree`` of ``proto.subtrees`` for its key.
+    The subtree's first visit links its edges and every later one replays
+    them, with no table lookup, intern or key tuple, and in an enumeration
+    no ``choose`` call.  A walk with no checker and no ``stop`` replays
+    ``folded`` edges, so it steps over ``first_op``, ``polar_fix`` and
+    ``to_spatial``; a checker sees every checked edge.  A node's first run
+    is stored nowhere, makes no subtree and builds only the outcomes the
+    walk enters, so a sampled run, which enters each node once, steps on its
+    drawn outcome and pays for no table."""
+    nodes, later, intern = proto.nodes, proto.later, proto.intern
     end = len(nodes) if stop is None else stop
+    fold = checker is None and stop is None
     stack = [(branch._passed, branch.live, branch._frozen, branch._word, len(branch.bits),
               branch.probability, tuple(branch.errata), branch.max_terms, branch.blocked_at)]
+    push, pop = stack.append, stack.pop
+
+    def checked(check_id, errata, word, width, live, frozen):
+        mismatch = checker(check_id, word, width, live, frozen)
+        return errata if mismatch is None else errata + (mismatch,)
+
     while stack:
-        idx, state, frozen, word, width, probability, errata, max_terms, blocked_at = stack.pop()
-        while idx != end and blocked_at is None:
-            node = nodes[idx]
-            bits = word & node.reads
-            table = node.table
-            kept = frozen  # the children's retired bits, before their own
-            try:
-                if table is None:
-                    node.table = {}
-                    outcomes, peak = node.run(proto, state, bits)
-                    rows = [(out.bits, out.p, out.build(), 0) for out in choose(outcomes)]
-                else:
-                    entry = table.get((state, bits))
-                    if entry is None:
-                        live, retired = intern(state)
-                        kept |= retired
-                        entry = table.get((live, bits))
-                        if entry is None:
-                            outcomes, peak = node.run(proto, live, bits)
-                            entry = table[live, bits] = peak, [
-                                _Row(out.bits, out.p, *intern(out.build())) for out in outcomes]
-                    peak, outcomes = entry
-                    rows = choose(outcomes)
-            except _FrameMismatch as err:
-                raise FrameInconsistencyError(node.name,
-                                              _named(proto.labels, word | err.word, err.heard),
-                                              err.derived, err.found) from None
+        item = pop()
+        if len(item) == 9:  # a branch in no subtree: on through first runs
+            idx, state, frozen, word, width, probability, errata, max_terms, halt = item
+            while idx != end and halt is None and (node := nodes[idx]).table is None:
+                node.table = {}
+                try:  # as in _resolve
+                    outcomes, peak = node.run(proto, state, word & node.reads)
+                    if max_terms < peak:
+                        max_terms = peak
+                    if not outcomes:  # the node's controller withheld consent
+                        halt = node.name
+                        break
+                    after = width + len(node.bit_labels)
+                    check_id = None if checker is None else node.check_id
+                    if choose is None:  # the first outcome goes on, the later ones wait
+                        for out in outcomes[:0:-1]:
+                            st, w = out.build(), word | out.bits << width
+                            push((idx + 1, st, frozen, w, after, probability * out.p,
+                                  errata if check_id is None
+                                  else checked(check_id, errata, w, after, st, frozen),
+                                  max(max_terms, len(st.terms)), None))
+                        out = outcomes[0]
+                    else:
+                        out = choose(outcomes)
+                    state = out.build()
+                except _FrameMismatch as err:
+                    raise _inconsistent(proto, node, word, err) from None
+                word |= out.bits << width
+                if check_id is not None:
+                    errata = checked(check_id, errata, word, after, state, frozen)
+                idx, width, probability = idx + 1, after, probability * out.p
+                if max_terms < len(state.terms):
+                    max_terms = len(state.terms)
+            if idx == end or halt is not None:
+                yield idx, state, frozen, word, width, probability, errata, max_terms, halt
+                continue
+            if (sub := proto.subtrees.get((idx, state, word & later[idx]))) is None:
+                live, retired = intern(state)  # not a canonical state, or a new subtree
+                sub, frozen = _subtree(proto, idx, live, word & later[idx], width), frozen | retired
+        else:
+            sub, frozen, word, probability, errata, max_terms = item
+        while True:  # in subtrees, as above
+            if sub.idx == end:
+                yield (sub.idx, sub.live, frozen, word, sub.width, probability, errata, max_terms,
+                       None)
+                break
+            edges = sub.edges
+            if edges is None:
+                if nodes[sub.idx].table is None:  # the node's first run
+                    push((sub.idx, sub.live, frozen, word, sub.width, probability, errata,
+                          max_terms, None))
+                    break
+                edges = _resolve(proto, sub, word)
+            elif fold and edges:  # a sampled walk only replays the folds an enumeration made
+                edges = sub.folded or choose is None and _fold(sub) or edges
+            if not edges:
+                yield (sub.idx, sub.live, frozen, word, sub.width, probability, errata,
+                       max(max_terms, sub.peak), sub.halt)
+                break
+            check_id = None if checker is None else nodes[sub.idx].check_id
+            if choose is None:
+                for bits, p, retired, peak, child in edges[:0:-1]:
+                    fz, w = frozen | retired, word | bits
+                    push((child, fz, w, probability * p,
+                          errata if check_id is None
+                          else checked(check_id, errata, w, child.width, child.live, fz),
+                          peak if peak > max_terms else max_terms))
+                bits, p, retired, peak, sub = edges[0]
+            else:
+                bits, p, retired, peak, sub = choose(edges, _EDGE_P)
+            frozen, word, probability = frozen | retired, word | bits, probability * p
+            if check_id is not None:
+                errata = checked(check_id, errata, word, sub.width, sub.live, frozen)
             if max_terms < peak:
                 max_terms = peak
-            if not outcomes:  # the node's controller withheld consent
-                blocked_at = node.name
-                break
-            after = width + len(node.bit_labels)
-            first, rest = None, len(stack)  # later children go under the ones before them
-            for out_bits, p, st, fz in rows:
-                w = word | out_bits << width
-                fz |= kept
-                errs = errata
-                if checker is not None and node.check_id is not None:
-                    mismatch = checker(node.check_id, w, after, st, fz)
-                    if mismatch is not None:
-                        errs = errata + (mismatch,)
-                terms = len(st.terms)
-                child = (idx + 1, st, fz, w, after, probability * p, errs,
-                         terms if terms > max_terms else max_terms, None)
-                if first is None:
-                    first = child
-                else:
-                    stack.insert(rest, child)
-            idx, state, frozen, word, width, probability, errata, max_terms, _ = first
-        yield idx, state, frozen, word, width, probability, errata, max_terms, blocked_at
 
 
 def iter_branches(
@@ -627,7 +764,7 @@ def iter_branches(
     order of the outcome-bit sequence.  Blocked branches absorb their whole
     subtree probability.  ``protocol`` is ``config``'s node list, if built."""
     walk, root = _start(config, check_stages, validate_corrections, protocol)
-    yield from map(root._at, walk(root, lambda outcomes: outcomes))
+    yield from map(root._at, walk(root, None))
 
 
 class ProtocolRun:
@@ -648,19 +785,20 @@ class ProtocolRun:
                                          seed)
         self._stage = 0  # the last stage stepped
 
-    def _draw(self, outcomes: list[Outcome]) -> list[Outcome]:
+    def _draw(self, outcomes: Sequence, p: Callable = attrgetter("p")):
         """The outcome a node with a choice draws: one uniform number, and the
         first outcome whose running probability sum exceeds it, or the last
-        outcome if rounding leaves the sum short.  Only the outcome taken has
-        its state built."""
+        outcome if rounding leaves the sum short.  ``p`` reads an outcome's
+        probability: an ``Outcome``'s by default, a subtree edge's (item 1)
+        where the walk replays edges."""
         if len(outcomes) > 1:
             r = self._rng.random()
             acc = 0.0
             for out in outcomes:
-                acc += out.p
+                acc += p(out)
                 if r < acc:
-                    return [out]
-        return outcomes[-1:]
+                    return out
+        return outcomes[-1]
 
     def step(self, stage: int):
         """Run the nodes of ``stage`` and return the bits they broadcast, in

@@ -491,7 +491,8 @@ _FLOATS = st.sampled_from([-0.0, 5e-324, 2.0 ** -17, 1e16]) | st.floats(
 @example(word=0b10, probability=1e16, fidelity=1e16)
 def test_branch_text_is_its_slice_of_the_json_dump(word, probability, fidelity):
     # Every width an enumeration can reach, each on the word's low bits,
-    # blocked and not; the fidelity's text is the one cmd_enumerate makes.
+    # blocked and not; the probability's and fidelity's texts are the ones
+    # cmd_enumerate makes.
     fidelity_text = "null" if fidelity is None else float.__repr__(fidelity)
     head, tail = '{\n  "branches": [\n', "\n  ]\n}"
     for width in range(cli.ENUMERATE_MAX_BITS + 1):
@@ -501,8 +502,9 @@ def test_branch_text_is_its_slice_of_the_json_dump(word, probability, fidelity):
                      "fidelity": fidelity, "blocked": blocked}
             dumped = json.dumps({"branches": [entry]}, indent=2, sort_keys=True)
             assert dumped.startswith(head) and dumped.endswith(tail)
-            assert (cli._branch_text(low, width, probability, fidelity_text, blocked)
-                    == dumped[len(head):-len(tail)])
+            text = cli._branch_text(low, width, cli._branch_tail(float.__repr__(probability),
+                                                                 fidelity_text, blocked))
+            assert text == dumped[len(head):-len(tail)]
 
 
 def test_streamed_report_matches_reference_with_errata(capsys, monkeypatch):
@@ -576,6 +578,17 @@ def test_the_cli_imports_no_numpy():
     # nor secrets, which brings hashlib, hmac and base64 with it
     check = ("import sys, cjrio.cli; assert 'numpy' not in sys.modules, 'numpy imported'; "
              "assert 'secrets' not in sys.modules, 'secrets imported'")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_imports_no_stage_checks():
+    # cjrio.stages loads on the first use of a stage-check name; a star
+    # import binds every name of cjrio.__all__ all the same.
+    check = ("import sys, cjrio.cli; assert 'cjrio.stages' not in sys.modules, 'stages imported'; "
+             "import cjrio; names = {}; exec('from cjrio import *', names); "
+             "assert len(cjrio.__all__) == 40 and not set(cjrio.__all__) - set(names)")
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                           env=_cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

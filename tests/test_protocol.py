@@ -762,6 +762,73 @@ def test_vetoed_enumeration_equals_a_replay_without_tables_m2_n2(rng):
     _assert_replayed(config, "control_measure[1]", 2 ** 11)
 
 
+def test_consent_vetoed_enumeration_equals_a_replay_without_tables_m2_n2(rng):
+    # Blocked at the second consent gate, after k, m, n and s1.
+    config = ProtocolConfig(2, 2, (random_su2(rng), random_su2(rng)), *random_pair(rng),
+                            consent=(True, False))
+    _assert_replayed(config, "consent[2]", 16)
+
+
+def test_crio_enumeration_equals_a_replay_without_tables_m1_n2(rng):
+    check_variant("crio", 1, 2)
+    config = ProtocolConfig(1, 2, (random_su2(rng),), *random_pair(rng))
+    _assert_replayed(config, None, 2 ** branch_bit_count(1, 2))
+
+
+def _walked(branch):
+    return branch._word, branch.probability, branch.max_terms, branch.state.exact_key()
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2)], ids=["m2-n1", "m3-n2"])
+def test_stepped_runs_on_an_enumerated_build_match_a_fresh_build(rng, shape):
+    # An enumeration leaves every subtree of the build linked and folded; a
+    # stepped run stops at each stage's end, so it must step over no node
+    # a fold joins into the edge above, nor draw differently.
+    m, n = shape
+    config = ProtocolConfig(m, n, tuple(random_su2(rng) for _ in range(m)), *random_pair(rng))
+    filled = build_protocol(config)
+    assert sum(1 for _ in iter_branches(config, protocol=filled)) == 2 ** branch_bit_count(m, n)
+    for seed in range(32):
+        run = ProtocolRun(config, seed=seed, protocol=filled)
+        alone = ProtocolRun(config, seed=seed)
+        for stage in range(1, 10):
+            assert run.step(stage) == alone.step(stage)
+            assert _walked(run.branch) == _walked(alone.branch)
+        finished = ProtocolRun(config, seed=seed, protocol=filled).finish()
+        assert _walked(finished) == _walked(alone.branch)
+
+
+@pytest.mark.parametrize("checked_first", [True, False], ids=["checked-first", "unchecked-first"])
+def test_checked_and_unchecked_walks_on_one_build_agree(rng, monkeypatch, checked_first):
+    # The unchecked walk replays folded edges, the checked one every edge:
+    # neither leaves the other anything to replay but the same branches, and
+    # the checker sees every branch at every checked node as on a fresh build.
+    from collections import Counter
+
+    from cjrio import stages
+
+    seen, make = [], stages.make_stage_checker
+
+    def recorded_checker(config):
+        check = make(config)
+
+        def recorded(labels, check_id, word, width, live, frozen):
+            seen.append((check_id, word))
+            return check(labels, check_id, word, width, live, frozen)
+        return recorded
+
+    monkeypatch.setattr(stages, "make_stage_checker", recorded_checker)
+    config = cfg(us=(random_su2(rng), random_su2(rng)), alpha=0.8j, beta=0.6)
+    want = [_walked(res) for res in iter_branches(config)]
+    assert [_walked(res) for res in iter_branches(config, check_stages=True)] == want
+    fresh, seen[:] = Counter(seen), []
+    proto = build_protocol(config)
+    for check in (checked_first, not checked_first):
+        assert [_walked(res) for res in iter_branches(config, check_stages=check,
+                                                      protocol=proto)] == want
+    assert Counter(seen) == fresh and sum(fresh.values()) == 5402
+
+
 def test_enumeration_runs_each_node_once_per_table_key(rng, monkeypatch):
     # Without the tables a (3,2) enumeration runs a node 389,243 times, once
     # per node of every branch; with them, once per distinct live part and
