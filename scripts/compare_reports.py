@@ -7,7 +7,7 @@ that tree's ``src`` on ``PYTHONPATH``, and compares the exit codes and the
 sha256 of stdout, of stderr (every summary and error line is deterministic)
 and of the report a command line writes with ``--output`` (to a temporary
 file of its own per run).  Then, in one such process per tree, it computes
-seven digests (see :func:`digests`): the scheme (bit names, node metadata
+eight digests (see :func:`digests`): the scheme (bit names, node metadata
 and Pauli-fix forms for m 1-9 and n 0-4), a fixed list of seeded sampled
 runs (bits, probability, halt node, term peak, fidelity and final
 amplitudes, floats as hex), the same of runs that share one build per
@@ -15,9 +15,10 @@ config, so that they read its node tables, every branch of validated
 walks, as ``certify`` runs them, the two readout primitives on seeded
 random states (each outcome's bits, probability and state), the stage
 mismatch records of checked (2,1) walks with a planted wrong fix or the
-input pair swapped, which a correct build never reports, and the
+input pair swapped, which a correct build never reports, the
 transcripts of the seeded runs and of every branch of the validated walks,
-as a ``simulate`` report writes them.
+as a ``simulate`` report writes them, and ``target_fidelity`` on hand-built
+final states, the malformed ones included.
 A run that takes more than TIMEOUT_S seconds is killed and counts as a
 difference.  Prints one line per command line and per digest and exits 1 if
 any differs, so a change that claims the same behaviour can show it.
@@ -299,6 +300,56 @@ def errata_digest() -> str:
     return digest.hexdigest()
 
 
+def fidelity_digest() -> str:
+    """A sha256 over ``target_fidelity`` on seeded hand-built final states, each
+    value as hex or the message of the ValueError it raised: per shape of
+    READOUT_SHAPES, one to eight random kets with A V polarized and every other
+    bit random, retired photons' too, with A the only live photon, then with one
+    ket's A on H, with A retired and with a second live photon, and no terms;
+    then registers with no A, with A first and with an A equal to, but not, the
+    registry's.  A one-pass path that drifts from the checked sum shows here."""
+    import numpy as np
+
+    from cjrio.hilbert import A, X, HybridState, PhotonId, PhotonRegister, bob, registry
+    from cjrio.oracle import TargetState, target_fidelity
+
+    rng = np.random.default_rng(RUN_SEED)
+    states = []
+    for m, n in READOUT_SHAPES:
+        reg = registry(m, n)
+        size, pol = len(reg), reg.mask(1, "polar")
+        only_a = tuple(j == 1 for j in range(size))
+        for count in range(1, 9):
+            terms = {int(k) | pol: complex(*rng.normal(size=2))
+                     for k in rng.integers(1 << 2 * size, size=count)}
+            h = int(rng.integers(len(terms)))
+            other = int(rng.choice([j for j in range(size) if j != 1]))
+            states += [HybridState(reg, only_a, terms),
+                       HybridState(reg, only_a, {k & ~pol if j == h else k: a
+                                                 for j, (k, a) in enumerate(terms.items())}),
+                       HybridState(reg, (False,) * size, terms),
+                       HybridState(reg, tuple(j in (1, other) for j in range(size)), terms)]
+        states.append(HybridState(reg, only_a, {}))
+    for photons, alive in (([X, bob(1), bob(2)], (False, False, False)),
+                           ([X, bob(1), bob(2)], (False, True, False)),
+                           ([A, X, bob(1)], (True, False, False)),
+                           ([X, PhotonId("A"), bob(1)], (False, True, False))):
+        reg = PhotonRegister(photons)
+        pol = reg.mask(photons.index(A), "polar") if A in photons else 0
+        states.append(HybridState(reg, alive, {pol: 0.6 + 0j, pol | 0b111: 0.8j}))
+    digest = hashlib.sha256()
+    for state in states:
+        x = rng.normal(size=4)
+        x /= np.linalg.norm(x)
+        try:
+            value = target_fidelity(state, TargetState(complex(x[0], x[1]),
+                                                       complex(x[2], x[3]))).hex()
+        except ValueError as exc:
+            value = str(exc)
+        digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
 def _transcript_text(res) -> bytes:
     """The JSON text of ``res``'s transcript, keys sorted: the ``transcript``
     section of a ``simulate`` report."""
@@ -307,8 +358,8 @@ def _transcript_text(res) -> bytes:
 
 def digests() -> dict[str, str]:
     """The scheme, seeded-run, shared-protocol, validated-walk, readout,
-    errata and transcript digests of the cjrio this process imports, each a
-    sha256 over the repr, or for transcripts the JSON, of what it covers."""
+    errata, transcript and fidelity digests of the cjrio this process imports,
+    each a sha256 over the repr, or for transcripts the JSON, of what it covers."""
     import numpy as np
 
     from cjrio import ProtocolConfig, SU2Operator
@@ -358,7 +409,8 @@ def digests() -> dict[str, str]:
     return {"scheme digest": scheme.hexdigest(), "seeded-run digest": runs.hexdigest(),
             "shared-protocol digest": shared.hexdigest(),
             "validated-walk digest": validated.hexdigest(), "readout digest": readout_digest(),
-            "errata digest": errata_digest(), "transcript digest": transcripts.hexdigest()}
+            "errata digest": errata_digest(), "transcript digest": transcripts.hexdigest(),
+            "fidelity digest": fidelity_digest()}
 
 
 def run_digests(tree: Path) -> tuple[dict[str, str], float]:
@@ -406,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     (base, t_a), (head, t_b) = run_digests(args.base), run_digests(args.head)
     for name in ("scheme digest", "seeded-run digest", "shared-protocol digest",
                  "validated-walk digest", "readout digest", "errata digest",
-                 "transcript digest"):
+                 "transcript digest", "fidelity digest"):
         same = name in base and base.get(name) == head.get(name)
         differ += not same
         print(f"{'same' if same else 'DIFFERS'}  {head.get(name, 'failed')[:12]}  "

@@ -379,8 +379,12 @@ def cmd_enumerate(args) -> int:
             json.dumps(_BRANCHES_MARK))
         out.write(head + "[\n")
         spool.seek(0)
-        with io.TextIOWrapper(spool, encoding="utf-8") as text:  # closes the spool
-            shutil.copyfileobj(text, out)
+        if hasattr(out, "buffer"):  # the spool's ASCII bytes go in as they are
+            out.flush()
+            shutil.copyfileobj(spool, out.buffer)
+        else:
+            with io.TextIOWrapper(spool, encoding="utf-8") as text:  # closes the spool
+                shutil.copyfileobj(text, out)
         out.write("\n  ]" + tail + "\n")
         out.flush()
     _summary(

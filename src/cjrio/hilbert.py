@@ -150,6 +150,13 @@ def registry(m: int, n: int) -> PhotonRegister:
     return reg
 
 
+@cache
+def _live_mask(alive: tuple[bool, ...]) -> int:
+    """The ket bits, path and polarization, of the live photons of a register
+    of ``len(alive)`` photons with these alive flags."""
+    return sum((1 | 1 << len(alive)) << i for i, flag in enumerate(alive) if flag)
+
+
 class HybridState:
     """Normalized pure state with value semantics.
 
@@ -235,10 +242,7 @@ class HybridState:
         """This state with the bits of its retired photons cleared from every
         ket, and those bits, which are the same in every ket: the inverse of
         :meth:`with_frozen`.  Term order and amplitudes are kept as they are."""
-        live = 0
-        for (sm, pm), alive in zip(self.register.masks, self.alive):
-            if alive:
-                live |= sm | pm
+        live = _live_mask(self.alive)
         frozen = next(iter(self.terms), 0) & ~live
         if not frozen:
             return self, 0

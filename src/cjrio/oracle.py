@@ -84,6 +84,22 @@ def target_fidelity(final: HybridState, target: TargetState) -> float:
 
     The final state must have photon A as its only live photon, V polarized.
     """
+    alive, terms = final.alive, final.terms
+    # A registry's A, at position 1, the only live photon: one pass sums A's path
+    # amplitudes as below and checks A's V bit; any other state, or a ket on H,
+    # takes the checks below, which name its fault.
+    if final.photons[1:2] == (A,) and alive[1] and terms and not (alive[0] or any(alive[2:])):
+        on, pol = final.register.masks[1]
+        c0 = c1 = 0j
+        for ket, amp in terms.items():
+            if not ket & pol:  # H polarized
+                break
+            if ket & on:
+                c1 += amp
+            else:
+                c0 += amp
+        else:
+            return abs(target.a0.conjugate() * c0 + target.a1.conjugate() * c1)
     try:
         i, missing = final.index_of(A), None
     except ValueError as err:  # no A: a live photon is a stray, named before this error

@@ -135,30 +135,31 @@ CHECK_IDS = tuple(FORMS)
 _LAYOUTS: dict[int, tuple] = {}
 
 
-def _layout(check_id: str, word: int, at: Sequence[int]) -> tuple:
-    """The alive flags, kets and codes of ``check_id``'s form on the bits of
-    ``word`` at ``at``, the values of its parameters: made on the first call,
-    then kept for every config, keyed by one int, those values packed (the
-    first lowest) times the checkpoint count plus the checkpoint's index."""
-    key = sum((word >> j & 1) << t for t, j in enumerate(at))
-    key = key * len(CHECK_IDS) + CHECK_IDS.index(check_id)
-    layout = _LAYOUTS.get(key)
+def _layout(ci: int, read: int, at: Sequence[int]) -> tuple:
+    """The alive flags, codes and ``{ket: row}`` index of checkpoint ``ci``'s form
+    on the bits of ``read`` at ``at``, its parameters (fixed by the shape's labels):
+    made on the first call, then kept for every config, keyed by one int,
+    ``read`` times the checkpoint count plus ``ci``."""
+    layout = _LAYOUTS.get(key := read * len(CHECK_IDS) + ci)
     if layout is None:
-        alive, rows = FORMS[check_id](*(word >> j & 1 for j in at))
-        layout = _LAYOUTS[key] = (alive, *zip(*rows))
+        alive, rows = FORMS[CHECK_IDS[ci]](*(read >> j & 1 for j in at))
+        layout = _LAYOUTS[key] = alive, tuple(code for _, code in rows), {
+            ket: row for row, (ket, _) in enumerate(rows)}
     return layout
 
 
-def _agrees(live: HybridState, frozen: int, ref: HybridState) -> bool:
+def _agrees(live: HybridState, frozen: int, ref: tuple) -> bool:
     """Whether ``live`` with the retired bits ``frozen`` set in every ket equals
-    ``ref`` up to global phase: their overlap, each of ``live``'s conjugated
-    amplitudes times ``ref``'s on the same ket, summed in ``live``'s term order,
-    with no full state made.  States on other photons or alive flags never agree."""
-    if live.alive != ref.alive or live.register != ref.register:
+    ``ref`` = (register, alive flags, ``{ket: row}``, ``{row: amplitude}``) up to
+    global phase: their overlap, each of ``live``'s conjugated amplitudes times
+    ``ref``'s on the same ket, summed in ``live``'s term order.  States on other
+    photons or alive flags never agree."""
+    reg, alive, index, amps = ref
+    if live.alive != alive or live.register != reg:
         return False
-    get, total = ref.terms.get, 0j
+    row, total = index.get, 0j
     for ket, amp in live.terms.items():
-        if (other := get(ket | frozen)) is not None:
+        if (other := amps.get(row(ket | frozen))) is not None:
             total += amp.conjugate() * other
     return abs(total) >= 1.0 - STAGE_TOL
 
@@ -180,17 +181,9 @@ def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
     table = (*signed, *[w * SQRT_HALF for w in signed], *[0j + w * SQRT_HALF for w in signed])
     reg = registry(2, 1)
     # A layout's amplitudes, filtered and normalized, depend only on its alive
-    # flags and codes: they are made once per config as a state keyed by row,
-    # and a reference puts each row's ket in place of its row.
-    scaled: dict[tuple, HybridState] = {}
-
-    def reference(check_id: str, word: int, at: Sequence[int]) -> HybridState:
-        alive, kets, codes = _layout(check_id, word, at)
-        if (amps := scaled.get((alive, codes))) is None:
-            amps = scaled[alive, codes] = _state(reg, alive, {i: table[code]
-                                                              for i, code in enumerate(codes)})
-        return amps.adopt({kets[i]: a for i, a in amps.terms.items()})
-
+    # flags and codes: they are made once per config, keyed by row, and read
+    # through the layout's index; only a mismatch puts the kets in place.
+    scaled: dict[tuple, dict[int, complex]] = {}
     # A form reads exactly the bits its parameters name (found in the word on
     # a checkpoint's first check), so its reference is a function of their
     # values, and a verdict of those, the live state (never mutated, so its
@@ -202,15 +195,21 @@ def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
               live: HybridState, frozen: int) -> StageMismatch | None:
         if (reader := readers.get(check_id)) is None:
             at = [labels.index(p) for p in inspect.signature(FORMS[check_id]).parameters]
-            reader = readers[check_id] = at, sum(1 << j for j in at), {}, {}
-        at, mask, refs, verdicts = reader
+            reader = readers[check_id] = (CHECK_IDS.index(check_id), at,
+                                          sum(1 << j for j in at), {}, {})
+        ci, at, mask, refs, verdicts = reader
         read = word & mask
         verdict = verdicts.get((read, live, frozen))
         if verdict is None:  # a pass is (), a mismatch the two states
             if (ref := refs.get(read)) is None:
-                ref = refs[read] = reference(check_id, word, at)
-            verdict = verdicts[read, live, frozen] = (
-                () if _agrees(live, frozen, ref) else (live.with_frozen(frozen), ref))
+                alive, codes, index = _layout(ci, read, at)
+                if (amps := scaled.get((alive, codes))) is None:
+                    amps = scaled[alive, codes] = _state(reg, alive, {
+                        row: table[code] for row, code in enumerate(codes)}).terms
+                ref = refs[read] = reg, alive, index, amps
+            verdict = verdicts[read, live, frozen] = () if _agrees(live, frozen, ref) else (
+                live.with_frozen(frozen), HybridState(reg, ref[1], {
+                    ket: ref[3][row] for ket, row in ref[2].items() if row in ref[3]}))
         if not verdict:
             return None
         sim, ref = verdict

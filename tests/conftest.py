@@ -11,8 +11,9 @@ import pytest
 from hypothesis import settings
 
 from cjrio import SU2Operator, protocol
-from cjrio.hilbert import HybridState, PhotonId
+from cjrio.hilbert import A, VERTICAL, HybridState, PhotonId
 from cjrio.optics import PauliPower
+from cjrio.oracle import TargetState
 
 
 # Property tests draw a fixed, bounded example set, so tier-1 stays
@@ -93,6 +94,30 @@ def dense_reduced_purity(state: HybridState, keep_indices, dof: str = "both") ->
     rho = psi @ psi.conj().T
     rho = rho / np.trace(rho)
     return float(np.real(np.trace(rho @ rho)))
+
+
+def reference_target_fidelity(final: HybridState, target: TargetState) -> float:
+    """``oracle.target_fidelity`` as its checks and a two-bucket sum alone,
+    with no one-pass path: the reference that path must match, float bits and
+    error text."""
+    try:
+        i, missing = final.index_of(A), None
+    except ValueError as err:
+        i, missing = -1, err
+    for j, alive in enumerate(final.alive):
+        if alive and j != i:
+            raise ValueError(f"protocol incomplete: photon {final.photons[j]} still live")
+    if missing is not None:
+        raise missing
+    if not final.alive[i]:
+        raise ValueError("photon A must be live in the final state")
+    if final.definite_bit(i, "polar") != VERTICAL:
+        raise ValueError("final state must be V polarized on photon A")
+    on = final.register.mask(i, "spatial")
+    c = [0j, 0j]
+    for ket, amp in final.terms.items():
+        c[1 if ket & on else 0] += amp
+    return abs(target.a0.conjugate() * c[0] + target.a1.conjugate() * c[1])
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -465,15 +466,23 @@ STREAMED_ARGVS = {
 }
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+# "text" is a stdout with no binary buffer, which takes the spool as text.
+@pytest.mark.parametrize("sink", ["stdout", "output", "text"])
 @pytest.mark.parametrize("name", sorted(STREAMED_ARGVS))
-def test_streamed_report_matches_reference(tmp_path, capsys, name, to_file):
+def test_streamed_report_matches_reference(tmp_path, capsys, monkeypatch, name, sink):
     argv = STREAMED_ARGVS[name]
     expected = _reference_enumerate_report(argv)
-    path = tmp_path / "r.json"
-    code, out, _ = run_cli(capsys, *argv, *(["--output", str(path)] if to_file else []))
+    path, text = tmp_path / "r.json", io.StringIO()
+    if sink == "text":
+        monkeypatch.setattr(sys, "stdout", text)
+    code, out, _ = run_cli(capsys, *argv, *(["--output", str(path)] if sink == "output" else []))
     assert code in (EXIT_OK, EXIT_BLOCKED)
-    assert (path.read_text(encoding="utf-8") if to_file else out) == expected
+    if sink == "output":
+        out = path.read_text(encoding="utf-8")
+    elif sink == "text":
+        assert out == ""
+        out = text.getvalue()
+    assert out == expected
 
 
 # Any finite float, and by name the signed zero, the least subnormal and the

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -289,3 +290,23 @@ def test_norm_and_readout_probabilities_are_left_folds():
     assert [o.p for o in enumerate_measurement(s, x, ("spatial",))] == [_fold(squares)]
     probe = kerr(fresh_probe(s), s, x, 0, +1)
     assert [(o.bits, o.p) for o in enumerate_homodyne(probe, s)] == [(1, _fold(squares))]
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 2)], ids=["m2-n1", "m3-n2"])
+def test_live_part_clears_the_retired_photons_bits(rng, shape):
+    # On every alive pattern: each ket with the bits of the photons not alive
+    # cleared, a mask made by a loop over the register's mask pairs, and those
+    # bits, which are set the same in every ket here.
+    reg = registry(*shape)
+    for alive in itertools.product((False, True), repeat=len(reg)):
+        live_mask = 0
+        for (sm, pm), flag in zip(reg.masks, alive):
+            if flag:
+                live_mask |= sm | pm
+        retired = int(rng.integers(1 << 2 * len(reg))) & ~live_mask
+        kets = [int(k) & live_mask | retired for k in rng.integers(1 << 2 * len(reg), size=4)]
+        state = HybridState(reg, alive, {k: complex(j + 1) for j, k in enumerate(kets)})
+        live, frozen = state.live_part()
+        assert frozen == retired and live.alive == alive and live.register is reg
+        assert list(live.terms.items()) == [(k & live_mask, a) for k, a in state.terms.items()]
+        assert (live is state) == (not retired)
