@@ -17,8 +17,9 @@ random states (each outcome's bits, probability and state), the stage
 mismatch records of checked (2,1) walks with a planted wrong fix or the
 input pair swapped, which a correct build never reports, the
 transcripts of the seeded runs and of every branch of the validated walks,
-as a ``simulate`` report writes them, and ``target_fidelity`` on hand-built
-final states, the malformed ones included.
+as a ``simulate`` report writes them, and ``target_fidelity`` on the
+hand-built final states of ``tests/fidelity_cases.py``, the malformed ones
+included.
 A run that takes more than TIMEOUT_S seconds is killed and counts as a
 difference.  Prints one line per command line and per digest and exits 1 if
 any differs, so a change that claims the same behaviour can show it.
@@ -301,49 +302,20 @@ def errata_digest() -> str:
 
 
 def fidelity_digest() -> str:
-    """A sha256 over ``target_fidelity`` on seeded hand-built final states, each
-    value as hex or the message of the ValueError it raised: per shape of
-    READOUT_SHAPES, one to eight random kets with A V polarized and every other
-    bit random, retired photons' too, with A the only live photon, then with one
-    ket's A on H, with A retired and with a second live photon, and no terms;
-    then registers with no A, with A first and with an A equal to, but not, the
-    registry's.  A one-pass path that drifts from the checked sum shows here."""
+    """A sha256 over ``target_fidelity`` on the hand-built final states of
+    ``tests/fidelity_cases.py``, drawn from RUN_SEED, each value as hex or the
+    message of the ValueError it raised, malformed states included."""
     import numpy as np
 
-    from cjrio.hilbert import A, X, HybridState, PhotonId, PhotonRegister, bob, registry
-    from cjrio.oracle import TargetState, target_fidelity
+    from cjrio.oracle import target_fidelity
 
-    rng = np.random.default_rng(RUN_SEED)
-    states = []
-    for m, n in READOUT_SHAPES:
-        reg = registry(m, n)
-        size, pol = len(reg), reg.mask(1, "polar")
-        only_a = tuple(j == 1 for j in range(size))
-        for count in range(1, 9):
-            terms = {int(k) | pol: complex(*rng.normal(size=2))
-                     for k in rng.integers(1 << 2 * size, size=count)}
-            h = int(rng.integers(len(terms)))
-            other = int(rng.choice([j for j in range(size) if j != 1]))
-            states += [HybridState(reg, only_a, terms),
-                       HybridState(reg, only_a, {k & ~pol if j == h else k: a
-                                                 for j, (k, a) in enumerate(terms.items())}),
-                       HybridState(reg, (False,) * size, terms),
-                       HybridState(reg, tuple(j in (1, other) for j in range(size)), terms)]
-        states.append(HybridState(reg, only_a, {}))
-    for photons, alive in (([X, bob(1), bob(2)], (False, False, False)),
-                           ([X, bob(1), bob(2)], (False, True, False)),
-                           ([A, X, bob(1)], (True, False, False)),
-                           ([X, PhotonId("A"), bob(1)], (False, True, False))):
-        reg = PhotonRegister(photons)
-        pol = reg.mask(photons.index(A), "polar") if A in photons else 0
-        states.append(HybridState(reg, alive, {pol: 0.6 + 0j, pol | 0b111: 0.8j}))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from fidelity_cases import fidelity_cases
+
     digest = hashlib.sha256()
-    for state in states:
-        x = rng.normal(size=4)
-        x /= np.linalg.norm(x)
+    for state, target in fidelity_cases(np.random.default_rng(RUN_SEED)):
         try:
-            value = target_fidelity(state, TargetState(complex(x[0], x[1]),
-                                                       complex(x[2], x[3]))).hex()
+            value = target_fidelity(state, target).hex()
         except ValueError as exc:
             value = str(exc)
         digest.update(repr(value).encode())

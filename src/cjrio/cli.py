@@ -11,6 +11,7 @@ report was written.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import io
 import json
@@ -379,7 +380,8 @@ def cmd_enumerate(args) -> int:
             json.dumps(_BRANCHES_MARK))
         out.write(head + "[\n")
         spool.seek(0)
-        if hasattr(out, "buffer"):  # the spool's ASCII bytes go in as they are
+        # The spool's ASCII bytes go into an ASCII-compatible output as they are.
+        if hasattr(out, "buffer") and codecs.lookup(out.encoding).name in ("utf-8", "ascii"):
             out.flush()
             shutil.copyfileobj(spool, out.buffer)
         else:

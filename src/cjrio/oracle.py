@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hilbert import A, HybridState, PHASE_TOL, VERTICAL, check_unit_pair
+from .hilbert import A, HybridState, PHASE_TOL, check_unit_pair
 from .optics import (ALL_PAULI_POWERS, PauliPower, SU2Operator,
                      apply_pauli_polar, apply_pauli_spatial)
 
@@ -84,40 +84,32 @@ def target_fidelity(final: HybridState, target: TargetState) -> float:
 
     The final state must have photon A as its only live photon, V polarized.
     """
-    alive, terms = final.alive, final.terms
-    # A registry's A, at position 1, the only live photon: one pass sums A's path
-    # amplitudes as below and checks A's V bit; any other state, or a ket on H,
-    # takes the checks below, which name its fault.
-    if final.photons[1:2] == (A,) and alive[1] and terms and not (alive[0] or any(alive[2:])):
-        on, pol = final.register.masks[1]
-        c0 = c1 = 0j
-        for ket, amp in terms.items():
-            if not ket & pol:  # H polarized
-                break
-            if ket & on:
-                c1 += amp
-            else:
-                c0 += amp
-        else:
-            return abs(target.a0.conjugate() * c0 + target.a1.conjugate() * c1)
-    try:
-        i, missing = final.index_of(A), None
+    alive = final.alive
+    try:  # a registry's A is photon 1
+        i, missing = 1 if final.photons[1:2] == (A,) else final.index_of(A), None
     except ValueError as err:  # no A: a live photon is a stray, named before this error
         i, missing = -1, err
-    for j, alive in enumerate(final.alive):
-        if alive and j != i:
-            raise ValueError(f"protocol incomplete: photon {final.photons[j]} still live")
-    if missing is not None:
-        raise missing
-    if not final.alive[i]:
+    if missing is not None or not alive[i] or alive.count(True) > 1:
+        for j, flag in enumerate(alive):
+            if flag and j != i:
+                raise ValueError(f"protocol incomplete: photon {final.photons[j]} still live")
+        if missing is not None:
+            raise missing
         raise ValueError("photon A must be live in the final state")
-    if final.definite_bit(i, "polar") != VERTICAL:
-        raise ValueError("final state must be V polarized on photon A")
-    on = final.register.mask(i, "spatial")
-    c = [0j, 0j]
+    on, pol = final.register.masks[i]
+    c0 = c1 = 0j
     for ket, amp in final.terms.items():
-        c[1 if ket & on else 0] += amp
-    return abs(target.a0.conjugate() * c[0] + target.a1.conjugate() * c[1])
+        if not ket & pol:  # H polarized
+            break
+        if ket & on:
+            c1 += amp
+        else:
+            c0 += amp
+    else:
+        if final.terms:
+            return abs(target.a0.conjugate() * c0 + target.a1.conjugate() * c1)
+    final.definite_bit(i, "polar")  # raises unless every ket is on H
+    raise ValueError("final state must be V polarized on photon A")
 
 
 def extract_qubit(state: HybridState, i: int, dof: str) -> tuple[complex, complex]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import product
 from types import MappingProxyType
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
@@ -67,16 +66,9 @@ class _FrameMismatch(Exception):
         self.word, self.heard, self.derived, self.found = word, heard, derived, found
 
 
-# Each byte's bits, bit 0 first (product gives them bit 7 first).
-_BYTE_BITS = tuple(bits[::-1] for bits in product((0, 1), repeat=8))
-
-
 def _named(labels: Sequence[str], word: int, width: int) -> dict[str, int]:
     """The first ``width`` bits of ``word`` in a fresh dict, bit j as ``labels[j]``."""
-    bits = ()
-    for shift in range(0, width, 8):
-        bits += _BYTE_BITS[word >> shift & 255]
-    return dict(zip(labels[:width], bits))
+    return {labels[j]: word >> j & 1 for j in range(width)}
 
 
 # ---------------------------------------------------------------------------

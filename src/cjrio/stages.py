@@ -132,15 +132,14 @@ FORMS = {
         (BasisKet((n ^ 1, k ^ m ^ 1, q, g, k ^ s ^ 1 ^ v), (VERTICAL, 1, p, w, v)), U12 + 1)]),
 }
 CHECK_IDS = tuple(FORMS)
-_LAYOUTS: dict[int, tuple] = {}
+_LAYOUTS: dict[tuple, tuple] = {}
 
 
-def _layout(ci: int, read: int, at: Sequence[int]) -> tuple:
+def _layout(ci: int, at: tuple[int, ...], read: int) -> tuple:
     """The alive flags, codes and ``{ket: row}`` index of checkpoint ``ci``'s form
-    on the bits of ``read`` at ``at``, its parameters (fixed by the shape's labels):
-    made on the first call, then kept for every config, keyed by one int,
-    ``read`` times the checkpoint count plus ``ci``."""
-    layout = _LAYOUTS.get(key := read * len(CHECK_IDS) + ci)
+    on the bits of ``read`` at ``at``, its parameters: made on the first call,
+    then kept for every config, keyed by all three."""
+    layout = _LAYOUTS.get(key := (ci, at, read))
     if layout is None:
         alive, rows = FORMS[CHECK_IDS[ci]](*(read >> j & 1 for j in at))
         layout = _LAYOUTS[key] = alive, tuple(code for _, code in rows), {
@@ -194,7 +193,7 @@ def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
     def check(labels: Sequence[str], check_id: str, word: int, width: int,
               live: HybridState, frozen: int) -> StageMismatch | None:
         if (reader := readers.get(check_id)) is None:
-            at = [labels.index(p) for p in inspect.signature(FORMS[check_id]).parameters]
+            at = tuple(labels.index(p) for p in inspect.signature(FORMS[check_id]).parameters)
             reader = readers[check_id] = (CHECK_IDS.index(check_id), at,
                                           sum(1 << j for j in at), {}, {})
         ci, at, mask, refs, verdicts = reader
@@ -202,7 +201,7 @@ def make_stage_checker(config) -> Callable[..., StageMismatch | None]:
         verdict = verdicts.get((read, live, frozen))
         if verdict is None:  # a pass is (), a mismatch the two states
             if (ref := refs.get(read)) is None:
-                alive, codes, index = _layout(ci, read, at)
+                alive, codes, index = _layout(ci, at, read)
                 if (amps := scaled.get((alive, codes))) is None:
                     amps = scaled[alive, codes] = _state(reg, alive, {
                         row: table[code] for row, code in enumerate(codes)}).terms

@@ -466,22 +466,25 @@ STREAMED_ARGVS = {
 }
 
 
-# "text" is a stdout with no binary buffer, which takes the spool as text.
-@pytest.mark.parametrize("sink", ["stdout", "output", "text"])
+# "text" is a stdout with no binary buffer and "utf-16" one whose encoding is
+# not ASCII-compatible: both take the spool as text.
+@pytest.mark.parametrize("sink", ["stdout", "output", "text", "utf-16"])
 @pytest.mark.parametrize("name", sorted(STREAMED_ARGVS))
 def test_streamed_report_matches_reference(tmp_path, capsys, monkeypatch, name, sink):
     argv = STREAMED_ARGVS[name]
     expected = _reference_enumerate_report(argv)
-    path, text = tmp_path / "r.json", io.StringIO()
-    if sink == "text":
-        monkeypatch.setattr(sys, "stdout", text)
+    path = tmp_path / "r.json"
+    stream = {"text": io.StringIO(),
+              "utf-16": io.TextIOWrapper(io.BytesIO(), encoding="utf-16")}.get(sink)
+    if stream is not None:
+        monkeypatch.setattr(sys, "stdout", stream)
     code, out, _ = run_cli(capsys, *argv, *(["--output", str(path)] if sink == "output" else []))
     assert code in (EXIT_OK, EXIT_BLOCKED)
     if sink == "output":
         out = path.read_text(encoding="utf-8")
-    elif sink == "text":
+    elif stream is not None:
         assert out == ""
-        out = text.getvalue()
+        out = stream.getvalue() if sink == "text" else stream.buffer.getvalue().decode("utf-16")
     assert out == expected
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cjrio.cli import PRESETS
-from cjrio.hilbert import (A, PHASE_TOL, X, BasisKet, HybridState, PhotonId, PhotonRegister,
+from cjrio.hilbert import (A, PHASE_TOL, X, BasisKet, HybridState, PhotonRegister,
                            VERTICAL, bob, registry)
 from cjrio.optics import PauliPower, SU2Operator, apply_pauli_spatial
 from cjrio.oracle import (CorrectionSearchError, TargetState,
@@ -16,6 +16,7 @@ from cjrio.oracle import (CorrectionSearchError, TargetState,
                           target_fidelity)
 
 from conftest import matrix, random_pair, random_su2, reference_target_fidelity
+from fidelity_cases import fidelity_cases
 
 
 def test_direct_apply_identity():
@@ -217,39 +218,9 @@ def test_target_fidelity_rejections_name_the_first_fault():
     assert target_fidelity(final(reg, (False, True, False, False)), target) == pytest.approx(0.6)
 
 
-def _fidelity_cases(rng):
-    """Hand-built final states: one to eight random kets with A V polarized and
-    every other bit random, the retired photons' too, with A the only live
-    photon, then with one ket's A on H, with A retired and with a second live
-    photon; no terms; and registers with no A, with A first and with an A equal
-    to, but not, the registry's."""
-    for m, n in ((1, 0), (2, 1), (3, 2)):
-        reg = registry(m, n)
-        size, pol = len(reg), reg.mask(1, "polar")
-        only_a = tuple(j == 1 for j in range(size))
-        for count in range(1, 9):
-            terms = {int(k) | pol: complex(*rng.standard_normal(2))
-                     for k in rng.integers(1 << 2 * size, size=count)}
-            h = int(rng.integers(len(terms)))
-            other = int(rng.choice([j for j in range(size) if j != 1]))
-            yield HybridState(reg, only_a, terms)
-            yield HybridState(reg, only_a, {k & ~pol if j == h else k: a
-                                            for j, (k, a) in enumerate(terms.items())})
-            yield HybridState(reg, (False,) * size, terms)
-            yield HybridState(reg, tuple(j in (1, other) for j in range(size)), terms)
-        yield HybridState(reg, only_a, {})
-    for photons, alive in (([X, bob(1), bob(2)], (False, False, False)),
-                           ([X, bob(1), bob(2)], (False, True, False)),
-                           ([A, X, bob(1)], (True, False, False)),
-                           ([X, PhotonId("A"), bob(1)], (False, True, False))):
-        reg = PhotonRegister(photons)
-        pol = reg.mask(photons.index(A), "polar") if A in photons else 0
-        yield HybridState(reg, alive, {pol: 0.6 + 0j, pol | 0b111: 0.8j})
-
-
 def test_target_fidelity_matches_the_reference_loop(rng, monkeypatch):
-    # The one-pass path gives the reference's float bits and looks no photon
-    # up; every other state gets the reference's value or error text.
+    # The registry's A, at position 1, is found with no lookup; every state
+    # gets the reference's float bits or error text.
     lookups, index_of = [], HybridState.index_of
     monkeypatch.setattr(HybridState, "index_of",
                         lambda state, photon: lookups.append(photon) or index_of(state, photon))
@@ -261,15 +232,15 @@ def test_target_fidelity_matches_the_reference_loop(rng, monkeypatch):
             return f"ValueError: {exc}"
 
     kinds = []
-    for state in _fidelity_cases(rng):
-        target = TargetState(*random_pair(rng))
+    for state, target in fidelity_cases(rng):
         lookups.clear()
         got = outcome(target_fidelity, state, target)
         kinds.append((not lookups, not got.startswith("ValueError")))
         assert got == outcome(reference_target_fidelity, state, target)
-    # 24 registry states and the equal A take the one pass; A first, no pass.
+    # 24 registry states and the equal A give a value with no lookup, A first
+    # one with a lookup; the two registers with no A look it up and fail.
     assert kinds.count((True, True)) == 25 and kinds.count((False, True)) == 1
-    assert (True, False) not in kinds and kinds.count((False, False)) == len(kinds) - 26
+    assert kinds.count((False, False)) == 2 and kinds.count((True, False)) == len(kinds) - 28
 
 
 def test_extract_qubit_factorizable(rng):

@@ -8,7 +8,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cjrio import protocol
 from cjrio.hilbert import A, VERTICAL, X, bob, charlie
 from cjrio.optics import PauliPower, SU2Operator
 from cjrio.oracle import direct_apply, target_fidelity
@@ -205,26 +204,6 @@ def test_interleaved_walks_on_one_build_name_their_own_bits(rng):
         count += 1
     assert count == 2048 and next(fresh, None) is None
 
-
-
-def _named_by_loop(labels, word, width):
-    return {labels[j]: word >> j & 1 for j in range(width)}
-
-
-def test_bits_are_named_from_the_byte_table(rng):
-    # Every width up to 64, words with bits above the width too, and a sampled
-    # (8,4) run's 41 bits: the names and values, in order, of a plain loop.
-    labels = [f"b{j}" for j in range(64)]
-    for width in range(65):
-        for word in (0, (1 << width) - 1, *map(int, rng.integers(2 ** 63, size=8))):
-            word |= int(rng.integers(2 ** 8)) << width
-            assert (list(protocol._named(labels, word, width).items())
-                    == list(_named_by_loop(labels, word, width).items()))
-    ops = tuple(random_su2(rng) for _ in range(8))
-    res = run_full(ProtocolConfig(8, 4, ops, *random_pair(rng)), seed=5)
-    assert len(res.bits) == 41
-    assert list(res.bits.items()) == list(_named_by_loop(res._protocol.labels, res._word,
-                                                         41).items())
 
 def test_a_dropped_protocol_goes_without_the_cyclic_collector(rng):
     # No node refers to its protocol, so its filled tables are freed as soon

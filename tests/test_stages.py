@@ -301,6 +301,27 @@ def test_every_reference_is_pinned():
     assert digest.hexdigest() == PINNED_REFERENCES
 
 
+def test_labels_in_another_order_read_their_own_layouts(rng, monkeypatch):
+    # The layouts every checker shares are keyed by the bit positions a form
+    # reads: a checker given the labels reversed, called before each check of
+    # another with them in order, gets the same records and leaves no layout
+    # that a later walk misreads.
+    monkeypatch.setattr(stages, "_LAYOUTS", {})
+    cfg = config_for(rng)
+    labels = build_protocol(cfg).labels
+    probe = HybridState(registry(2, 1), (True,) * 5, {0: 1 + 0j})
+    orders = tuple(reversed(labels)), labels
+    checks = make_stage_checker(cfg), make_stage_checker(cfg)
+    for check_id in CHECK_IDS:
+        names = READS[check_id]
+        for values in itertools.product((0, 1), repeat=len(names)):
+            first, second = (
+                check(order, check_id, sum(b << order.index(name) for name, b in zip(names, values)),
+                      len(order), probe, 0) for check, order in zip(checks, orders))
+            assert first.bits == second.bits and first.reference == second.reference
+    assert all(res.errata == [] for res in iter_branches(cfg, check_stages=True))
+
+
 def test_a_second_config_walk_makes_no_ket(rng, monkeypatch):
     # Ket layouts depend on the bits read alone: once one walk has made them,
     # another config's walk scales them and packs no ket.
